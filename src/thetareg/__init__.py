@@ -14,7 +14,7 @@ from .besov import (BlockRecord, ExponentFit, Prediction, RegularityReport,
                     fit_exponent, predicted_exponent, records_to_csv,
                     report_to_json)
 from .collapse import (CollapseCheck, CombFormula, PeriodizedGaussian,
-                       TrigPolynomial, comb_of, extract_kappa, verify_collapse)
+                       comb_of, extract_kappa, verify_collapse)
 from .contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                        QuadraticIrrational, QuotientRule, Rational,
                        SigmaEstimate, TimeSpec, cf_of_real, classify_sigma,

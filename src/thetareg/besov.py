@@ -44,7 +44,7 @@ import numpy as np
 
 from .contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
                        SigmaEstimate, TimeSpec, classify_sigma)
-from .cutoff import rough_weights, smooth_weights
+from .cutoff import MAX_BLOCK_J, block_bounds, rough_weights, smooth_weights
 from .errors import DomainError
 from .thetasum import ProbeResult, merged_block_sup
 
@@ -61,8 +61,6 @@ __all__ = [
     "records_to_csv",
     "report_to_json",
 ]
-
-MAX_BLOCK_J = 20
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     scales = sorted(set(js)) if js is not None else list(range(j_min, j_max + 1))
     if not scales:
         raise DomainError("no scales requested")
-    if scales[0] < 0 or scales[-1] > MAX_BLOCK_J:
-        raise DomainError(f"scales must lie in [0, {MAX_BLOCK_J}]")
+    for j in (scales[0], scales[-1]):
+        block_bounds(j)     # refuse the whole request before any block is computed
     records: list[BlockRecord] = []
     for j in scales:
         rough_sup = smooth_sup = None

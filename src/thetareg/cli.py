@@ -26,7 +26,7 @@ from .besov import (block_spectrum, classify_regularity, fit_exponent,
 from .collapse import verify_collapse
 from .contfrac import (KHINCHIN_LEVY, classify_sigma, khinchin_levy_diagnostic,
                        parse_timespec)
-from .cutoff import smooth_weights, unit_window
+from .cutoff import rough_weights, smooth_weights, unit_window
 from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
@@ -330,7 +330,7 @@ def _cmd_probe(args) -> int:
 def _cmd_stability(args) -> int:
     spec_a = parse_timespec(args.t)
     spec_b = parse_timespec(args.t1)
-    w = smooth_weights(args.j) if args.weights == "smooth" else _rough(args.j)
+    w = smooth_weights(args.j) if args.weights == "smooth" else rough_weights(args.j)
     result = stability_ratio(spec_a, spec_b, w, k_bound=args.kbound,
                              oversample=args.oversample)
     doc = {
@@ -342,11 +342,6 @@ def _cmd_stability(args) -> int:
     if args.check and not (0.125 <= result.ratio <= 8.0):
         raise VerificationError(f"sup ratio {result.ratio:.4f} outside [1/8, 8]")
     return 0
-
-
-def _rough(j: int):
-    from .cutoff import rough_weights
-    return rough_weights(j)
 
 
 def _cmd_scan(args) -> int:
@@ -394,6 +389,17 @@ def _cmd_scan(args) -> int:
 
 # --------------------------------------------------------------- main --
 
+def _positive(kind):
+    """argparse type: a finite kind(text) > 0; nan, inf and signs are bad input."""
+    def parse(text: str):
+        val = kind(text)    # argparse reports a ValueError as bad input too
+        if not (math.isfinite(val) and val > 0):
+            raise argparse.ArgumentTypeError(f"want a finite number > 0, got {text!r}")
+        return val
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="thetareg",
@@ -437,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse", help="delta-comb identity at rational t")
     p.add_argument("--t", default=None)
-    p.add_argument("--sweep", type=int, default=None,
+    p.add_argument("--sweep", type=_positive(int), default=None,
                    help="check every p/q with q <= SWEEP instead of one time")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_positive(float), default=1e-7)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=_cmd_collapse)
 
@@ -455,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--weights", choices=("rough", "smooth"), default="smooth")
-    p.add_argument("--kbound", type=float, default=1.0)
+    p.add_argument("--kbound", type=_positive(float), default=1.0)
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=_cmd_stability)
@@ -463,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="batch spectra over a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config's out dir")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for interface stability; runs sequentially")
     p.set_defaults(func=_cmd_scan)
     return ap
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contfrac import expand_rational
+from .contfrac import CFExpansion, expand_rational
 from .errors import DomainError, VerificationError
 from .exactnum import rational_phase_array
 
@@ -46,7 +46,6 @@ __all__ = [
     "CombFormula",
     "comb_of",
     "PeriodizedGaussian",
-    "TrigPolynomial",
     "comb_coefficients_dft",
     "coefficient_residual",
     "lhs_pairing",
@@ -106,18 +105,12 @@ def comb_of(p: int, q: int) -> CombFormula:
     g = math.gcd(p, q)
     p, q = p // g, q // g
     p %= 2 * q
-    quots = expand_rational(p, q)
-    p_prev, q_prev = 1, 0
-    p_cur: int | None = None
-    q_cur = 1
-    for a in quots:
-        if p_cur is None:
-            p_cur, q_cur = a, 1
-        else:
-            p_cur, p_prev = a * p_cur + p_prev, p_cur
-            q_cur, q_prev = a * q_cur + q_prev, q_cur
-    if (p_cur, q_cur) != (p, q):
+    exp = CFExpansion(tuple(expand_rational(p, q)))
+    last = len(exp) - 1
+    if (exp.p(last), exp.q(last)) != (p, q):
         raise VerificationError("convergent recursion lost the value")
+    # k = -1 is the seed (1, 0) when the expansion is the single a_0
+    p_prev, q_prev = exp.p(last - 1), exp.q(last - 1)
     det = q * p_prev - p * q_prev
     if det != 1:
         raise VerificationError(
@@ -214,40 +207,6 @@ class PeriodizedGaussian:
 
     def label(self) -> str:
         return f"gauss(c={self.center:.6g},w={self.width:g})"
-
-
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """phi(x) = sum_k c_k e(k x) with finitely many terms."""
-
-    coeffs: tuple[tuple[int, complex], ...]
-
-    def __call__(self, x):
-        xv = np.asarray(x, dtype=np.float64)
-        total = np.zeros_like(xv, dtype=np.complex128)
-        for k, c in self.coeffs:
-            total += c * np.exp((2j * np.pi * k) * xv)
-        if np.isscalar(x) or xv.shape == ():
-            return complex(total)
-        return total
-
-    def fourier(self, k: np.ndarray) -> np.ndarray:
-        kv = np.asarray(k)
-        out = np.zeros(kv.shape, dtype=np.complex128)
-        table = dict(self.coeffs)
-        flat = out.reshape(-1)
-        for i, kk in enumerate(np.ravel(kv)):
-            flat[i] = table.get(int(kk), 0.0)
-        return out
-
-    def coeff_tail_bound(self, K: int) -> float:
-        return sum(abs(c) for k, c in self.coeffs if abs(k) > K)
-
-    def coeff_count(self, tol: float = 1e-13) -> int:
-        return max((abs(k) for k, _ in self.coeffs), default=1)
-
-    def label(self) -> str:
-        return "trigpoly(" + ",".join(str(k) for k, _ in self.coeffs) + ")"
 
 
 def lhs_pairing(p: int, q: int, phi, n_max: int | None = None) -> complex:

@@ -28,11 +28,12 @@ The Khinchin-Levy constant pi^2 / (12 ln 2) is the almost-sure limit of
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError, PrecisionExhaustedError
 
@@ -42,6 +43,7 @@ __all__ = [
     "floor_quadratic",
     "canonical_quotients",
     "expand_rational",
+    "convergents",
     "CFExpansion",
     "TimeSpec",
     "Rational",
@@ -141,14 +143,27 @@ def expand_rational(p: int, q: int) -> list[int]:
     return quots
 
 
+def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(p_k, q_k) for k = 0, 1, ..., one pair per quotient a_k consumed.
+
+    p_k = a_k p_{k-1} + p_{k-2} (likewise q), seeded by p_{-2}, q_{-2} = 0, 1
+    and p_{-1}, q_{-1} = 1, 0, so a_0 needs no special case. Lazy: it pulls
+    a_k only when asked for the k-th pair.
+    """
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    for a in quotients:
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        yield p, q
+
+
 @dataclass(frozen=True)
 class CFExpansion:
     """Partial quotients a_0, a_1, ... with their convergents p_k/q_k.
 
-    Recurrences p_{k+1} = a_{k+1} p_k + p_{k-1} (likewise q), seeded by
-    p_{-1} = 1, q_{-1} = 0, p_0 = a_0, q_0 = 1. ``exact_terminates`` marks
-    the complete expansion of a rational; ``truncated`` marks a quotient or
-    digit source that was cut off before it was done.
+    The convergents come from ``convergents``, with the seed p_{-1} = 1,
+    q_{-1} = 0 kept as index -1. ``exact_terminates`` marks the complete
+    expansion of a rational; ``truncated`` marks a quotient or digit source
+    that was cut off before it was done.
     """
 
     quotients: tuple[int, ...]
@@ -171,13 +186,9 @@ class CFExpansion:
         cached = self.__dict__.get("_pq_cache")
         if cached is None:
             ps, qs = [1], [0]  # index shifted by one: position k+1 holds p_k
-            for a in self.quotients:
-                if len(ps) == 1:
-                    ps.append(a)
-                    qs.append(1)
-                else:
-                    ps.append(a * ps[-1] + ps[-2])
-                    qs.append(a * qs[-1] + qs[-2])
+            for p, q in convergents(self.quotients):
+                ps.append(p)
+                qs.append(q)
             cached = (ps, qs)
             self.__dict__["_pq_cache"] = cached
         return cached
@@ -229,38 +240,21 @@ class TimeSpec:
 
     def convergent_pairs(self) -> Iterator[tuple[int, int]]:
         """Successive (p_k, q_k); finite for rationals."""
-        p_prev, q_prev = 1, 0
-        p_cur: int | None = None
-        q_cur = 1
-        for a in self.partial_quotients():
-            if p_cur is None:
-                p_cur, q_cur = a, 1
-            else:
-                p_cur, p_prev = a * p_cur + p_prev, p_cur
-                q_cur, q_prev = a * q_cur + q_prev, q_cur
-            yield p_cur, q_cur
+        return convergents(self.partial_quotients())
 
     def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
         """Quotients up to the given budgets; truncated=True when cut off."""
         quots: list[int] = []
-        q_prev, q_cur = 0, 1
-        p_prev, p_cur = 1, None
-        truncated = True
-        source = self.partial_quotients()
-        while len(quots) < max_terms:
-            try:
-                a = next(source)
-            except StopIteration:
-                truncated = False
-                break
+        source, fed = itertools.tee(self.partial_quotients())
+        for a, (_, q) in zip(itertools.islice(source, max(max_terms, 0)),
+                             convergents(fed)):
             quots.append(a)
-            if p_cur is None:
-                p_cur, q_cur = a, 1
-            else:
-                p_cur, p_prev = a * p_cur + p_prev, p_cur
-                q_cur, q_prev = a * q_cur + q_prev, q_cur
-            if q_cur.bit_length() > max_q_bits:
+            if q.bit_length() > max_q_bits:
+                truncated = True
                 break
+        else:
+            # ended by the term budget (truncated) or by the source itself
+            truncated = len(quots) == max_terms
         if not quots:
             raise PrecisionExhaustedError("no quotients could be produced")
         return CFExpansion(tuple(quots), exact_terminates=not truncated,
@@ -445,8 +439,11 @@ class QuotientRule(TimeSpec):
             raise DomainError("seed quotients after a_0 must be >= 1")
         self.sigma = sigma
         self.seed = tuple(int(a) for a in seed)
-        self._quots: list[int] = list(self.seed)
-        self._pq: list[tuple[int, int]] = []
+        self._quots: list[int] = []
+        self._q = 1
+        # the live recurrence: each step pulls one quotient from _rule, which
+        # derives it from the denominator _q of the step before
+        self._steps = convergents(self._rule())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuotientRule)
@@ -455,22 +452,20 @@ class QuotientRule(TimeSpec):
     def exact_value(self) -> Fraction | None:
         return None
 
-    def _extend(self, count: int) -> None:
-        p_prev, q_prev = 1, 0
-        p_cur: int | None = None
-        q_cur = 1
-        for a in self._quots:
-            if p_cur is None:
-                p_cur, q_cur = a, 1
-            else:
-                p_cur, p_prev = a * p_cur + p_prev, p_cur
-                q_cur, q_prev = a * q_cur + q_prev, q_cur
+    def _rule(self) -> Iterator[int]:
+        """The seed, then a_{k+1} = max(1, floor(q_k^sigma)), recorded in _quots."""
         num, den = self.sigma.numerator, self.sigma.denominator
+        for a in self.seed:
+            self._quots.append(a)
+            yield a
+        while True:
+            a = max(1, iroot(self._q ** num, den)) if num else 1
+            self._quots.append(a)
+            yield a
+
+    def _extend(self, count: int) -> None:
         while len(self._quots) < count:
-            nxt = max(1, iroot(q_cur ** num, den)) if num else 1
-            self._quots.append(nxt)
-            p_cur, p_prev = nxt * p_cur + p_prev, p_cur  # type: ignore[operator]
-            q_cur, q_prev = nxt * q_cur + q_prev, q_cur
+            _, self._q = next(self._steps)
 
     def partial_quotients(self) -> Iterator[int]:
         k = 0

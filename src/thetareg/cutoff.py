@@ -28,17 +28,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 __all__ = [
+    "MAX_BLOCK_J",
+    "MAX_BLOCK_N",
     "CutoffFunction",
     "make_smooth_cutoff",
     "WeightVector",
+    "block_bounds",
     "smooth_weights",
     "rough_weights",
     "unit_window",
     "one_sided_unit",
 ]
+
+
+# The block budget: scales j <= MAX_BLOCK_J, so every window ends by
+# |n| = MAX_BLOCK_N, the top of the last block.
+MAX_BLOCK_J = 20
+MAX_BLOCK_N = 2 ** (MAX_BLOCK_J + 1)
 
 
 def _smooth_step(u: np.ndarray) -> np.ndarray:
@@ -86,14 +95,6 @@ class CutoffFunction:
     def plateau(self, x) -> np.ndarray:
         """The underlying step phi (the j = 0 weight profile)."""
         return _phi(x)
-
-    def partition_sum(self, x, j_lo: int, j_hi: int) -> np.ndarray:
-        """sum_{j=j_lo}^{j_hi} chi(2^-j x); equals 1 well inside the range."""
-        x = np.asarray(x, dtype=np.float64)
-        total = np.zeros_like(x)
-        for j in range(j_lo, j_hi + 1):
-            total += _chi(x * 2.0 ** -j)
-        return total
 
 
 def make_smooth_cutoff() -> CutoffFunction:
@@ -163,37 +164,33 @@ class WeightVector:
         line = self._line()
         return float(np.abs(np.diff(line)).sum())
 
-    def tv_one_sided(self) -> float:
-        """Total variation of n -> w_n over n >= 0 (padded with zero at N+1)."""
-        line = np.concatenate((self.w_pos, [0.0]))
-        return float(np.abs(np.diff(line)).sum())
 
-
-def _block_bounds(j: int) -> tuple[int, int]:
+def block_bounds(j: int) -> tuple[int, int]:
+    """Support window (M, N) of block j; j outside [0, MAX_BLOCK_J] is refused."""
     if j < 0:
         raise DomainError("block index must be >= 0")
+    if j > MAX_BLOCK_J:
+        raise BudgetError(f"block scale j = {j} exceeds the budget j <= {MAX_BLOCK_J}")
     if j == 0:
         return 0, 2
     return 2 ** (j - 1) + 1, 2 ** (j + 1)
 
 
-def smooth_weights(j: int, cutoff: CutoffFunction | None = None) -> WeightVector:
+def smooth_weights(j: int) -> WeightVector:
     """Smooth dyadic block: w_n = chi(2^-j n); the j = 0 block uses phi."""
-    cut = cutoff or make_smooth_cutoff()
-    M, N = _block_bounds(j)
-    n = np.arange(N + 1, dtype=np.float64)
+    M, N = block_bounds(j)
     if j == 0:
-        w = cut.plateau(n)
+        w = _phi(np.arange(N + 1, dtype=np.float64))
     else:
         w = np.zeros(N + 1)
         inner = np.arange(M, N + 1, dtype=np.float64)
-        w[M:] = cut(inner * 2.0 ** -j)
+        w[M:] = _chi(inner * 2.0 ** -j)
     return WeightVector(j=j, M=M, N=N, w_pos=w, w_neg=None, mode="smooth")
 
 
 def rough_weights(j: int) -> WeightVector:
     """Sharp dyadic block: indicator of 2^(j-1) < |n| <= 2^(j+1) (j = 0: |n| <= 2)."""
-    M, N = _block_bounds(j)
+    M, N = block_bounds(j)
     w = np.zeros(N + 1)
     w[M:] = 1.0
     if j == 0:
@@ -201,20 +198,24 @@ def rough_weights(j: int) -> WeightVector:
     return WeightVector(j=j, M=M, N=N, w_pos=w, w_neg=None, mode="rough")
 
 
-def unit_window(M: int, N: int) -> WeightVector:
-    """Unit weights on M <= |n| <= N, both sides."""
+def _unit_line(M: int, N: int) -> np.ndarray:
+    """Unit weights on M <= n <= N, refused past the block budget."""
     if M < 1:
         raise DomainError("windows start at M >= 1 (n = 0 has no phase)")
+    if N > MAX_BLOCK_N:
+        raise BudgetError(f"window reaches |n| = {N} > {MAX_BLOCK_N}")
     w = np.zeros(N + 1)
     w[M:] = 1.0
-    return WeightVector(j=None, M=M, N=N, w_pos=w, w_neg=None, mode="unit")
+    return w
+
+
+def unit_window(M: int, N: int) -> WeightVector:
+    """Unit weights on M <= |n| <= N, both sides."""
+    return WeightVector(j=None, M=M, N=N, w_pos=_unit_line(M, N), w_neg=None,
+                        mode="unit")
 
 
 def one_sided_unit(M: int, N: int) -> WeightVector:
     """Unit weights on M <= n <= N only (nothing on the negative side)."""
-    if M < 1:
-        raise DomainError("windows start at M >= 1 (n = 0 has no phase)")
-    w = np.zeros(N + 1)
-    w[M:] = 1.0
-    return WeightVector(j=None, M=M, N=N, w_pos=w, w_neg=np.zeros(N + 1),
-                        mode="one-sided")
+    return WeightVector(j=None, M=M, N=N, w_pos=_unit_line(M, N),
+                        w_neg=np.zeros(N + 1), mode="one-sided")

@@ -1,15 +1,29 @@
 """Command line interface: exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import thetareg
 from thetareg.cli import main, read_config, spectrum_svg
 from thetareg.besov import block_spectrum
 from thetareg.contfrac import Rational
 from thetareg.errors import DomainError
+
+SRC = str(Path(thetareg.__file__).resolve().parents[1])
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's thetareg."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def test_cf_text_output(capsys):
@@ -180,3 +194,39 @@ def test_console_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "blocks" in proc.stdout and "collapse" in proc.stdout
+
+
+def test_import_leaves_scipy_out():
+    proc = _python("-c", "import sys, thetareg, thetareg.cli; "
+                         "assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+_GOLDEN = "quad:(-1+1*sqrt(5))/2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--t", _GOLDEN, "--t1", "rat:144/233", "--j", "6",
+     "--kbound", "nan"],
+    ["stability", "--t", _GOLDEN, "--t1", "rat:144/233", "--j", "6",
+     "--kbound", "inf"],
+    ["stability", "--t", _GOLDEN, "--t1", "rat:144/233", "--j", "6",
+     "--kbound", "-1"],
+    ["collapse", "--sweep", "-3"],
+    ["collapse", "--t", "rat:1/3", "--tol", "nan", "--check"],
+])
+def test_bad_arguments_exit_2_without_traceback(argv):
+    proc = _python("-m", "thetareg.cli", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "--t", "rat:1/3", "--jmax", "21"],
+    ["stability", "--t", _GOLDEN, "--t1", "rat:144/233", "--j", "21"],
+])
+def test_scale_above_block_budget_is_refused(argv):
+    proc = _python("-m", "thetareg.cli", *argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("refused:")
+    assert "Traceback" not in proc.stderr

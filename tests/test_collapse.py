@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import slow_comb_masses
-from thetareg.collapse import (CombFormula, PeriodizedGaussian, TrigPolynomial,
+from thetareg.collapse import (CombFormula, PeriodizedGaussian,
                                comb_coefficients_dft, comb_of,
                                coefficient_residual, default_test_functions,
                                extract_kappa, lhs_pairing, rhs_pairing,
@@ -23,6 +24,24 @@ def _eq(a: complex, b: complex, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol
 
 
+@dataclass(frozen=True)
+class TrigPolynomial:
+    """Test function phi(x) = sum_k c_k e(k x) with finitely many terms."""
+
+    coeffs: tuple[tuple[int, complex], ...]
+
+    def __call__(self, x):
+        return sum((c * cmath.exp(2j * math.pi * k * x) for k, c in self.coeffs),
+                   0.0 + 0.0j)
+
+    def fourier(self, k: np.ndarray) -> np.ndarray:
+        table = dict(self.coeffs)
+        return np.array([table.get(int(kk), 0.0) for kk in k], dtype=np.complex128)
+
+    def coeff_count(self) -> int:
+        return max((abs(k) for k, _ in self.coeffs), default=1)
+
+
 # ------------------------------------------------------------- comb algebra
 
 def test_comb_of_frozen_examples():
@@ -32,10 +51,11 @@ def test_comb_of_frozen_examples():
     assert (c23.p_prev, c23.q_prev, c23.xi, c23.eta) == (1, 1, 0, 1)
     c12 = comb_of(1, 2)
     assert (c12.p_prev, c12.q_prev, c12.xi, c12.eta) == (1, 1, 0, 1)
+    # single-quotient expansions take p', q' from the k = -1 seed
     c01 = comb_of(0, 1)
-    assert (c01.xi, c01.eta) == (0, 0)
+    assert (c01.p_prev, c01.q_prev, c01.xi, c01.eta) == (1, 0, 0, 0)
     c11 = comb_of(1, 1)
-    assert (c11.xi, c11.eta) == (1, 0)
+    assert (c11.p_prev, c11.q_prev, c11.xi, c11.eta) == (1, 0, 1, 0)
 
 
 def test_comb_unimodular_orientation_and_parity():

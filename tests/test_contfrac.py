@@ -11,10 +11,10 @@ from oracles import frac_le_sqrt, mp_value
 from thetareg.contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                                QuadraticIrrational, QuotientRule, Rational,
                                canonical_quotients, cf_of_real, classify_sigma,
-                               construct_in_class, expand_rational,
+                               construct_in_class, convergents, expand_rational,
                                floor_quadratic, iroot,
                                khinchin_levy_diagnostic, parse_timespec)
-from thetareg.errors import DomainError
+from thetareg.errors import DomainError, PrecisionExhaustedError
 
 
 # ----------------------------------------------------------- exact helpers
@@ -79,6 +79,26 @@ def test_convergents_seed_indexing():
     assert (exp.p(-1), exp.q(-1)) == (1, 0)
     assert exp.convergents() == [(1, 1), (3, 2), (7, 5)]
     assert exp.value() == Fraction(7, 5)
+
+
+def _fraction_of(quots: list[int]) -> Fraction:
+    """[a_0; a_1, ..., a_k] evaluated exactly, innermost quotient first."""
+    val = Fraction(quots[-1])
+    for a in reversed(quots[:-1]):
+        val = a + 1 / val
+    return val
+
+
+@given(a0=st.integers(0, 10**6),
+       tail=st.lists(st.integers(1, 10**6), min_size=0, max_size=25))
+def test_convergents_match_fraction_evaluation(a0, tail):
+    quots = [a0] + tail
+    pairs = list(convergents(quots))
+    assert len(pairs) == len(quots)
+    for k, (p, q) in enumerate(pairs):
+        val = _fraction_of(quots[:k + 1])
+        assert (p, q) == (val.numerator, val.denominator)
+    assert CFExpansion(tuple(quots)).convergents() == pairs
 
 
 # ------------------------------------------------------------ time classes
@@ -156,10 +176,23 @@ def test_value_bracket_golden(golden):
 def test_quotient_rule_frozen_sigma_one():
     # a_{k+1} = q_k gives q_{k+1} = q_k^2 + q_{k-1}: 1,2,5,27,734,538783
     t = QuotientRule(Fraction(1), (0, 2))
-    exp = t.expansion(7)
+    assert t.expansion(4).quotients == (0, 2, 2, 5)
+    exp = t.expansion(7)     # extends the same rule from its last convergent
     assert exp.quotients == (0, 2, 2, 5, 27, 734, 538783)
     qs = [q for _, q in exp.convergents()]
     assert qs == [1, 2, 5, 27, 734, 538783, 538783**2 + 734]
+
+
+def test_expansion_budgets(golden):
+    exp = golden.expansion(5)
+    assert exp.quotients == (0, 1, 1, 1, 1) and exp.truncated
+    # sigma = 1 squares q each step: 27 -> 734 -> 538783, the first q past 16 bits
+    rule = QuotientRule(Fraction(1), (0, 2)).expansion(64, max_q_bits=16)
+    assert rule.quotients == (0, 2, 2, 5, 27, 734)
+    assert rule.truncated and not rule.exact_terminates
+    for budget in (0, -1):
+        with pytest.raises(PrecisionExhaustedError):
+            golden.expansion(budget)
 
 
 def test_quotient_rule_validation():

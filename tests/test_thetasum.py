@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from oracles import brute_probe_max, brute_sum_at
 from thetareg.contfrac import QuadraticIrrational, Rational
-from thetareg.cutoff import (one_sided_unit, rough_weights, smooth_weights,
-                             unit_window)
+from thetareg.cutoff import (MAX_BLOCK_J, WeightVector, one_sided_unit,
+                             rough_weights, smooth_weights, unit_window)
 from thetareg.errors import (AliasingError, BudgetError, DomainError,
                              HypothesisError)
-from thetareg.thetasum import (MAX_BLOCK_N, SumSpec, eval_sum, grid_values,
-                               hl_constant_monitor, mean_square_on_grid,
+from thetareg.thetasum import (MAX_BLOCK_N, SumSpec, _fft_len, eval_sum,
+                               grid_values, hl_constant_monitor,
+                               mean_square_on_grid,
                                merged_block_sup, probe_floors, rational_probe,
                                scale_bits_for, stability_ratio, sup_norm)
 
@@ -63,6 +65,41 @@ def test_grid_values_guards():
 def test_block_budget():
     with pytest.raises(BudgetError):
         SumSpec(Rational(1, 3), unit_window(1, MAX_BLOCK_N + 1))
+
+
+def test_block_budget_is_one_limit():
+    # the top scale still builds a sum (no FFT is run here); one past it, or
+    # a window past its top, is refused before any weights exist
+    assert MAX_BLOCK_N == 2 ** (MAX_BLOCK_J + 1)
+    for make in (rough_weights, smooth_weights):
+        w = make(MAX_BLOCK_J)
+        assert w.N == MAX_BLOCK_N
+        SumSpec(Rational(1, 3), w)
+        with pytest.raises(BudgetError):
+            make(MAX_BLOCK_J + 1)
+    for make in (unit_window, one_sided_unit):
+        assert make(1, MAX_BLOCK_N).N == MAX_BLOCK_N
+        with pytest.raises(BudgetError):
+            make(1, MAX_BLOCK_N + 1)
+    # weights built by hand still meet the same limit in the sum and probe
+    wide = WeightVector(j=None, M=1, N=MAX_BLOCK_N + 1,
+                        w_pos=np.ones(MAX_BLOCK_N + 2), w_neg=None, mode="unit")
+    with pytest.raises(BudgetError):
+        SumSpec(Rational(1, 3), wide)
+    with pytest.raises(BudgetError):
+        rational_probe(1, 3, wide)
+
+
+def test_fft_len_matches_scipy():
+    for target in range(1, 2 ** 17 + 1):
+        assert _fft_len(target) == next_fast_len(target), target
+    # every grid size sup_norm asks for, up to the top block
+    for j in range(MAX_BLOCK_J + 1):
+        N = rough_weights(j).N
+        for oversample in (2, 4, 8):
+            target = oversample * (2 * N + 1)
+            assert _fft_len(target) == next_fast_len(target), (j, oversample)
+    _fft_len.cache_clear()
 
 
 def test_parseval_identity(golden):
