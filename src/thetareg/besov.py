@@ -46,7 +46,7 @@ from .contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
                        SigmaEstimate, TimeSpec, classify_sigma)
 from .cutoff import MAX_BLOCK_J, block_bounds, rough_weights, smooth_weights
 from .errors import DomainError
-from .thetasum import ProbeResult, merged_block_sup
+from .thetasum import merged_block_sup
 
 __all__ = [
     "BlockRecord",
@@ -65,11 +65,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockRecord:
-    """Measured data for one dyadic scale."""
+    """Measured data for one dyadic scale; each true sup is certified to
+    lie in [x_sup, x_sup_upper]."""
 
     j: int
     rough_sup: float | None
+    rough_sup_upper: float | None
     smooth_sup: float | None
+    smooth_sup_upper: float | None
     l2_exact: float            # sqrt(#frequencies of the sharp block), exact
     q_used: int | None         # denominator scale-matched to 2^j (when known)
     upper_envelope: float | None   # 3*2^j/sqrt(q_used) + sqrt(q_used)
@@ -118,21 +121,11 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
         block_bounds(j)     # refuse the whole request before any block is computed
     records: list[BlockRecord] = []
     for j in scales:
-        rough_sup = smooth_sup = None
-        floor = None
-        satisfied: bool | None = None
-        probe: ProbeResult | None = None
+        rough = smooth = probe = sprobe = None
         if mode in ("rough", "both"):
-            res, probe = merged_block_sup(time, rough_weights(j), oversample)
-            rough_sup = res.value
-            if probe is not None:
-                floor = max(v for _, v in probe.floors)
-                satisfied = probe.satisfied
+            rough, probe = merged_block_sup(time, rough_weights(j), oversample)
         if mode in ("smooth", "both"):
-            res, sprobe = merged_block_sup(time, smooth_weights(j), oversample)
-            smooth_sup = res.value
-            if satisfied is None and sprobe is not None:
-                satisfied = sprobe.satisfied
+            smooth, sprobe = merged_block_sup(time, smooth_weights(j), oversample)
         count = 3 * 2 ** j if j >= 1 else 5
         exact = time.exact_value()
         q_used = exact.denominator if exact is not None else _scale_matched_q(time, j)
@@ -140,10 +133,12 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
         if q_used:
             envelope = count / math.sqrt(q_used) + math.sqrt(q_used)
         records.append(BlockRecord(
-            j=j, rough_sup=rough_sup, smooth_sup=smooth_sup,
-            l2_exact=math.sqrt(count), q_used=q_used,
-            upper_envelope=envelope, rough_floor=floor,
-            probe_satisfied=satisfied))
+            j=j, rough_sup=rough and rough.value, rough_sup_upper=rough and rough.upper,
+            smooth_sup=smooth and smooth.value, smooth_sup_upper=smooth and smooth.upper,
+            l2_exact=math.sqrt(count), q_used=q_used, upper_envelope=envelope,
+            rough_floor=probe and max(v for _, v in probe.floors),
+            probe_satisfied=next(
+                (p.satisfied for p in (probe, sprobe) if p is not None), None)))
     return records
 
 
@@ -337,7 +332,9 @@ def report_to_json(report: RegularityReport) -> str:
     recs = []
     for r in report.records:
         recs.append({
-            "j": r.j, "rough_sup": r.rough_sup, "smooth_sup": r.smooth_sup,
+            "j": r.j, "rough_sup": r.rough_sup,
+            "rough_sup_upper": r.rough_sup_upper,
+            "smooth_sup": r.smooth_sup, "smooth_sup_upper": r.smooth_sup_upper,
             "l2_exact": r.l2_exact, "q_used": r.q_used,
             "upper_envelope": r.upper_envelope, "rough_floor": r.rough_floor,
             "probe_satisfied": r.probe_satisfied,

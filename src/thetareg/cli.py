@@ -35,10 +35,6 @@ from .thetasum import rational_probe, stability_ratio
 __all__ = ["main", "spectrum_svg", "read_config"]
 
 
-def _fmt(x: float | None, nd: int = 6) -> str:
-    return "-" if x is None else f"{x:.{nd}g}"
-
-
 # ---------------------------------------------------------------- svg --
 
 _SVG_W, _SVG_H = 640, 420
@@ -168,13 +164,21 @@ def read_config(path: str) -> tuple[dict, list[str]]:
 def _cmd_cf(args) -> int:
     spec = parse_timespec(args.t)
     exp = spec.expansion(max_terms=args.terms)
+    convergents = exp.convergents()[:args.terms]
+    digits = sys.get_int_max_str_digits()     # Python's int-to-str limit
+    top = 10 ** digits if digits else math.inf
+    fit = next((k for k, (a, (p, q)) in enumerate(zip(exp.quotients, convergents))
+                if max(abs(a), abs(p), q) >= top), None)
+    if fit is not None:
+        raise BudgetError(f"term {fit + 1} has more than {digits} digits and "
+                          f"cannot be printed; the first {fit} terms fit")
     est = classify_sigma(exp, window=args.window)
     doc = {
         "time": spec.describe(),
         "quotients": list(exp.quotients),
         "exact_terminates": exp.exact_terminates,
         "truncated": exp.truncated,
-        "convergents": [[p, q] for p, q in exp.convergents()[:args.terms]],
+        "convergents": [[p, q] for p, q in convergents],
         "sigma": {
             "per_n": [[n, s] for n, s in est.per_n],
             "limsup_est": None if math.isnan(est.limsup_est) else est.limsup_est,
@@ -400,6 +404,11 @@ def _positive(kind):
     return parse
 
 
+def _nonnegative(text: str) -> float:
+    """argparse type: 0, or what _positive(float) accepts."""
+    return 0.0 if float(text) == 0 else _positive(float)(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="thetareg",
@@ -413,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="continued fraction and Diophantine class")
     add_time(p)
-    p.add_argument("--terms", type=int, default=24)
-    p.add_argument("--window", type=int, default=8)
+    p.add_argument("--terms", type=_positive(int), default=24)
+    p.add_argument("--window", type=_positive(int), default=8)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_cf)
 
@@ -436,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("rough", "smooth", "both"), default="both")
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--tail-start", type=int, default=8, dest="tail_start")
-    p.add_argument("--tolerance", type=float, default=0.1)
+    p.add_argument("--tolerance", type=_nonnegative, default=0.1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=_cmd_exponent)
@@ -487,10 +496,7 @@ def main(argv=None) -> int:
             BudgetError, AliasingError, HypothesisError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ThetaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, ThetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

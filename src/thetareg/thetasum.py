@@ -4,8 +4,8 @@
 
 with w from one dyadic block or window. Three deterministic routes:
 
-* direct: compensated term-by-term summation at a single x (fixed chunked
-  order, so results are reproducible bit for bit);
+* direct: term-by-term summation at a single x, correctly rounded by
+  math.fsum (so results are reproducible bit for bit);
 * grid: S is a trigonometric polynomial of degree N, so its values on a
   uniform grid of K >= 2N+1 points are one inverse FFT of the coefficient
   array placed at n mod K. That is exact evaluation (no aliasing), not an
@@ -16,9 +16,9 @@ with w from one dyadic block or window. Three deterministic routes:
   quadratic Gauss sum lower bounds are guaranteed, and the probe records
   those floors next to the measured maximum.
 
-The sup norm over x is reported as a certified lower estimate: dense grid
-(default 8x past the polynomial degree) plus a short ternary refinement
-around the winning grid cell.
+The sup norm over x is reported as a certified bracket: the maximum over
+one dense grid (default 8x past the polynomial degree) is the lower end,
+and Bernstein's inequality turns it into a closed-form upper end.
 
 Also here: the growing-window constant monitor for the near-rational
 upper bound sup_{M<n<=M+L} ~ C (L/sqrt(q) + sqrt(q)) under the hypothesis
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -145,35 +145,15 @@ class SumSpec:
         return self._coeffs
 
 
-def _neumaier_pair(total: float, comp: float, term: float) -> tuple[float, float]:
-    s = total + term
-    if abs(total) >= abs(term):
-        comp += (total - s) + term
-    else:
-        comp += (term - s) + total
-    return s, comp
-
-
-def _compensated_complex_sum(terms: np.ndarray, chunk: int = 1 << 15) -> complex:
-    """Deterministic compensated sum: pairwise inside fixed chunks, Neumaier across."""
-    sr = cr = si = ci = 0.0
-    re = terms.real
-    im = terms.imag
-    for k in range(0, terms.shape[0], chunk):
-        sr, cr = _neumaier_pair(sr, cr, float(re[k:k + chunk].sum()))
-        si, ci = _neumaier_pair(si, ci, float(im[k:k + chunk].sum()))
-    return complex(sr + cr, si + ci)
-
-
 def eval_sum(spec: SumSpec, x: float) -> complex:
-    """S(x) by direct compensated summation."""
+    """S(x) by direct summation, each part rounded once (math.fsum)."""
     cpos, cneg = spec.coefficient_arrays()
     n = np.arange(spec.weights.N + 1)
     unit = np.exp((2j * np.pi) * exactnum.linear_phase_array(n, float(x)))
     terms = cpos * unit
     if spec.weights.N >= 1:
         terms[1:] += cneg[1:] * np.conj(unit[1:])
-    return _compensated_complex_sum(terms)
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
 def grid_values(spec: SumSpec, K: int) -> np.ndarray:
@@ -200,50 +180,63 @@ def grid_values(spec: SumSpec, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupNormResult:
+    """Certified bracket value <= sup_x |S(x)| <= upper (see sup_norm)."""
+
     value: float
+    upper: float
     argmax_x: float
     grid_size: int
-    grid_value: float
-    refinement_gain: float
+
+    @property
+    def refinement_gain(self) -> float:
+        """Always 1.0; kept because perfbench/spans.py reads it per sup_norm."""
+        return 1.0
 
 
-def sup_norm(spec: SumSpec, oversample: int = 8, refine_steps: int = 40) -> SupNormResult:
-    """Lower estimate of sup_x |S(x)|: dense grid + local ternary refinement.
+def _rounding_term(spec: SumSpec, K: int) -> float:
+    """Bound on |computed - exact| for each value of grid_values(spec, K).
 
-    The grid has _fft_len(oversample * (2N+1)) points; refinement
-    ternary-searches |S| inside the one-cell neighbourhood of the best grid
-    point using direct evaluation, and never returns less than the grid
-    value. Fully deterministic.
+    Input: each c_n is off by at most |w_n| (2 pi phase_error_bound() +
+    32u), the phase error times 2 pi plus a few ulps u for the argument,
+    exp, product, 1/K normalisation, rescale and abs; that moves every
+    output by at most the l1 sum. Transform: an FFT of L passes, each of
+    relative 2-norm error eta, errs by at most L eta / (1 - L eta) ||y||_2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
+    24.2, argued pass by pass). 11-smooth sizes take L <= log2 K passes of
+    radix r <= 11, each forming length-r sums after one twiddle product,
+    so eta <= gamma_(r+3) (sqrt(r) + u) < 64u and L eta < 1/2. One entry
+    is at most the 2-norm, and ||y||_2 = sqrt(K) ||c||_2 <= sqrt(K) ||w||_1.
+    """
+    w = spec.weights
+    l1 = float(np.abs(w.w_pos).sum() + np.abs(w.neg()[1:]).sum())
+    ulps = 32 + 2 * math.log2(K) * 64 * math.sqrt(K)
+    return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
+
+
+def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
+    """sup_x |S(x)| as a certified bracket [value, upper] from one FFT grid.
+
+    value is the maximum over K = _fft_len(oversample * (2N+1)) points and
+    upper = (value + r) / (1 - pi^2 N^2 / (2 K^2)), r from _rounding_term.
+
+    Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
+    theta = arg S(x*). f is a real trigonometric polynomial of degree N
+    with f <= |S| <= M = f(x*), so f'(x*) = 0 and, by Bernstein's
+    inequality, |f''| <= (2 pi N)^2 M; Taylor at x* gives |S(x* + d)| >=
+    f(x* + d) >= M (1 - 2 pi^2 N^2 d^2). Some grid point has |d| <= 1/(2K),
+    so the exact grid maximum is at least M (1 - pi^2 N^2 / (2 K^2)) and
+    the computed one at least that minus r. K >= 4N + 2 (oversample 2)
+    keeps the factor positive; at oversample 8 it is <= 1/(1 - pi^2/512).
     """
     if oversample < 2:
-        raise DomainError("oversample below 2 defeats the refinement bracket")
+        raise DomainError("oversample below 2 voids the sup bracket's grid bound")
     N = max(spec.weights.N, 1)
     K = _fft_len(oversample * (2 * N + 1))
-    vals = grid_values(spec, K)
-    mags = np.abs(vals)
+    mags = np.abs(grid_values(spec, K))
     k0 = int(np.argmax(mags))
-    grid_best = float(mags[k0])
-    del vals, mags
-    best = grid_best
-    best_x = k0 / K
-    a = (k0 - 1) / K
-    b = (k0 + 1) / K
-    for _ in range(refine_steps):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        f1 = abs(eval_sum(spec, m1))
-        f2 = abs(eval_sum(spec, m2))
-        if f1 > best:
-            best, best_x = f1, m1
-        if f2 > best:
-            best, best_x = f2, m2
-        if f1 >= f2:
-            b = m2
-        else:
-            a = m1
-    gain = best / grid_best if grid_best > 0 else 1.0
-    return SupNormResult(value=best, argmax_x=best_x % 1.0, grid_size=K,
-                         grid_value=grid_best, refinement_gain=gain)
+    value = float(mags[k0])
+    upper = (value + _rounding_term(spec, K)) / (1 - (math.pi * N / K) ** 2 / 2)
+    return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 
 
 def mean_square_on_grid(spec: SumSpec, oversample: int = 4) -> tuple[float, float]:
@@ -460,7 +453,9 @@ def merged_block_sup(time: TimeSpec, weights: WeightVector,
 
     The FFT grid does not necessarily contain the points x = h/(2q); for
     rational t those carry the Gauss-sum peaks, so the probe maximum is
-    taken into account (the reported value is the max of the two).
+    taken into account (the reported value is the max of the two). The
+    probe samples S too, so it only raises the lower end; the grid's
+    upper end still bounds the sup.
     """
     spec = SumSpec(time, weights)
     result = sup_norm(spec, oversample=oversample)
@@ -470,10 +465,7 @@ def merged_block_sup(time: TimeSpec, weights: WeightVector,
             and weights.N > max(weights.M, 1):
         probe = rational_probe(exact.numerator, exact.denominator, weights)
         if probe.max_abs > result.value:
-            result = SupNormResult(
-                value=probe.max_abs,
-                argmax_x=probe.argmax_h / (2.0 * exact.denominator),
-                grid_size=result.grid_size,
-                grid_value=result.grid_value,
-                refinement_gain=result.refinement_gain)
+            result = replace(
+                result, value=probe.max_abs,
+                argmax_x=probe.argmax_h / (2.0 * exact.denominator))
     return result, probe

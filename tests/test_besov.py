@@ -16,7 +16,9 @@ from fractions import Fraction
 
 
 def _synthetic(alpha, offset, js):
-    return [BlockRecord(j=j, rough_sup=None, smooth_sup=2.0 ** (alpha * j + offset),
+    return [BlockRecord(j=j, rough_sup=None, rough_sup_upper=None,
+                        smooth_sup=2.0 ** (alpha * j + offset),
+                        smooth_sup_upper=None,
                         l2_exact=1.0, q_used=None, upper_envelope=None,
                         rough_floor=None, probe_satisfied=None) for j in js]
 
@@ -44,13 +46,15 @@ def test_rational_block_identity(third):
     Each side of the sharp block 2^(j-1) < |n| <= 2^(j+1) has 3*2^(j-1)
     frequencies, a multiple of 6, so the six residue classes mod 6 carry
     equal mass and the probe value is exactly count/sqrt(q). The true sup
-    exceeds it by at most ~2e-4 relative (measured off-grid refinement).
+    exceeds it by at most ~2e-4 relative, and the certified upper end of
+    the bracket can never fall below it.
     """
     recs = block_spectrum(third, j_min=4, j_max=10, mode="rough")
     for r in recs:
         count = 3 * 2 ** r.j
         ideal = count / math.sqrt(3)
         assert ideal - 1e-9 <= r.rough_sup <= ideal * 1.001
+        assert r.rough_sup_upper >= ideal
         assert r.l2_exact == pytest.approx(math.sqrt(count), rel=1e-14)
         assert r.probe_satisfied
         assert r.rough_floor is not None
@@ -136,6 +140,9 @@ def test_report_json_schema(third):
     assert data["time"] == "rat:1/3"
     assert data["is_sharp"] is True
     assert len(data["records"]) == 7
+    for r in data["records"]:
+        assert r["rough_sup_upper"] >= r["rough_sup"]
+        assert r["smooth_sup_upper"] is None    # mode="rough"
     keys = list(data)
     assert keys == sorted(keys)
     assert text.endswith("\n")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import thetareg
-from thetareg.cli import main, read_config, spectrum_svg
+from thetareg.cli import build_parser, main, read_config, spectrum_svg
 from thetareg.besov import block_spectrum
 from thetareg.contfrac import Rational
 from thetareg.errors import DomainError
@@ -214,11 +214,39 @@ _GOLDEN = "quad:(-1+1*sqrt(5))/2"
      "--kbound", "-1"],
     ["collapse", "--sweep", "-3"],
     ["collapse", "--t", "rat:1/3", "--tol", "nan", "--check"],
+    ["cf", "--t", "rat:1/3", "--window", "-2"],
+    ["cf", "--t", "rat:1/3", "--window", "0"],
+    ["cf", "--t", "rat:1/3", "--terms", "-1"],
+    ["cf", "--t", "rat:1/3", "--terms", "0"],
+    ["exponent", "--t", "rat:1/3", "--tolerance", "nan", "--check"],
+    ["exponent", "--t", "rat:1/3", "--tolerance", "inf", "--check"],
+    ["exponent", "--t", "rat:1/3", "--tolerance", "-5", "--check"],
 ])
 def test_bad_arguments_exit_2_without_traceback(argv):
     proc = _python("-m", "thetareg.cli", *argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_zero_tolerance_is_valid():
+    args = build_parser().parse_args(
+        ["exponent", "--t", "rat:1/3", "--tolerance", "0"])
+    assert args.tolerance == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cf_past_int_print_limit_is_refused(fmt, capsys):
+    # class: convergents pass Python's 4300-digit int-to-str limit at term 25
+    argv = ["cf", "--t", "class:sigma=1/2,seed=0,3", "--terms", "30",
+            "--format", fmt]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused:")
+    assert "the first 24 terms fit" in err
+    argv[4] = "24"
+    assert main(argv) == 0
+    assert "quotients" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Weighted quadratic exponential sums: evaluation, grids, probes, monitors."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,12 +9,13 @@ import pytest
 from scipy.fft import next_fast_len
 
 from oracles import brute_probe_max, brute_sum_at
-from thetareg.contfrac import QuadraticIrrational, Rational
+from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, WeightVector, one_sided_unit,
                              rough_weights, smooth_weights, unit_window)
 from thetareg.errors import (AliasingError, BudgetError, DomainError,
                              HypothesisError)
-from thetareg.thetasum import (MAX_BLOCK_N, SumSpec, _fft_len, eval_sum,
+from thetareg.thetasum import (MAX_BLOCK_N, SumSpec, _fft_len,
+                               _rounding_term, eval_sum,
                                grid_values, hl_constant_monitor,
                                mean_square_on_grid,
                                merged_block_sup, probe_floors, rational_probe,
@@ -162,11 +164,62 @@ def test_sup_norm_dominates_samples(golden):
         res = sup_norm(spec)
         rng = np.random.default_rng(3)
         for x in rng.uniform(0.0, 1.0, 25):
-            assert abs(eval_sum(spec, float(x))) <= res.value * (1 + 1e-12)
+            sample = abs(eval_sum(spec, float(x)))
+            assert sample <= res.value * (1 + 1e-12)
+            assert sample <= res.upper
         # sup >= rms: mean |S|^2 equals the weight l2 mass
         assert res.value >= math.sqrt(spec.weights.l2_squared())
-        assert res.refinement_gain >= 1.0
-        assert res.value >= res.grid_value
+
+
+_BRACKET_TIMES = {
+    "rat": "rat:1234/7919",
+    "quad": "quad:(-1+1*sqrt(5))/2",
+    "class": "class:sigma=1,seed=0,2",
+    "dec": "dec:0.414213562373095048801688724209698",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_sup(text: str, family: str, j: int) -> float:
+    """sup |S| from a 256x grid plus a 60-step ternary refine by eval_sum.
+
+    A lower estimate like the grid maximum, but far tighter: the bracket
+    must contain it.
+    """
+    weights = rough_weights(j) if family == "rough" else smooth_weights(j)
+    spec = SumSpec(parse_timespec(text), weights)
+    K = _fft_len(256 * (2 * weights.N + 1))
+    mags = np.abs(grid_values(spec, K))
+    k0 = int(np.argmax(mags))
+    best = float(mags[k0])
+    a, b = (k0 - 1) / K, (k0 + 1) / K
+    for _ in range(60):
+        m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+        f1, f2 = abs(eval_sum(spec, m1)), abs(eval_sum(spec, m2))
+        best = max(best, f1, f2)
+        if f1 >= f2:
+            b = m2
+        else:
+            a = m1
+    return best
+
+
+@pytest.mark.parametrize("oversample", [2, 4, 8])
+@pytest.mark.parametrize("kind", sorted(_BRACKET_TIMES))
+def test_sup_bracket_contains_refined_sup(kind, oversample):
+    text = _BRACKET_TIMES[kind]
+    # K >= oversample (2N + 1) > 2 oversample N bounds the closed-form factor
+    factor = 1.0 / (1.0 - math.pi ** 2 / (8 * oversample ** 2))
+    for family in ("rough", "smooth"):
+        for j in (4, 8, 12):
+            weights = rough_weights(j) if family == "rough" else smooth_weights(j)
+            spec = SumSpec(parse_timespec(text), weights)
+            res = sup_norm(spec, oversample=oversample)
+            r = _rounding_term(spec, res.grid_size)
+            oracle = _oracle_sup(text, family, j)
+            where = (family, j, res.value, oracle, res.upper)
+            assert res.value - r <= oracle <= res.upper, where
+            assert res.upper / res.value <= factor * (1 + r / res.value), where
 
 
 def test_sup_norm_deterministic(golden):
