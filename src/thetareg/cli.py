@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 bad input, 3 precision/budget refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -348,14 +349,24 @@ def _cmd_stability(args) -> int:
     return 0
 
 
+def _int_setting(settings: dict, key: str, default: int) -> int:
+    text = settings.get(key)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"config {key} must be an integer, got {text!r}") from None
+
+
 def _cmd_scan(args) -> int:
     settings, times = read_config(args.config)
     out = Path(args.out or settings.get("out", "scan_out"))
-    j_min = int(settings.get("j_min", 6))
-    j_max = int(settings.get("j_max", 14))
+    j_min = _int_setting(settings, "j_min", 6)
+    j_max = _int_setting(settings, "j_max", 14)
     mode = settings.get("mode", "both")
-    oversample = int(settings.get("oversample", 8))
-    tail_start = int(settings.get("tail_start", 8))
+    oversample = _int_setting(settings, "oversample", 8)
+    tail_start = _int_setting(settings, "tail_start", 8)
     fmt = settings.get("format", "both")
     svg = settings.get("svg", "false").lower() in ("1", "true", "yes")
     if fmt not in ("csv", "json", "both"):
@@ -409,7 +420,9 @@ def _nonnegative(text: str) -> float:
     return 0.0 if float(text) == 0 else _positive(float)(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="thetareg",
         description="Dyadic-block regularity of quadratic exponential sums")

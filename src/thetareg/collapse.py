@@ -39,8 +39,9 @@ from fractions import Fraction
 import numpy as np
 
 from .contfrac import CFExpansion, expand_rational
-from .errors import DomainError, VerificationError
+from .errors import BudgetError, DomainError, VerificationError
 from .exactnum import rational_phase_array
+from .thetasum import MAX_PROBE_Q
 
 __all__ = [
     "CombFormula",
@@ -291,9 +292,12 @@ def verify_collapse(p: int, q: int, phis=None) -> CollapseCheck:
     """Extract kappa once, then check every pairing against the comb form.
 
     The residual for each test function is |<E, phi> - <comb, phi>| with
-    the same kappa throughout; max_residual is the headline number.
+    the same kappa throughout; max_residual is the headline number. The
+    comb side walks all q points, so q past the probe budget is refused.
     """
     comb = comb_of(p, q)
+    if comb.q > MAX_PROBE_Q:
+        raise BudgetError(f"q = {comb.q} exceeds the comb budget {MAX_PROBE_Q}")
     functions = list(phis) if phis is not None else default_test_functions(comb)
     if not functions:
         raise DomainError("need at least one test function")

@@ -231,10 +231,6 @@ class TimeSpec:
         """Coarseness of a digit-limited literal; None when exact."""
         return None
 
-    @property
-    def is_rational(self) -> bool:
-        return self.exact_value() is not None
-
     def partial_quotients(self) -> Iterator[int]:
         raise NotImplementedError
 

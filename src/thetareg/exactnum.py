@@ -120,10 +120,12 @@ def rational_phase_array(
 ) -> np.ndarray:
     """Vectorised ``rational_phase`` as float64 in [0, 1).
 
-    The modular reduction happens in int64 (exact); only the final division
-    by the common denominator rounds, so each value is correct to 1/2 ulp.
-    Falls back to per-element big-integer arithmetic when the common
-    denominator is too large for int64 products.
+    The numerator is reduced mod the common denominator L = 2 q q_x exactly
+    and divided once, so each value is the correctly rounded quotient, equal
+    to ``float(rational_phase(...))``. The reduction runs in int64 while
+    products of residues fit (L < 2^31); past that it runs on an object
+    array of Python ints, whose int / int true division is correctly
+    rounded too.
     """
     if q <= 0 or q_x <= 0:
         raise DomainError("denominators must be positive")
@@ -131,8 +133,9 @@ def rational_phase_array(
         raise DomainError(f"{p}/{q} is not in lowest terms")
     L = 2 * q * q_x
     if L > (1 << 31) - 1:
-        vals = [float(rational_phase(int(k), p, q, h, q_x)) for k in np.ravel(n)]
-        return np.array(vals, dtype=np.float64).reshape(np.shape(n))
+        nn = np.asarray(n).astype(object)
+        num = (nn * nn * (p * q_x) + nn * (2 * q * h)) % L
+        return np.asarray(num / L, dtype=np.float64)
     nn = np.asarray(n, dtype=np.int64) % L
     quad = (nn * nn) % L
     quad = (quad * ((p * q_x) % L)) % L

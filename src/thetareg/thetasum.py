@@ -43,6 +43,8 @@ from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
                      PrecisionExhaustedError)
 
 __all__ = [
+    "PhaseVector",
+    "phase_vector",
     "SumSpec",
     "SupNormResult",
     "ProbeResult",
@@ -85,41 +87,73 @@ def scale_bits_for(n_max: int) -> int:
     return 2 * max(int(n_max).bit_length(), 1) + _SCALE_MARGIN_BITS
 
 
+@dataclass(frozen=True)
+class PhaseVector:
+    """unit[n] = e(n^2 t/2) for n = 0..N, each phase off by at most error cycles.
+
+    The quadratic phase depends on the time and N alone, so every weight
+    family of one scale, and the comb probe, can share one vector.
+    """
+
+    unit: np.ndarray
+    error: float
+
+
+def phase_vector(time: TimeSpec, N: int) -> PhaseVector:
+    """The phase vector of a time for n = 0..N: exact for rational values
+    (one final rounding), error-tracked fixed point otherwise.
+
+    Refuses a digit-limited literal whose resolution cannot pin the top
+    phase: it moves that phase by about N^2 * resolution.
+    """
+    res = time.resolution()
+    if res is not None and N > 0 \
+            and res * N ** 2 > Fraction(1, 1 << exactnum.guard_bits()):
+        raise PrecisionExhaustedError(
+            f"literal resolution {res} cannot pin phases at "
+            f"|n| = {N}; supply more digits")
+    n = np.arange(N + 1)
+    rational = time.exact_value()
+    if rational is not None:
+        phase = exactnum.rational_phase_array(
+            n, rational.numerator, rational.denominator)
+        err = 2.0 ** -52
+    else:
+        phase, err = exactnum.quadratic_phase_array(
+            n, exactnum.fixed_of_time(time, scale_bits_for(N)))
+    return PhaseVector(unit=np.exp((2j * np.pi) * phase), error=err)
+
+
+def _check_phases(phases: PhaseVector, weights: WeightVector) -> None:
+    if phases.unit.shape != (weights.N + 1,):
+        raise DomainError(
+            f"{phases.unit.size} phases for a window reaching |n| = {weights.N}")
+
+
 class SumSpec:
     """One weighted sum: a time parameter plus a weight block.
 
-    Owns the phase/coefficient cache; everything derived from it is
-    deterministic, so two SumSpecs built from equal inputs agree exactly.
+    ``phases``, when given, must be ``phase_vector(time, weights.N)``; it
+    lets sums over several weight blocks of one scale share that vector.
+    Everything derived is deterministic, so two SumSpecs built from equal
+    inputs agree exactly.
     """
 
-    def __init__(self, time: TimeSpec, weights: WeightVector):
+    def __init__(self, time: TimeSpec, weights: WeightVector,
+                 phases: PhaseVector | None = None):
         if weights.N > MAX_BLOCK_N:
             raise BudgetError(
                 f"window reaches |n| = {weights.N} > {MAX_BLOCK_N}")
-        res = time.resolution()
-        if res is not None and weights.N > 0:
-            # a digit-limited literal moves the top phase by ~N^2 * res;
-            # refuse unless that stays under the precision guard
-            if res * weights.N ** 2 > Fraction(1, 1 << exactnum.guard_bits()):
-                raise PrecisionExhaustedError(
-                    f"literal resolution {res} cannot pin phases at "
-                    f"|n| = {weights.N}; supply more digits")
+        if phases is None:
+            phases = phase_vector(time, weights.N)
+        _check_phases(phases, weights)
         self.time = time
         self.weights = weights
+        self.phases = phases
         self._coeffs: tuple[np.ndarray, np.ndarray] | None = None
-        self._phase_err = 0.0
-        self._fixed: exactnum.FixedReal | None = None
-
-    def fixed_time(self) -> exactnum.FixedReal:
-        """Fixed-point form of the time, sized for this window."""
-        if self._fixed is None:
-            self._fixed = exactnum.fixed_of_time(
-                self.time, scale_bits_for(self.weights.N))
-        return self._fixed
 
     def phase_error_bound(self) -> float:
-        self.coefficient_arrays()
-        return self._phase_err
+        return self.phases.error
 
     def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(c_n for n = 0..N, c_{-n} for n = 0..N) with c_n = w_n e(n^2 t/2).
@@ -127,21 +161,9 @@ class SumSpec:
         The quadratic phase is even in n, so both arrays share one phase
         vector; they differ only through asymmetric weights.
         """
-        if self._coeffs is not None:
-            return self._coeffs
-        n = np.arange(self.weights.N + 1)
-        rational = self.time.exact_value()
-        if rational is not None:
-            phase = exactnum.rational_phase_array(
-                n, rational.numerator, rational.denominator)
-            self._phase_err = 2.0 ** -52
-        else:
-            phase, err = exactnum.quadratic_phase_array(n, self.fixed_time())
-            self._phase_err = err
-        unit = np.exp((2j * np.pi) * phase)
-        cpos = self.weights.w_pos * unit
-        cneg = self.weights.neg() * unit
-        self._coeffs = (cpos, cneg)
+        if self._coeffs is None:
+            unit = self.phases.unit
+            self._coeffs = (self.weights.w_pos * unit, self.weights.neg() * unit)
         return self._coeffs
 
 
@@ -302,12 +324,14 @@ class ProbeResult:
 
 
 def rational_probe(p: int, q: int, weights: WeightVector,
-                   window: tuple[int, int] | None = None) -> ProbeResult:
+                   window: tuple[int, int] | None = None,
+                   phases: PhaseVector | None = None) -> ProbeResult:
     """Exact maximum of |S| over the comb grid x = h/(2q), h = 0..2q-1.
 
     Folds the coefficients onto residue classes mod 2q (the phase period)
     and takes one small DFT; cost O(N + q log q). Records the guaranteed
-    floors and whether the measured maximum meets them.
+    floors and whether the measured maximum meets them. ``phases``, when
+    given, must be ``phase_vector(Rational(p, q), weights.N)``.
     """
     if q <= 0:
         raise DomainError("q must be positive")
@@ -317,10 +341,12 @@ def rational_probe(p: int, q: int, weights: WeightVector,
         raise BudgetError(f"q = {q} exceeds probe budget {MAX_PROBE_Q}")
     if weights.N > MAX_BLOCK_N:
         raise BudgetError(f"window reaches |n| = {weights.N} > {MAX_BLOCK_N}")
+    if phases is None:
+        phases = phase_vector(Rational(p, q), weights.N)
+    _check_phases(phases, weights)
     L = 2 * q
     n = np.arange(weights.N + 1)
-    phase = exactnum.rational_phase_array(n, p, q)
-    unit = np.exp((2j * np.pi) * phase)
+    unit = phases.unit
     cpos = weights.w_pos * unit
     cneg = weights.neg() * unit
     res_pos = (n % L).astype(np.intp)
@@ -447,23 +473,26 @@ def stability_ratio(time_a: TimeSpec, time_b: TimeSpec,
                            bound=radius)
 
 
-def merged_block_sup(time: TimeSpec, weights: WeightVector,
-                     oversample: int = 8) -> tuple[SupNormResult, ProbeResult | None]:
+def merged_block_sup(time: TimeSpec, weights: WeightVector, oversample: int = 8,
+                     phases: PhaseVector | None = None
+                     ) -> tuple[SupNormResult, ProbeResult | None]:
     """sup_norm, with the exact comb-grid probe merged in for rational times.
 
     The FFT grid does not necessarily contain the points x = h/(2q); for
     rational t those carry the Gauss-sum peaks, so the probe maximum is
     taken into account (the reported value is the max of the two). The
     probe samples S too, so it only raises the lower end; the grid's
-    upper end still bounds the sup.
+    upper end still bounds the sup. ``phases`` is passed on to SumSpec, and
+    the sum and the probe share it.
     """
-    spec = SumSpec(time, weights)
+    spec = SumSpec(time, weights, phases)
     result = sup_norm(spec, oversample=oversample)
     probe: ProbeResult | None = None
     exact = time.exact_value()
     if exact is not None and exact.denominator <= MAX_PROBE_Q \
             and weights.N > max(weights.M, 1):
-        probe = rational_probe(exact.numerator, exact.denominator, weights)
+        probe = rational_probe(exact.numerator, exact.denominator, weights,
+                               phases=spec.phases)
         if probe.max_abs > result.value:
             result = replace(
                 result, value=probe.max_abs,

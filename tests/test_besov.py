@@ -5,13 +5,17 @@ import math
 
 import pytest
 
+from thetareg import exactnum
 from thetareg.besov import (BlockRecord, block_spectrum, burst_scales,
                             classify_regularity, fit_exponent,
                             predicted_exponent, records_to_csv,
                             report_to_json)
 from thetareg.contfrac import (DecimalLiteral, QuotientRule, Rational,
-                               classify_sigma, construct_in_class)
+                               classify_sigma, construct_in_class,
+                               parse_timespec)
+from thetareg.cutoff import rough_weights, smooth_weights
 from thetareg.errors import DomainError
+from thetareg.thetasum import merged_block_sup, rational_probe
 from fractions import Fraction
 
 
@@ -76,6 +80,36 @@ def test_block_spectrum_explicit_scales(third):
     for r in recs:
         assert r.rough_sup is not None and r.smooth_sup is not None
         assert r.smooth_sup < r.rough_sup
+
+
+@pytest.mark.parametrize("text", ["rat:1/3", "rat:5/97",
+                                  "quad:(-1+1*sqrt(5))/2",
+                                  "class:sigma=1,seed=0,1"])
+def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
+    time = parse_timespec(text)
+    js = [3, 5, 6]
+    built = []
+    for name in ("rational_phase_array", "quadratic_phase_array"):
+        def counted(*args, _orig=getattr(exactnum, name), _name=name, **kwargs):
+            built.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(exactnum, name, counted)
+    recs = block_spectrum(time, js=js, mode="both")
+    assert len(built) == len(js)
+    # the same numbers as one SumSpec per family, and as a probe that
+    # builds its own phases
+    for rec in recs:
+        rough, probe = merged_block_sup(time, rough_weights(rec.j))
+        smooth, sprobe = merged_block_sup(time, smooth_weights(rec.j))
+        assert (rec.rough_sup, rec.rough_sup_upper) == (rough.value, rough.upper)
+        assert (rec.smooth_sup, rec.smooth_sup_upper) == (smooth.value, smooth.upper)
+        assert (probe is None) == (time.exact_value() is None)
+        if probe is not None:
+            exact = time.exact_value()
+            assert probe == rational_probe(exact.numerator, exact.denominator,
+                                           rough_weights(rec.j))
+            assert rec.rough_floor == max(v for _, v in probe.floors)
+            assert rec.probe_satisfied == probe.satisfied
 
 
 def test_burst_scales_frozen_for_sigma_one():

@@ -1,5 +1,7 @@
 """Command line interface: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thetareg
 from thetareg.cli import build_parser, main, read_config, spectrum_svg
@@ -258,3 +262,126 @@ def test_scale_above_block_budget_is_refused(argv):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("refused:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["j_min", "j_max", "oversample", "tail_start"])
+def test_bad_scan_setting_exits_2_without_traceback(key, tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(f"{key} = abc\n[times]\nrat:1/3\n")
+    proc = _python("-m", "thetareg.cli", "scan", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: config {key} must be an integer")
+    assert "Traceback" not in proc.stderr
+
+
+def _main_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv); argparse exits with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's bad-input exit
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes():
+    blocks = ["blocks", "--t", "rat:2/7", "--jmin", "3", "--jmax", "6"]
+    calls = [blocks, ["cf", "--t", "rat:1/3", "--terms", "0"], blocks]
+    seen = [_main_in_process(argv) for argv in calls]
+    for argv, (code, out, err) in zip(calls, seen):
+        fresh = _python("-m", "thetareg.cli", *argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        assert err == fresh.stderr
+    assert [code for code, _, _ in seen] == [0, 2, 0]
+    assert build_parser() is build_parser()
+
+
+# --------------------------------------------------------------- fuzz --
+
+_RAT = st.builds("rat:{}/{}".format, st.integers(-40, 40), st.integers(1, 30))
+_QUAD = st.builds("quad:({}{:+d}*sqrt({}))/{}".format, st.integers(-9, 9),
+                  st.sampled_from([1, -1, 2]), st.integers(2, 30),
+                  st.integers(1, 9))
+_CLASS = st.builds("class:sigma={},seed={},{}".format,
+                   st.sampled_from(["0", "1/2", "1", "2", "0.5"]),
+                   st.integers(0, 1), st.integers(1, 5))
+_DEC = st.builds("dec:{}.{}".format, st.integers(0, 2),
+                 st.text("0123456789", min_size=1, max_size=30))
+_TIME = st.one_of(_RAT, _QUAD, _CLASS, _DEC)
+# collapse checks cost O(q): p/q with q <= 30, or a literal short enough to
+# check fast or long enough to pass the comb budget and be refused
+_COLLAPSE_TIME = st.one_of(
+    _RAT, st.builds("dec:{}.{}".format, st.integers(0, 2), st.one_of(
+        st.text("0123456789", min_size=1, max_size=2),
+        st.text("0123456789", min_size=6, max_size=30))))
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), st.sampled_from(values))
+
+
+_COMMANDS = [
+    st.tuples(st.just(("cf", "--t")), _TIME, _flag("--terms", ["1", "8", "24", "30"]),
+              _flag("--window", ["1", "4", "8"]), _flag("--format", ["text", "json"])),
+    st.tuples(st.just(("blocks", "--t")), _TIME, _flag("--jmin", ["0", "2", "4"]),
+              _flag("--jmax", ["4", "6", "8", "21"]),
+              _flag("--mode", ["rough", "smooth", "both"]),
+              _flag("--oversample", ["2", "3", "8"])),
+    # exponent adds the burst scales of a class: time up to j = 20, seconds
+    # of work each, so it draws the other kinds
+    st.tuples(st.just(("exponent", "--t")), st.one_of(_RAT, _QUAD, _DEC),
+              _flag("--jmin", ["2", "3"]), _flag("--jmax", ["7", "8"]),
+              _flag("--tail-start", ["3", "4"]), _flag("--tolerance", ["0", "0.1"]),
+              st.tuples(st.sampled_from(["--check", "--format=json"]))),
+    st.tuples(st.just(("probe", "--t")), _TIME,
+              _flag("--window", ["1:16", "4:64", "2:9", "1:100000000"]),
+              _flag("--weights", ["unit", "smooth"]), st.just(("--check",))),
+    st.tuples(st.just(("collapse", "--t")), _COLLAPSE_TIME,
+              st.tuples(st.sampled_from(["--check", "--tol=1e-30"]))),
+    st.tuples(st.just(("collapse",)), _flag("--sweep", ["1", "3", "5"])),
+    st.tuples(st.just(("stability", "--t")), _TIME, st.just("--t1"), _TIME,
+              _flag("--j", ["2", "5", "8", "21"]), _flag("--kbound", ["1", "1e6"])),
+]
+_JUNK = st.sampled_from(["-1", "0", "x", "nan", "inf", "1e3", "", "1:2:3", "--t"])
+
+
+def _flatten(parts) -> list[str]:
+    return [tok for part in parts
+            for tok in ((part,) if isinstance(part, str) else part)]
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """text with one character dropped, replaced or inserted.
+
+    No digits go in, so a spoilt number never grows: `--sweep 95` in
+    place of 5 would check 5,000 pairs.
+    """
+    i = draw(st.integers(0, max(len(text) - 1, 0)))
+    junk = draw(st.sampled_from(list(":/.,()+-*=e x")))
+    return draw(st.sampled_from([text[:i] + text[i + 1:],
+                                 text[:i] + junk + text[i + 1:],
+                                 text[:i] + junk + text[i:]]))
+
+
+@st.composite
+def _argv_strategy(draw) -> list[str]:
+    """A valid command line from the time grammar, or one with a token spoilt."""
+    argv = _flatten(draw(st.one_of(*_COMMANDS)))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(argv) - 1))
+        argv[i] = draw(st.one_of(_JUNK, _mutated(argv[i])))
+    return argv
+
+
+@given(argv=_argv_strategy())
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_keeps_the_exit_code_contract(argv):
+    # an exception escaping main would be a traceback from the console script
+    code, _, err = _main_in_process(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("refused:"), (argv, err)

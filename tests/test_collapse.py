@@ -15,7 +15,8 @@ from thetareg.collapse import (CombFormula, PeriodizedGaussian,
                                coefficient_residual, default_test_functions,
                                extract_kappa, lhs_pairing, rhs_pairing,
                                verify_collapse)
-from thetareg.errors import DomainError, VerificationError
+from thetareg.errors import BudgetError, DomainError, VerificationError
+from thetareg.thetasum import MAX_PROBE_Q
 
 E8 = cmath.exp(1j * math.pi / 4)     # e(1/8)
 
@@ -201,6 +202,14 @@ def test_verify_collapse_frozen_kappas():
         assert len(chk.residuals) >= 5
         d = chk.as_dict()
         assert d["kappa_re"] == pytest.approx(k.real, abs=1e-9)
+
+
+def test_verify_collapse_refuses_q_past_the_comb_budget():
+    # the comb side is O(q) in time and memory; this 15-digit literal has q = 6.25e13
+    with pytest.raises(BudgetError):
+        verify_collapse(400182234146128, 10 ** 15)
+    with pytest.raises(BudgetError):
+        verify_collapse(1, MAX_PROBE_Q + 1)
 
 
 def test_default_test_functions_are_varied():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import circ_dist, mp_half_phase, mp_value
@@ -66,12 +66,44 @@ def test_rational_phase_array_matches_scalar(p, q, h, qx, seed):
 
 
 def test_rational_phase_array_bigint_fallback():
-    # common denominator 2*q*q_x above int64-safe range takes the slow path
+    # common denominator 2*q*q_x above the int64-safe range: Python-int route
     q = (1 << 31) + 11    # prime-ish odd, gcd(1, q) = 1
     n = np.array([3, -7, 123456789, 2**40 + 5])
     got = rational_phase_array(n, 1, q)
     want = np.array([float(rational_phase(int(k), 1, q)) for k in n])
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+# q q_x = 2^30 - 1 is the largest product on the int64 route (L = 2^31 - 2;
+# L is even, so 2^31 - 1 itself never occurs); 2^30 is the first past it.
+_EDGE_Q = (1 << 30) - 1, 1 << 30, (1 << 30) + 1
+
+
+@given(p=st.integers(-10**6, 10**6),
+       q=st.one_of(st.integers(1, 10**40), st.sampled_from(_EDGE_Q)),
+       h=st.integers(-10**6, 10**6), qx=st.integers(1, 50),
+       shape=st.sampled_from([(), (9,), (3, 4)]),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=80)
+def test_rational_phase_array_equals_scalar_exactly(p, q, h, qx, shape, seed):
+    if q in _EDGE_Q:
+        q = max(q // qx, 1)     # put q * q_x at or just below the edge
+    assume(math.gcd(p, q) == 1)
+    n = np.random.default_rng(seed).integers(-(1 << 21), 1 << 21, size=shape)
+    got = rational_phase_array(n, p, q, h, qx)
+    want = np.array([float(rational_phase(int(k), p, q, h, qx))
+                     for k in np.ravel(n)]).reshape(shape)
+    assert np.array_equal(got, want)
+
+
+def test_rational_phase_array_edge_routes():
+    # both sides of the int64 / Python-int boundary, negative and 2-D n
+    n = np.array([[0, -1, 2], [(1 << 21) - 1, -(1 << 21), 12345]])
+    for q, qx in (((1 << 30) - 1, 1), (1 << 30, 1), (1 << 29, 2), (10**40 + 1, 7)):
+        got = rational_phase_array(n, 5, q, -5, qx)
+        want = [[float(rational_phase(int(k), 5, q, -5, qx)) for k in row]
+                for row in n]
+        assert np.array_equal(got, np.array(want))
 
 
 # ------------------------------------------------------------- fixed point
