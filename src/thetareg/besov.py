@@ -276,11 +276,12 @@ def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
                         window: int = 8) -> RegularityReport:
     """Spectrum + arithmetic classification + sharpness verdict.
 
-    Sharpness compares the measured growth against the prediction within
-    the stated tolerance: membership asks alpha_fit <= alpha_pred + tol,
-    failure-below asks that the observed exponent reaches
-    alpha_pred - tol (via alpha_fit, or alpha_limsup on the burst
-    subsequence when there is one).
+    Exactly the scales j_min..j_max are measured; the burst scales are
+    the ones among them. Sharpness compares the measured growth against
+    the prediction within the stated tolerance: membership asks
+    alpha_fit <= alpha_pred + tol, failure-below asks that the observed
+    exponent reaches alpha_pred - tol (via alpha_fit, or alpha_limsup on
+    the burst subsequence when there is one).
     """
     exp: CFExpansion = time.expansion(max_terms=64)
     sigma_est = classify_sigma(exp, window=window)
@@ -292,9 +293,10 @@ def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     elif sigma_est.sigma is not None and sigma_est.sigma > 0.2:
         sigma_for_bursts = sigma_est.sigma
     if time.exact_value() is None and sigma_for_bursts is not None:
-        bursts = burst_scales(time, sigma_for_bursts, j_lo=max(j_min, 4))
-    js = sorted(set(range(j_min, j_max + 1)) | set(bursts))
-    records = block_spectrum(time, mode=mode, oversample=oversample, js=js)
+        bursts = burst_scales(time, sigma_for_bursts, j_lo=max(j_min, 4),
+                              j_hi=j_max)
+    records = block_spectrum(time, j_min=j_min, j_max=j_max, mode=mode,
+                             oversample=oversample)
     fit = fit_exponent(records, tail_start=tail_start)
     pred_lo, pred_hi = prediction.alpha_lo, prediction.alpha_hi
     observed_peak = fit.alpha_fit

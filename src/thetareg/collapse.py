@@ -247,6 +247,20 @@ def default_test_functions(comb: CombFormula) -> list[PeriodizedGaussian]:
     ]
 
 
+def _pairings(comb: CombFormula, functions):
+    """(<E, phi>, kappa-free <comb form, phi>) for each test function, lazily."""
+    for f in functions:
+        yield lhs_pairing(comb.p, comb.q, f), rhs_pairing(comb, f)
+
+
+def _kappa_of(pairs) -> complex:
+    """lhs / rhs of the first pair whose kappa-free rhs is far from zero."""
+    for lhs, rhs in pairs:
+        if abs(rhs) > 1e-6:
+            return lhs / rhs
+    raise VerificationError("all test pairings degenerate; cannot extract kappa")
+
+
 def extract_kappa(p: int, q: int, phis=None) -> complex:
     """kappa from one pairing: lhs / (kappa-free rhs). |kappa| should be 1.
 
@@ -255,11 +269,7 @@ def extract_kappa(p: int, q: int, phis=None) -> complex:
     """
     comb = comb_of(p, q)
     candidates = list(phis) if phis is not None else default_test_functions(comb)
-    for f in candidates:
-        denom = rhs_pairing(comb, f)
-        if abs(denom) > 1e-6:
-            return lhs_pairing(comb.p, comb.q, f) / denom
-    raise VerificationError("all test pairings degenerate; cannot extract kappa")
+    return _kappa_of(_pairings(comb, candidates))
 
 
 @dataclass(frozen=True)
@@ -289,11 +299,12 @@ class CollapseCheck:
 
 
 def verify_collapse(p: int, q: int, phis=None) -> CollapseCheck:
-    """Extract kappa once, then check every pairing against the comb form.
+    """Pair every test function once, take kappa from the first usable
+    pair, then check every pairing against the comb form.
 
-    The residual for each test function is |<E, phi> - <comb, phi>| with
-    the same kappa throughout; max_residual is the headline number. The
-    comb side walks all q points, so q past the probe budget is refused.
+    The residual for each test function is |<E, phi> - kappa <comb, phi>|
+    with the same kappa throughout; max_residual is the headline number.
+    The comb side walks all q points, so q past the probe budget is refused.
     """
     comb = comb_of(p, q)
     if comb.q > MAX_PROBE_Q:
@@ -301,12 +312,10 @@ def verify_collapse(p: int, q: int, phis=None) -> CollapseCheck:
     functions = list(phis) if phis is not None else default_test_functions(comb)
     if not functions:
         raise DomainError("need at least one test function")
-    kappa = extract_kappa(comb.p, comb.q, functions)
-    residuals = []
-    for f in functions:
-        lhs = lhs_pairing(comb.p, comb.q, f)
-        rhs = rhs_pairing(comb, f, kappa)
-        residuals.append((f.label(), abs(lhs - rhs)))
+    pairs = list(_pairings(comb, functions))
+    kappa = _kappa_of(pairs)
+    residuals = [(f.label(), abs(lhs - kappa * rhs))
+                 for f, (lhs, rhs) in zip(functions, pairs)]
     return CollapseCheck(
         p=comb.p, q=comb.q, xi=comb.xi, eta=comb.eta,
         p_prev=comb.p_prev, q_prev=comb.q_prev, kappa=kappa,

@@ -219,9 +219,16 @@ class CFExpansion:
 
 
 class TimeSpec:
-    """Base for time parameters. Subclasses fill in the small protocol below."""
+    """Base for time parameters. Subclasses fill in the small protocol below.
+
+    A subclass supplies its partial quotients as the generator
+    ``_quotients()``; ``partial_quotients()`` draws each one once and keeps
+    it, so every reader of the stream (expansion, convergents, brackets,
+    scale matching) shares one memo.
+    """
 
     kind = "abstract"
+    _memo: tuple[list[int], Iterator[int]] | None = None
 
     def exact_value(self) -> Fraction | None:
         """The exact rational value, when there is one."""
@@ -231,8 +238,23 @@ class TimeSpec:
         """Coarseness of a digit-limited literal; None when exact."""
         return None
 
-    def partial_quotients(self) -> Iterator[int]:
+    def _quotients(self) -> Iterator[int]:
         raise NotImplementedError
+
+    def partial_quotients(self) -> Iterator[int]:
+        """a_0, a_1, ...; finite for rationals, drawn from _quotients() once."""
+        if self._memo is None:
+            self._memo = ([], self._quotients())
+        quots, source = self._memo
+        k = 0
+        while True:
+            if k == len(quots):
+                a = next(source, None)
+                if a is None:
+                    return
+                quots.append(a)
+            yield quots[k]
+            k += 1
 
     def convergent_pairs(self) -> Iterator[tuple[int, int]]:
         """Successive (p_k, q_k); finite for rationals."""
@@ -241,9 +263,8 @@ class TimeSpec:
     def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
         """Quotients up to the given budgets; truncated=True when cut off."""
         quots: list[int] = []
-        source, fed = itertools.tee(self.partial_quotients())
-        for a, (_, q) in zip(itertools.islice(source, max(max_terms, 0)),
-                             convergents(fed)):
+        budget = itertools.islice(self.partial_quotients(), max(max_terms, 0))
+        for a, (_, q) in zip(budget, self.convergent_pairs()):
             quots.append(a)
             if q.bit_length() > max_q_bits:
                 truncated = True
@@ -306,8 +327,8 @@ class Rational(TimeSpec):
     def exact_value(self) -> Fraction | None:
         return Fraction(self.p, self.q)
 
-    def partial_quotients(self) -> Iterator[int]:
-        return iter(expand_rational(self.p, self.q))
+    def _quotients(self) -> Iterator[int]:
+        yield from expand_rational(self.p, self.q)
 
     def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
         return CFExpansion(tuple(expand_rational(self.p, self.q)),
@@ -342,11 +363,6 @@ class QuadraticIrrational(TimeSpec):
         shift = floor_quadratic(a, b, c, 2 * d)
         a -= 2 * d * shift
         self.a, self.b, self.c, self.d = a, b, c, d
-        self._quots: list[int] = []
-        self._state: tuple[int, int, int] | None = None  # (P, Q, rD) with D fixed
-        self._D = 0
-        self._period: tuple[int, int] | None = None
-        self._seen: dict[tuple[int, int], int] = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuadraticIrrational)
@@ -359,54 +375,21 @@ class QuadraticIrrational(TimeSpec):
     def as_float(self) -> float:
         return (self.a + self.b * math.sqrt(self.c)) / self.d
 
-    def _init_state(self) -> None:
+    def _quotients(self) -> Iterator[int]:
+        """a = floor((P + sqrt(D))/Q), then (P, Q) <- (a Q - P, (D - P^2)/Q)."""
         D = self.b * self.b * self.c
-        if self.b > 0:
-            P, Q = self.a, self.d
-        else:
-            P, Q = -self.a, -self.d
+        P, Q = (self.a, self.d) if self.b > 0 else (-self.a, -self.d)
         if (D - P * P) % Q != 0:
+            # scale so that Q | D - P^2, which every later state inherits
             s = abs(Q)
             P, D, Q = P * s, D * s * s, Q * s
-        self._D = D
-        self._state = (P, Q, math.isqrt(D))
-
-    def _extend(self, count: int) -> None:
-        if self._state is None:
-            self._init_state()
-        P, Q, rD = self._state  # type: ignore[misc]
-        while len(self._quots) < count:
-            key = (P, Q)
-            if key in self._seen and self._period is None:
-                start = self._seen[key]
-                self._period = (start, len(self._quots) - start)
-            self._seen.setdefault(key, len(self._quots))
-            if Q > 0:
-                a = (P + rD) // Q
-            else:
-                a = (P + rD + 1) // Q
-            self._quots.append(a)
-            P = a * Q - P
-            Q = (self._D - P * P) // Q
-        self._state = (P, Q, rD)
-
-    def partial_quotients(self) -> Iterator[int]:
-        k = 0
+        rD = math.isqrt(D)
         while True:
-            if k >= len(self._quots):
-                self._extend(k + 16)
-            yield self._quots[k]
-            k += 1
-
-    def periodic_structure(self, max_terms: int = 10_000) -> tuple[list[int], list[int]]:
-        """(preperiod quotients, repeating quotients)."""
-        while self._period is None:
-            if len(self._quots) > max_terms:
-                raise PrecisionExhaustedError("period not found within budget")
-            self._extend(len(self._quots) + 64)
-        start, length = self._period
-        self._extend(start + length)
-        return self._quots[:start], self._quots[start:start + length]
+            # floor against the irrational sqrt(D) from its integer floor rD
+            a = (P + rD) // Q if Q > 0 else (P + rD + 1) // Q
+            yield a
+            P = a * Q - P
+            Q = (D - P * P) // Q
 
     def describe(self) -> str:
         return f"quad:({self.a}{self.b:+d}*sqrt({self.c}))/{self.d}"
@@ -435,11 +418,6 @@ class QuotientRule(TimeSpec):
             raise DomainError("seed quotients after a_0 must be >= 1")
         self.sigma = sigma
         self.seed = tuple(int(a) for a in seed)
-        self._quots: list[int] = []
-        self._q = 1
-        # the live recurrence: each step pulls one quotient from _rule, which
-        # derives it from the denominator _q of the step before
-        self._steps = convergents(self._rule())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuotientRule)
@@ -448,28 +426,16 @@ class QuotientRule(TimeSpec):
     def exact_value(self) -> Fraction | None:
         return None
 
-    def _rule(self) -> Iterator[int]:
-        """The seed, then a_{k+1} = max(1, floor(q_k^sigma)), recorded in _quots."""
+    def _quotients(self) -> Iterator[int]:
+        """The seed, then a_{k+1} = max(1, floor(q_k^sigma)).
+
+        q_k comes from this time's own convergent stream, which by then
+        only needs the quotients a_0..a_k already drawn.
+        """
+        yield from self.seed
         num, den = self.sigma.numerator, self.sigma.denominator
-        for a in self.seed:
-            self._quots.append(a)
-            yield a
-        while True:
-            a = max(1, iroot(self._q ** num, den)) if num else 1
-            self._quots.append(a)
-            yield a
-
-    def _extend(self, count: int) -> None:
-        while len(self._quots) < count:
-            _, self._q = next(self._steps)
-
-    def partial_quotients(self) -> Iterator[int]:
-        k = 0
-        while True:
-            if k >= len(self._quots):
-                self._extend(k + 4)
-            yield self._quots[k]
-            k += 1
+        for _, q in itertools.islice(self.convergent_pairs(), len(self.seed) - 1, None):
+            yield max(1, iroot(q ** num, den)) if num else 1
 
     def describe(self) -> str:
         sig = (str(self.sigma.numerator) if self.sigma.denominator == 1
@@ -501,8 +467,8 @@ class DecimalLiteral(TimeSpec):
     def resolution(self) -> Fraction | None:
         return Fraction(1, 10 ** self.digits)
 
-    def partial_quotients(self) -> Iterator[int]:
-        return iter(expand_rational(self.value.numerator, self.value.denominator))
+    def _quotients(self) -> Iterator[int]:
+        yield from expand_rational(self.value.numerator, self.value.denominator)
 
     def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
         """The certified expansion (see cf_of_real), not the literal's own."""

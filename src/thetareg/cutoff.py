@@ -108,7 +108,8 @@ class WeightVector:
     w_pos[n] is the weight of +n for n = 0..N; w_neg[n] the weight of -n
     (w_neg is None for symmetric blocks, meaning w_neg == w_pos). M and N
     delimit the support window: w_pos[n] == 0 for 0 < n < M and n > N
-    (n = 0 itself only carries weight in the lowest block).
+    (n = 0 itself only carries weight in the lowest block). N past the
+    block budget MAX_BLOCK_N is refused.
     """
 
     j: int | None
@@ -119,6 +120,8 @@ class WeightVector:
     mode: str
 
     def __post_init__(self) -> None:
+        if self.N > MAX_BLOCK_N:
+            raise BudgetError(f"window reaches |n| = {self.N} > {MAX_BLOCK_N}")
         self.w_pos = np.asarray(self.w_pos, dtype=np.float64)
         if self.w_pos.shape != (self.N + 1,):
             raise DomainError("w_pos must have length N + 1")
@@ -199,7 +202,8 @@ def rough_weights(j: int) -> WeightVector:
 
 
 def _unit_line(M: int, N: int) -> np.ndarray:
-    """Unit weights on M <= n <= N, refused past the block budget."""
+    """Unit weights on M <= n <= N, refused past the block budget before
+    the array is allocated."""
     if M < 1:
         raise DomainError("windows start at M >= 1 (n = 0 has no phase)")
     if N > MAX_BLOCK_N:

@@ -18,16 +18,14 @@ value mod 1, to a small fraction of a cycle. Two regimes:
   only then lets rounding happen, so the result is good to ~2^-51 even
   though n^2 * t may be ~2^40.
 
-Precision is refused, never degraded: if n^2 * ulp(t) is not comfortably
-below 1, the phase functions raise instead of returning garbage. The
-refusal threshold (in bits) can be overridden through the environment
-variable THETA_PRECISION_GUARD.
+Precision is refused, never degraded: if n^2 * ulp(t) is not at least
+GUARD_BITS bits below a full cycle, the phase functions raise instead of
+returning garbage.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,8 +35,7 @@ from .errors import DomainError, InsufficientPrecisionError, PrecisionExhaustedE
 
 __all__ = [
     "FixedReal",
-    "DEFAULT_GUARD_BITS",
-    "guard_bits",
+    "GUARD_BITS",
     "rational_phase",
     "rational_phase_array",
     "fixed_of_time",
@@ -47,29 +44,11 @@ __all__ = [
     "linear_phase_array",
 ]
 
-DEFAULT_GUARD_BITS = 30
+# Headroom (in bits) that n^2 * ulp must leave below a full cycle.
+GUARD_BITS = 30
 
 # 2^27 + 1, the Veltkamp splitter for binary64.
 _SPLIT = 134217729.0
-
-
-def guard_bits() -> int:
-    """Headroom (in bits) that n^2 * ulp must leave below a full cycle.
-
-    Read from THETA_PRECISION_GUARD at every call so tests and callers can
-    adjust it without re-importing.
-    """
-    raw = os.environ.get("THETA_PRECISION_GUARD", "").strip()
-    if not raw:
-        return DEFAULT_GUARD_BITS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(
-            f"THETA_PRECISION_GUARD must be an integer, got {raw!r}") from exc
-    if value < 4:
-        raise DomainError("THETA_PRECISION_GUARD below 4 bits is meaningless")
-    return value
 
 
 @dataclass(frozen=True)
@@ -181,24 +160,24 @@ def fixed_of_time(spec, bits: int) -> FixedReal:
         f"convergent stream ended before reaching {bits} bits")
 
 
-def _check_guard(n_max: int, t: FixedReal, guard: int | None) -> None:
-    g = guard_bits() if guard is None else int(guard)
+def _check_guard(n_max: int, t: FixedReal) -> None:
     if n_max == 0:
         return
-    # need n^2 * 2^-scale_bits <= 2^-g, i.e. n^2 <= 2^(scale_bits - g)
-    if t.scale_bits <= g or n_max * n_max > (1 << (t.scale_bits - g)):
+    # need n^2 * 2^-scale_bits <= 2^-GUARD_BITS
+    room = t.scale_bits - GUARD_BITS
+    if room <= 0 or n_max * n_max > (1 << room):
         raise InsufficientPrecisionError(
-            f"scale_bits = {t.scale_bits} leaves less than {g} guard bits "
-            f"at |n| = {n_max}; re-derive the time with more bits")
+            f"scale_bits = {t.scale_bits} leaves less than {GUARD_BITS} guard "
+            f"bits at |n| = {n_max}; re-derive the time with more bits")
 
 
-def irrational_phase(n: int, t: FixedReal, guard: int | None = None) -> tuple[float, float]:
+def irrational_phase(n: int, t: FixedReal) -> tuple[float, float]:
     """((n^2 t / 2) mod 1, certified absolute error bound).
 
     Exact integer arithmetic on the mantissa; the only contributions to the
     bound are the input's err_ulp budget and one final binary64 rounding.
     """
-    _check_guard(abs(n), t, guard)
+    _check_guard(abs(n), t)
     modulus = 1 << (t.scale_bits + 1)
     rem = (n * n * t.mantissa) % modulus
     value = float(rem) / float(modulus)
@@ -231,9 +210,7 @@ def half_phase_splits(t: FixedReal) -> tuple[float, float, Fraction]:
     return hi, lo, rem - Fraction(lo)
 
 
-def quadratic_phase_array(
-    n: np.ndarray, t: FixedReal, guard: int | None = None
-) -> tuple[np.ndarray, float]:
+def quadratic_phase_array(n: np.ndarray, t: FixedReal) -> tuple[np.ndarray, float]:
     """((n^2 t / 2) mod 1 elementwise, one error bound for the whole array).
 
     Requires |n| < 2^26 so n^2 is exact in binary64 (the block budget tops
@@ -242,7 +219,7 @@ def quadratic_phase_array(
     """
     nn = np.asarray(n)
     n_max = int(np.max(np.abs(nn))) if nn.size else 0
-    _check_guard(n_max, t, guard)
+    _check_guard(n_max, t)
     if n_max >= (1 << 26):
         raise DomainError("|n| >= 2^26 would make n^2 inexact in binary64")
     hi, lo, leftover = half_phase_splits(t)

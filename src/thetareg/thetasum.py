@@ -38,7 +38,7 @@ import numpy as np
 
 from . import exactnum
 from .contfrac import Rational, TimeSpec
-from .cutoff import MAX_BLOCK_N, WeightVector, one_sided_unit
+from .cutoff import WeightVector, one_sided_unit
 from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
                      PrecisionExhaustedError)
 
@@ -108,7 +108,7 @@ def phase_vector(time: TimeSpec, N: int) -> PhaseVector:
     """
     res = time.resolution()
     if res is not None and N > 0 \
-            and res * N ** 2 > Fraction(1, 1 << exactnum.guard_bits()):
+            and res * N ** 2 > Fraction(1, 1 << exactnum.GUARD_BITS):
         raise PrecisionExhaustedError(
             f"literal resolution {res} cannot pin phases at "
             f"|n| = {N}; supply more digits")
@@ -141,9 +141,6 @@ class SumSpec:
 
     def __init__(self, time: TimeSpec, weights: WeightVector,
                  phases: PhaseVector | None = None):
-        if weights.N > MAX_BLOCK_N:
-            raise BudgetError(
-                f"window reaches |n| = {weights.N} > {MAX_BLOCK_N}")
         if phases is None:
             phases = phase_vector(time, weights.N)
         _check_phases(phases, weights)
@@ -339,8 +336,6 @@ def rational_probe(p: int, q: int, weights: WeightVector,
         raise DomainError(f"{p}/{q} is not in lowest terms")
     if q > MAX_PROBE_Q:
         raise BudgetError(f"q = {q} exceeds probe budget {MAX_PROBE_Q}")
-    if weights.N > MAX_BLOCK_N:
-        raise BudgetError(f"window reaches |n| = {weights.N} > {MAX_BLOCK_N}")
     if phases is None:
         phases = phase_vector(Rational(p, q), weights.N)
     _check_phases(phases, weights)
@@ -368,27 +363,24 @@ def rational_probe(p: int, q: int, weights: WeightVector,
                        satisfied=ok)
 
 
-def _certify_distance(time: TimeSpec, center: Fraction, radius: Fraction,
+def _certify_distance(a: TimeSpec, b: TimeSpec | Fraction, radius: Fraction,
                       strict: bool) -> bool:
-    """Exact certificate that |t - center| < radius (or <= when not strict).
+    """Exact certificate that |a - b| < radius (or <= when not strict).
 
-    Tightens the rational bracket of t until the comparison is decided.
+    Brackets both sides, starting at eps = radius/16 and tightening until
+    the comparison is decided. An exact time brackets to its own value and
+    a Fraction ``b`` is its own bracket, so two exact values decide at once.
     """
-    eps = radius / 8
+    eps = radius / 16
     for _ in range(64):
-        lo, hi = time.value_bracket(eps)
-        worst = max(abs(lo - center), abs(hi - center))
-        best = 0 if lo <= center <= hi else min(abs(lo - center), abs(hi - center))
-        if strict:
-            if worst < radius:
-                return True
-            if best >= radius:
-                return False
-        else:
-            if worst <= radius:
-                return True
-            if best > radius:
-                return False
+        lo_a, hi_a = a.value_bracket(eps)
+        lo_b, hi_b = (b, b) if isinstance(b, Fraction) else b.value_bracket(eps)
+        worst = max(hi_a - lo_b, hi_b - lo_a)
+        best = max(lo_a - hi_b, lo_b - hi_a, 0)
+        if worst < radius if strict else worst <= radius:
+            return True
+        if best >= radius if strict else best > radius:
+            return False
         eps /= 16
     raise HypothesisError("could not decide the distance certificate")
 
@@ -412,13 +404,7 @@ def hl_constant_monitor(time: TimeSpec, p: int, q: int,
     """
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError(f"bad reference rational {p}/{q}")
-    center = Fraction(p, q)
-    exact = time.exact_value()
-    if exact is not None:
-        if abs(exact - center) > Fraction(1, q * q):
-            raise HypothesisError(
-                f"|t - {p}/{q}| > 1/q^2; the envelope has no backing here")
-    elif not _certify_distance(time, center, Fraction(1, q * q), strict=False):
+    if not _certify_distance(time, Fraction(p, q), Fraction(1, q * q), strict=False):
         raise HypothesisError(
             f"|t - {p}/{q}| > 1/q^2; the envelope has no backing here")
     out = []
@@ -450,20 +436,7 @@ def stability_ratio(time_a: TimeSpec, time_b: TimeSpec,
     """
     N = weights.N
     radius = Fraction(k_bound) / (N * N)
-    ea, eb = time_a.exact_value(), time_b.exact_value()
-    if ea is not None and eb is not None:
-        ok = abs(ea - eb) < radius
-    elif ea is not None:
-        ok = _certify_distance(time_b, ea, radius, strict=True)
-    elif eb is not None:
-        ok = _certify_distance(time_a, eb, radius, strict=True)
-    else:
-        # bracket one side tightly and compare against the other's bracket
-        eps = radius / 16
-        lo_a, hi_a = time_a.value_bracket(eps)
-        lo_b, hi_b = time_b.value_bracket(eps)
-        ok = max(abs(hi_a - lo_b), abs(hi_b - lo_a)) < radius
-    if not ok:
+    if not _certify_distance(time_a, time_b, radius, strict=True):
         raise HypothesisError(
             f"|t - t1| is not certified below {k_bound}/N^2 for N = {N}")
     sup_a = sup_norm(SumSpec(time_a, weights), oversample=oversample).value

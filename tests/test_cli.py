@@ -147,6 +147,29 @@ def test_stability_command_and_refusal(capsys):
                  "--t1", "rat:1/2", "--j", "6"]) == 3
 
 
+def test_stability_certifies_two_irrational_times(capsys):
+    # |t - t1| = 1/2 exactly, below 32.032/N^2 = 0.5005 at j = 2 (N = 8):
+    # both brackets tighten until the strict comparison is decided
+    assert main(["stability", "--t", "quad:(-1+1*sqrt(5))/2",
+                 "--t1", "quad:(0+1*sqrt(5))/2", "--j", "2",
+                 "--kbound", "32.032"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["t1"] == "quad:(0+1*sqrt(5))/2" and doc["ratio"] > 0
+    # the same pair at a radius below 1/2 is refused
+    assert main(["stability", "--t", "quad:(-1+1*sqrt(5))/2",
+                 "--t1", "quad:(0+1*sqrt(5))/2", "--j", "2",
+                 "--kbound", "31.968"]) == 3
+
+
+def test_exponent_jmax_bounds_the_scales(capsys):
+    # sigma = 2 has burst scales past j = 8; none of them is computed
+    assert main(["exponent", "--t", "class:sigma=2,seed=0,1", "--jmin", "3",
+                 "--jmax", "8", "--tail-start", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["j"] for r in doc["records"]] == list(range(3, 9))
+    assert all(j <= 8 for j in doc["burst_js"])
+
+
 def test_read_config(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("""
@@ -329,9 +352,7 @@ _COMMANDS = [
               _flag("--jmax", ["4", "6", "8", "21"]),
               _flag("--mode", ["rough", "smooth", "both"]),
               _flag("--oversample", ["2", "3", "8"])),
-    # exponent adds the burst scales of a class: time up to j = 20, seconds
-    # of work each, so it draws the other kinds
-    st.tuples(st.just(("exponent", "--t")), st.one_of(_RAT, _QUAD, _DEC),
+    st.tuples(st.just(("exponent", "--t")), _TIME,
               _flag("--jmin", ["2", "3"]), _flag("--jmax", ["7", "8"]),
               _flag("--tail-start", ["3", "4"]), _flag("--tolerance", ["0", "0.1"]),
               st.tuples(st.sampled_from(["--check", "--format=json"]))),

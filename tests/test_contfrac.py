@@ -1,5 +1,6 @@
 """Continued fractions: exact quotients, convergents, classifiers, parsing."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -133,8 +134,7 @@ def test_quadratic_quotients_periodic(golden, sqrt2m1):
     s = sqrt2m1.expansion(25)
     assert s.quotients[0] == 0 and set(s.quotients[1:]) == {2}
     sqrt3 = QuadraticIrrational(0, 1, 3, 1)
-    pre, per = sqrt3.periodic_structure()
-    assert pre == [1] and per == [1, 2]
+    assert list(itertools.islice(sqrt3.partial_quotients(), 9)) == [1] + [1, 2] * 4
     # deep expansion still matches the float value
     v = CFExpansion(tuple(sqrt3.expansion(40).quotients)).value()
     assert abs(float(v) - math.sqrt(3)) < 1e-14

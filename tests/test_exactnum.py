@@ -13,8 +13,8 @@ from oracles import circ_dist, mp_half_phase, mp_value
 from thetareg.contfrac import DecimalLiteral, Rational
 from thetareg.errors import (DomainError, InsufficientPrecisionError,
                              PrecisionExhaustedError)
-from thetareg.exactnum import (DEFAULT_GUARD_BITS, FixedReal, fixed_of_time,
-                               guard_bits, half_phase_splits, irrational_phase,
+from thetareg.exactnum import (GUARD_BITS, FixedReal, fixed_of_time,
+                               half_phase_splits, irrational_phase,
                                linear_phase_array, quadratic_phase_array,
                                rational_phase, rational_phase_array)
 
@@ -160,30 +160,17 @@ def test_fixed_of_time_decimal_resolution_gate():
 
 # ------------------------------------------------------------ guard policy
 
-def test_guard_bits_default_and_env(monkeypatch):
-    monkeypatch.delenv("THETA_PRECISION_GUARD", raising=False)
-    assert guard_bits() == DEFAULT_GUARD_BITS
-    monkeypatch.setenv("THETA_PRECISION_GUARD", "12")
-    assert guard_bits() == 12
-    monkeypatch.setenv("THETA_PRECISION_GUARD", "abc")
-    with pytest.raises(DomainError):
-        guard_bits()
-    monkeypatch.setenv("THETA_PRECISION_GUARD", "2")
-    with pytest.raises(DomainError):
-        guard_bits()
-
-
-def test_irrational_phase_guard_refusal(golden, monkeypatch):
+def test_irrational_phase_guard_refusal(golden):
     t = fixed_of_time(golden, 40)
     n = 2 ** 17            # n^2 = 2^34 > 2^(40-30)
     with pytest.raises(InsufficientPrecisionError):
         irrational_phase(n, t)
-    # a softer guard admits moderate n but still refuses the big one
-    monkeypatch.setenv("THETA_PRECISION_GUARD", "8")
-    ph, err = irrational_phase(2 ** 15, t)
-    assert 0.0 <= ph < 1.0 and err < 2.0 ** -7
+    # the guard admits exactly n^2 <= 2^(40 - GUARD_BITS)
+    assert GUARD_BITS == 30
+    ph, err = irrational_phase(2 ** 5, t)
+    assert 0.0 <= ph < 1.0 and err < 2.0 ** -20
     with pytest.raises(InsufficientPrecisionError):
-        irrational_phase(2 ** 17, t)
+        irrational_phase(2 ** 5 + 1, t)
 
 
 def test_irrational_phase_vs_mpmath(golden):

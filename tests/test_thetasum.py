@@ -10,12 +10,12 @@ from scipy.fft import next_fast_len
 
 from oracles import brute_probe_max, brute_sum_at
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
-from thetareg.cutoff import (MAX_BLOCK_J, WeightVector, one_sided_unit,
-                             rough_weights, smooth_weights, unit_window)
+from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
+                             one_sided_unit, rough_weights, smooth_weights,
+                             unit_window)
 from thetareg.errors import (AliasingError, BudgetError, DomainError,
                              HypothesisError)
-from thetareg.thetasum import (MAX_BLOCK_N, SumSpec, _fft_len,
-                               _rounding_term, eval_sum,
+from thetareg.thetasum import (SumSpec, _fft_len, _rounding_term, eval_sum,
                                grid_values, hl_constant_monitor,
                                mean_square_on_grid,
                                merged_block_sup, probe_floors, rational_probe,
@@ -83,13 +83,10 @@ def test_block_budget_is_one_limit():
         assert make(1, MAX_BLOCK_N).N == MAX_BLOCK_N
         with pytest.raises(BudgetError):
             make(1, MAX_BLOCK_N + 1)
-    # weights built by hand still meet the same limit in the sum and probe
-    wide = WeightVector(j=None, M=1, N=MAX_BLOCK_N + 1,
-                        w_pos=np.ones(MAX_BLOCK_N + 2), w_neg=None, mode="unit")
+    # weights built by hand meet the same limit where they are made
     with pytest.raises(BudgetError):
-        SumSpec(Rational(1, 3), wide)
-    with pytest.raises(BudgetError):
-        rational_probe(1, 3, wide)
+        WeightVector(j=None, M=1, N=MAX_BLOCK_N + 1,
+                     w_pos=np.ones(MAX_BLOCK_N + 2), w_neg=None, mode="unit")
 
 
 def test_fft_len_matches_scipy():
