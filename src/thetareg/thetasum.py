@@ -61,7 +61,9 @@ __all__ = [
 ]
 
 MAX_PROBE_Q = 10_000
-MAX_GRID = 1 << 26
+MAX_GRID = 1 << 26           # points of one sup grid, however it is split
+# bytes of one transform: sup_norm splits larger grids into cosets
+_TRANSFORM_BYTES = 4 << 20
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
 _SCALE_MARGIN_BITS = 32
@@ -156,12 +158,19 @@ class SumSpec:
         """(c_n for n = 0..N, c_{-n} for n = 0..N) with c_n = w_n e(n^2 t/2).
 
         The quadratic phase is even in n, so both arrays share one phase
-        vector; they differ only through asymmetric weights.
+        vector; they differ only through asymmetric weights, and for
+        symmetric weights they are one array.
         """
         if self._coeffs is None:
-            unit = self.phases.unit
-            self._coeffs = (self.weights.w_pos * unit, self.weights.neg() * unit)
+            self._coeffs = _coefficients(self.weights, self.phases.unit)
         return self._coeffs
+
+
+def _coefficients(weights: WeightVector, unit: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(c_n, c_{-n}) for n = 0..N; symmetric weights share one array."""
+    cpos = weights.w_pos * unit
+    return cpos, cpos if weights.symmetric else weights.neg() * unit
 
 
 def eval_sum(spec: SumSpec, x: float) -> complex:
@@ -175,8 +184,18 @@ def eval_sum(spec: SumSpec, x: float) -> complex:
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-def grid_values(spec: SumSpec, K: int) -> np.ndarray:
-    """S(k/K) for k = 0..K-1, exactly, via one inverse FFT.
+def _check_grid(K: int) -> None:
+    if K > MAX_GRID:
+        raise BudgetError(f"grid of {K} points exceeds the {MAX_GRID} budget")
+
+
+def grid_values(spec: SumSpec, K: int,
+                twist: np.ndarray | None = None) -> np.ndarray:
+    """S(k/K + d) for k = 0..K-1, exactly, via one inverse FFT.
+
+    ``twist``, when given, is e(n d) for n = 0..N: c_n is multiplied by it
+    and c_{-n} by its conjugate, which shifts every grid point by d.
+    Without it d = 0.
 
     Needs K >= 2N+1 so distinct frequencies occupy distinct residues
     (otherwise the values would alias and the result would be a different
@@ -185,13 +204,21 @@ def grid_values(spec: SumSpec, K: int) -> np.ndarray:
     N = spec.weights.N
     if K < 2 * N + 1:
         raise AliasingError(f"K = {K} < 2N+1 = {2 * N + 1}")
-    if K > MAX_GRID:
-        raise BudgetError(f"grid of {K} points exceeds the {MAX_GRID} budget")
+    _check_grid(K)
     cpos, cneg = spec.coefficient_arrays()
     buf = np.zeros(K, dtype=np.complex128)
-    buf[:N + 1] = cpos
-    if N >= 1:
-        buf[K - N:] = cneg[1:][::-1]
+    if twist is None:
+        buf[:N + 1] = cpos
+        if N >= 1:
+            buf[K - N:] = cneg[1:][::-1]
+    else:
+        if twist.shape != cpos.shape:
+            raise DomainError(f"{twist.size} twist factors for {N + 1} coefficients")
+        np.multiply(cpos, twist, out=buf[:N + 1])
+        if N >= 1:
+            tail = buf[K - N:]
+            np.conjugate(twist[:0:-1], out=tail)
+            tail *= cneg[:0:-1]
     vals = np.fft.ifft(buf, out=buf)
     vals *= K
     return vals
@@ -212,31 +239,66 @@ class SupNormResult:
         return 1.0
 
 
+def _coset_count(K: int, N: int) -> int:
+    """How many cosets sup_norm splits its K-point grid into.
+
+    The smallest divisor m of K whose transform of K/m points fits in
+    _TRANSFORM_BYTES, capped at the largest divisor that keeps K/m >= 2N+1
+    (so no transform aliases). Small grids take m = 1.
+    """
+    m = 1
+    for d in range(1, K // (2 * N + 1) + 1):
+        if K % d == 0:
+            m = d
+            if (K // d) * 16 <= _TRANSFORM_BYTES:
+                break
+    return m
+
+
 def _rounding_term(spec: SumSpec, K: int) -> float:
-    """Bound on |computed - exact| for each value of grid_values(spec, K).
+    """Bound on |computed - exact| for each value sup_norm takes from its
+    K-point grid: m = _coset_count(K, N) transforms of L = K/m points.
 
     Input: each c_n is off by at most |w_n| (2 pi phase_error_bound() +
     32u), the phase error times 2 pi plus a few ulps u for the argument,
-    exp, product, 1/K normalisation, rescale and abs; that moves every
-    output by at most the l1 sum. Transform: an FFT of L passes, each of
-    relative 2-norm error eta, errs by at most L eta / (1 - L eta) ||y||_2
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
-    24.2, argued pass by pass). 11-smooth sizes take L <= log2 K passes of
-    radix r <= 11, each forming length-r sums after one twiddle product,
-    so eta <= gamma_(r+3) (sqrt(r) + u) < 64u and L eta < 1/2. One entry
-    is at most the 2-norm, and ||y||_2 = sqrt(K) ||c||_2 <= sqrt(K) ||w||_1.
+    exp, product, 1/L normalisation, rescale and abs. For m > 1 coset s
+    multiplies c_n by a twist built as e(n/K)^s by the recurrence
+    tw_s = tw_(s-1) e(n/K), and then by one product with c_n: at most m
+    steps of one exp plus one product, each within the same 32u as a
+    coefficient's own phase (|tw_s| stays within (1 + 32u)^m of 1), so
+    the twist adds 32 m u per coefficient, and nothing at m = 1. The input
+    errors move every output by at most their l1 sum. Transform: an FFT of
+    P passes, each of relative 2-norm error eta, errs by at most
+    P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 24.2, argued pass by pass).
+    11-smooth sizes L take P <= log2 L passes of radix r <= 11, each
+    forming length-r sums after one twiddle product, so eta <=
+    gamma_(r+3) (sqrt(r) + u) < 64u and P eta < 1/2. One entry is at most
+    the 2-norm, and ||y||_2 = sqrt(L) ||c||_2 <= sqrt(L) ||w||_1, as the
+    twist has modulus 1.
     """
     w = spec.weights
+    m = _coset_count(K, w.N)
+    L = K // m
     l1 = float(np.abs(w.w_pos).sum() + np.abs(w.neg()[1:]).sum())
-    ulps = 32 + 2 * math.log2(K) * 64 * math.sqrt(K)
+    twist = 0 if m == 1 else 32 * m
+    ulps = 32 + twist + 2 * math.log2(L) * 64 * math.sqrt(L)
     return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
 
 
 def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     """sup_x |S(x)| as a certified bracket [value, upper] from one FFT grid.
 
-    value is the maximum over K = _fft_len(oversample * (2N+1)) points and
-    upper = (value + r) / (1 - pi^2 N^2 / (2 K^2)), r from _rounding_term.
+    value is the maximum over the K = _fft_len(oversample * (2N+1)) points
+    x = k/K and upper = (value + r) / (1 - pi^2 N^2 / (2 K^2)), r from
+    _rounding_term.
+
+    The grid is evaluated in m = _coset_count(K, N) cosets, so that no
+    transform passes _TRANSFORM_BYTES where K/m >= 2N+1 allows: coset s
+    holds x = (s + m k)/K, the values of one transform of K/m points whose
+    coefficients are twisted by e(n s/K) (grid_values with a twist). These
+    are the same K points, and value and argmax_x are their maximum, ties
+    going to the smallest k as one argmax over the whole grid would.
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
@@ -251,9 +313,21 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
         raise DomainError("oversample below 2 voids the sup bracket's grid bound")
     N = max(spec.weights.N, 1)
     K = _fft_len(oversample * (2 * N + 1))
-    mags = np.abs(grid_values(spec, K))
-    k0 = int(np.argmax(mags))
-    value = float(mags[k0])
+    _check_grid(K)
+    m = _coset_count(K, spec.weights.N)
+    best = (-1.0, 0)                    # (value, -k): ties go to the smallest k
+    twist = None
+    for s in range(m):
+        if s == 1:
+            step = np.exp((2j * np.pi) * (np.arange(spec.weights.N + 1) / K))
+            twist = step.copy()
+        elif s > 1:
+            twist *= step
+        mags = np.abs(grid_values(spec, K // m, twist))
+        k = int(np.argmax(mags))
+        best = max(best, (float(mags[k]), -(s + m * k)))
+        del mags                        # freed before the next transform
+    value, k0 = best[0], -best[1]
     upper = (value + _rounding_term(spec, K)) / (1 - (math.pi * N / K) ** 2 / 2)
     return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 
@@ -341,9 +415,7 @@ def rational_probe(p: int, q: int, weights: WeightVector,
     _check_phases(phases, weights)
     L = 2 * q
     n = np.arange(weights.N + 1)
-    unit = phases.unit
-    cpos = weights.w_pos * unit
-    cneg = weights.neg() * unit
+    cpos, cneg = _coefficients(weights, phases.unit)
     res_pos = (n % L).astype(np.intp)
     res_neg = ((-n) % L).astype(np.intp)
     acc = (np.bincount(res_pos, weights=cpos.real, minlength=L)

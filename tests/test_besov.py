@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -181,3 +182,16 @@ def test_report_json_schema(third):
     assert keys == sorted(keys)
     assert text.endswith("\n")
     assert report_to_json(rep) == text
+
+
+def test_block_spectrum_memory_peak(golden):
+    # j = 16 evaluates its 2.1M-point grids as 8 transforms of 4.2 MB; one
+    # transform of the whole grid peaked at about 58 MB. tracemalloc sees
+    # numpy's buffers, not the FFT library's scratch.
+    tracemalloc.start()
+    try:
+        block_spectrum(golden, js=[16], mode="both")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 << 20, peak

@@ -9,13 +9,15 @@ import pytest
 from scipy.fft import next_fast_len
 
 from oracles import brute_probe_max, brute_sum_at
+from thetareg import thetasum
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
                              one_sided_unit, rough_weights, smooth_weights,
                              unit_window)
 from thetareg.errors import (AliasingError, BudgetError, DomainError,
                              HypothesisError)
-from thetareg.thetasum import (SumSpec, _fft_len, _rounding_term, eval_sum,
+from thetareg.thetasum import (SumSpec, _coset_count, _fft_len,
+                               _rounding_term, eval_sum,
                                grid_values, hl_constant_monitor,
                                mean_square_on_grid,
                                merged_block_sup, probe_floors, rational_probe,
@@ -62,6 +64,53 @@ def test_grid_values_guards():
         grid_values(spec, 64)            # needs >= 2N+1 = 65
     with pytest.raises(BudgetError):
         grid_values(spec, 1 << 27)
+    with pytest.raises(DomainError):
+        grid_values(spec, 65, twist=np.ones(spec.weights.N))
+
+
+def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
+    # every split of the grid that keeps K/m >= 2N+1: the twisted transforms,
+    # interleaved, are the one big transform's values within both bounds
+    spec = SumSpec(golden, unit_window(3, 40))            # 2N+1 = 81
+    n = np.arange(spec.weights.N + 1)
+    K = 720
+    full = grid_values(spec, K)
+    r1 = _rounding_term(spec, K)
+    splits = [m for m in range(2, K // 81 + 1) if K % m == 0]
+    assert splits == [2, 3, 4, 5, 6, 8]
+    for m in splits:
+        monkeypatch.setattr(thetasum, "_TRANSFORM_BYTES", 16 * K // m)
+        assert _coset_count(K, spec.weights.N) == m
+        r = _rounding_term(spec, K)
+        got = np.empty(K, dtype=np.complex128)
+        for s in range(m):
+            got[s::m] = grid_values(spec, K // m, np.exp(2j * np.pi * n * s / K))
+        assert np.max(np.abs(got - full)) <= r + r1, m
+    # sup_norm's own split (twists by recurrence) finds the same maximum
+    monkeypatch.undo()
+    base = sup_norm(spec)
+    K = base.grid_size
+    assert K == 648 and _coset_count(K, spec.weights.N) == 1
+    r1 = _rounding_term(spec, K)
+    for m in (2, 3, 4, 6, 8):
+        monkeypatch.setattr(thetasum, "_TRANSFORM_BYTES", 16 * K // m)
+        res = sup_norm(spec)
+        assert (res.grid_size, res.argmax_x) == (K, base.argmax_x), m
+        assert abs(res.value - base.value) <= _rounding_term(spec, K) + r1, m
+
+
+def test_coset_count_rule():
+    # oversample-8 grids of block j: one transform up to j = 12, then the
+    # smallest split within the byte budget, capped where K/m would alias
+    want = {12: 1, 13: 2, 14: 3, 15: 5, 16: 8, 20: 8}
+    for j, m in want.items():
+        N = rough_weights(j).N
+        K = _fft_len(8 * (2 * N + 1))
+        assert _coset_count(K, N) == m, j
+        assert K % m == 0 and K // m >= 2 * N + 1
+    N = rough_weights(20).N
+    assert _coset_count(_fft_len(2 * (2 * N + 1)), N) == 2     # K/2 >= 2N+1
+    assert _coset_count(100, 60) == 1            # aliasing grid: no split
 
 
 def test_block_budget():
@@ -177,15 +226,16 @@ _BRACKET_TIMES = {
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_sup(text: str, family: str, j: int) -> float:
-    """sup |S| from a 256x grid plus a 60-step ternary refine by eval_sum.
+def _oracle_sup(text: str, family: str, j: int, grid: int = 256) -> float:
+    """sup |S| from a grid x oversampled grid plus a 60-step ternary refine
+    by eval_sum.
 
     A lower estimate like the grid maximum, but far tighter: the bracket
     must contain it.
     """
     weights = rough_weights(j) if family == "rough" else smooth_weights(j)
     spec = SumSpec(parse_timespec(text), weights)
-    K = _fft_len(256 * (2 * weights.N + 1))
+    K = _fft_len(grid * (2 * weights.N + 1))
     mags = np.abs(grid_values(spec, K))
     k0 = int(np.argmax(mags))
     best = float(mags[k0])
@@ -219,11 +269,30 @@ def test_sup_bracket_contains_refined_sup(kind, oversample):
             assert res.upper / res.value <= factor * (1 + r / res.value), where
 
 
+@pytest.mark.parametrize("j", [13, 14])
+@pytest.mark.parametrize("kind", ["quad", "rat"])
+def test_sup_bracket_holds_across_cosets(kind, j):
+    # j = 13 and 14 split the oversample-8 grid into 2 and 3 cosets
+    text = _BRACKET_TIMES[kind]
+    factor = 1.0 / (1.0 - math.pi ** 2 / (8 * 8 ** 2))
+    for family in ("rough", "smooth"):
+        weights = rough_weights(j) if family == "rough" else smooth_weights(j)
+        spec = SumSpec(parse_timespec(text), weights)
+        res = sup_norm(spec)
+        assert _coset_count(res.grid_size, weights.N) == j - 11
+        r = _rounding_term(spec, res.grid_size)
+        oracle = _oracle_sup(text, family, j, grid=32)
+        where = (family, res.value, oracle, res.upper)
+        assert res.value - r <= oracle <= res.upper, where
+        assert res.upper / res.value <= factor * (1 + r / res.value), where
+
+
 def test_sup_norm_deterministic(golden):
-    spec = SumSpec(golden, rough_weights(7))
-    a = sup_norm(spec)
-    b = sup_norm(spec)
-    assert (a.value, a.argmax_x, a.grid_size) == (b.value, b.argmax_x, b.grid_size)
+    for j in (7, 14):                   # one transform, then three cosets
+        spec = SumSpec(golden, rough_weights(j))
+        a = sup_norm(spec)
+        b = sup_norm(SumSpec(golden, rough_weights(j)))
+        assert (a.value, a.argmax_x, a.grid_size) == (b.value, b.argmax_x, b.grid_size)
 
 
 def test_merged_block_sup_rational_merges_probe():
@@ -252,8 +321,8 @@ def test_coefficient_arrays_symmetric_weights(golden):
     spec = SumSpec(golden, rough_weights(5))
     cpos, cneg = spec.coefficient_arrays()
     assert cpos.shape == cneg.shape == (spec.weights.N + 1,)
-    # e((-n)^2 t/2) = e(n^2 t/2), so symmetric weights give equal arrays
-    assert np.array_equal(cpos[1:], cneg[1:])
+    # e((-n)^2 t/2) = e(n^2 t/2), so symmetric weights share one array
+    assert cneg is cpos
     one = SumSpec(golden, one_sided_unit(1, 20))
     _, cneg1 = one.coefficient_arrays()
     assert np.all(cneg1[1:] == 0.0)
