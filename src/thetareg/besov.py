@@ -164,8 +164,9 @@ def fit_exponent(records: list[BlockRecord], tail_start: int = 8) -> ExponentFit
     """Least-squares slope of log2(sup_j) against j over j >= tail_start.
 
     Needs at least 5 tail scales (fewer would make the slope an anecdote).
-    alpha_limsup is the max of log2(sup_j)/j over the same tail: offset
-    sensitive, only meaningful on burst subsequences, reported always.
+    alpha_limsup is the max of log2(sup_j)/j over the same tail, j = 0
+    left out as in records_to_csv: offset sensitive, only meaningful on
+    burst subsequences, reported always.
     """
     xs, ys = [], []
     for rec in records:
@@ -179,7 +180,7 @@ def fit_exponent(records: list[BlockRecord], tail_start: int = 8) -> ExponentFit
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
     fitted = slope * np.array(xs) + intercept
     residual = float(np.max(np.abs(fitted - np.array(ys))))
-    limsup = max(y / x for x, y in zip(xs, ys))
+    limsup = max(y / x for x, y in zip(xs, ys) if x > 0)
     return ExponentFit(alpha_fit=float(slope), alpha_limsup=limsup,
                        intercept=float(intercept), residual=residual,
                        n_points=len(xs), tail_start=tail_start)

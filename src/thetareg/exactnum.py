@@ -50,6 +50,10 @@ GUARD_BITS = 30
 # 2^27 + 1, the Veltkamp splitter for binary64.
 _SPLIT = 134217729.0
 
+# Elements per pass of quadratic_phase_array: its float temporaries stay
+# at about 1 MiB in all, whatever the array's length.
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class FixedReal:
@@ -215,7 +219,9 @@ def quadratic_phase_array(n: np.ndarray, t: FixedReal) -> tuple[np.ndarray, floa
 
     Requires |n| < 2^26 so n^2 is exact in binary64 (the block budget tops
     out at 2^21). The integer part of n^2 * (t/2) is removed from the exact
-    high product before any rounding can touch the fractional bits.
+    high product before any rounding can touch the fractional bits. It
+    runs in passes of _CHUNK elements, so its temporaries stay small next
+    to the result.
     """
     nn = np.asarray(n)
     n_max = int(np.max(np.abs(nn))) if nn.size else 0
@@ -223,13 +229,17 @@ def quadratic_phase_array(n: np.ndarray, t: FixedReal) -> tuple[np.ndarray, floa
     if n_max >= (1 << 26):
         raise DomainError("|n| >= 2^26 would make n^2 inexact in binary64")
     hi, lo, leftover = half_phase_splits(t)
-    u = nn.astype(np.float64)
-    u *= u
-    p, e = _two_prod(u, hi)
-    r = p - np.round(p)
-    tot = r + (e + u * lo)
-    frac = tot - np.floor(tot)
-    frac = np.where(frac >= 1.0, 0.0, frac)  # subtraction may round up to 1.0
+    frac = np.empty(nn.shape)
+    flat_n, flat = nn.reshape(-1), frac.reshape(-1)
+    for i in range(0, flat.size, _CHUNK):
+        u = flat_n[i:i + _CHUNK].astype(np.float64)
+        u *= u
+        p, e = _two_prod(u, hi)
+        r = p - np.round(p)
+        tot = r + (e + u * lo)
+        f = tot - np.floor(tot)
+        f[f >= 1.0] = 0.0                # subtraction may round up to 1.0
+        flat[i:i + _CHUNK] = f
     model = n_max * n_max * (
         t.err_ulp / float(1 << (t.scale_bits + 1)) + abs(float(leftover)))
     return frac, model + 2.0 ** -51

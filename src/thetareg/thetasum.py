@@ -123,7 +123,10 @@ def phase_vector(time: TimeSpec, N: int) -> PhaseVector:
     else:
         phase, err = exactnum.quadratic_phase_array(
             n, exactnum.fixed_of_time(time, scale_bits_for(N)))
-    return PhaseVector(unit=np.exp((2j * np.pi) * phase), error=err)
+    del n
+    unit = np.multiply(phase, 2j * np.pi)
+    del phase
+    return PhaseVector(unit=np.exp(unit, out=unit), error=err)
 
 
 def _check_phases(phases: PhaseVector, weights: WeightVector) -> None:
@@ -255,18 +258,30 @@ def _coset_count(K: int, N: int) -> int:
     return m
 
 
+def _cosets_run(m: int, weights: WeightVector) -> int:
+    """How many of the m cosets sup_norm transforms: cosets 0..c-1.
+
+    Symmetric weights make S even, S(-x) = S(x): the substitution n -> -n
+    maps the sum at -x onto the sum at x, as e(n^2 t/2) is even in n. The
+    mirror of x = (s + m k)/K is (K - s - m k)/K mod 1, a point of coset
+    (m - s) mod m, so cosets 0..m//2 hold a mirror of every grid point.
+    """
+    return m // 2 + 1 if weights.symmetric else m
+
+
 def _rounding_term(spec: SumSpec, K: int) -> float:
     """Bound on |computed - exact| for each value sup_norm takes from its
-    K-point grid: m = _coset_count(K, N) transforms of L = K/m points.
+    K-point grid: c = _cosets_run(m, w) of the m = _coset_count(K, N)
+    transforms of L = K/m points.
 
     Input: each c_n is off by at most |w_n| (2 pi phase_error_bound() +
     32u), the phase error times 2 pi plus a few ulps u for the argument,
     exp, product, 1/L normalisation, rescale and abs. For m > 1 coset s
     multiplies c_n by a twist built as e(n/K)^s by the recurrence
-    tw_s = tw_(s-1) e(n/K), and then by one product with c_n: at most m
-    steps of one exp plus one product, each within the same 32u as a
-    coefficient's own phase (|tw_s| stays within (1 + 32u)^m of 1), so
-    the twist adds 32 m u per coefficient, and nothing at m = 1. The input
+    tw_s = tw_(s-1) e(n/K), and then by one product with c_n: s + 1 <= c
+    steps of one exp or one product, each within the same 32u as a
+    coefficient's own phase (|tw_s| stays within (1 + 32u)^c of 1), so
+    the twist adds 32 c u per coefficient, and nothing at m = 1. The input
     errors move every output by at most their l1 sum. Transform: an FFT of
     P passes, each of relative 2-norm error eta, errs by at most
     P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and Stability of
@@ -281,7 +296,7 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     m = _coset_count(K, w.N)
     L = K // m
     l1 = float(np.abs(w.w_pos).sum() + np.abs(w.neg()[1:]).sum())
-    twist = 0 if m == 1 else 32 * m
+    twist = 0 if m == 1 else 32 * _cosets_run(m, w)
     ulps = 32 + twist + 2 * math.log2(L) * 64 * math.sqrt(L)
     return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
 
@@ -298,16 +313,24 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     holds x = (s + m k)/K, the values of one transform of K/m points whose
     coefficients are twisted by e(n s/K) (grid_values with a twist). These
     are the same K points, and value and argmax_x are their maximum, ties
-    going to the smallest k as one argmax over the whole grid would.
+    going to the smallest k as one argmax over the whole grid would. For
+    symmetric weights S is even, so only cosets 0..m//2 are transformed
+    (_cosets_run: all m while m <= 2), and argmax_x is folded into
+    [0, 1/2], where the mirror point -x has the same exact value.
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
     with f <= |S| <= M = f(x*), so f'(x*) = 0 and, by Bernstein's
     inequality, |f''| <= (2 pi N)^2 M; Taylor at x* gives |S(x* + d)| >=
     f(x* + d) >= M (1 - 2 pi^2 N^2 d^2). Some grid point has |d| <= 1/(2K),
-    so the exact grid maximum is at least M (1 - pi^2 N^2 / (2 K^2)) and
-    the computed one at least that minus r. K >= 4N + 2 (oversample 2)
-    keeps the factor positive; at oversample 8 it is <= 1/(1 - pi^2/512).
+    so the exact grid maximum is at least M (1 - pi^2 N^2 / (2 K^2)). For
+    an even S the grid point -k/K holds the same exact value as k/K and
+    lies in an evaluated coset (_cosets_run), so the exact maximum over
+    the evaluated cosets is the exact maximum over all K points. Each
+    computed value is within r of its exact one, so the computed maximum
+    is at least the exact grid maximum minus r, and the bracket holds as
+    for the whole grid. K >= 4N + 2 (oversample 2) keeps the factor
+    positive; at oversample 8 it is <= 1/(1 - pi^2/512).
     """
     if oversample < 2:
         raise DomainError("oversample below 2 voids the sup bracket's grid bound")
@@ -317,7 +340,7 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     m = _coset_count(K, spec.weights.N)
     best = (-1.0, 0)                    # (value, -k): ties go to the smallest k
     twist = None
-    for s in range(m):
+    for s in range(_cosets_run(m, spec.weights)):
         if s == 1:
             step = np.exp((2j * np.pi) * (np.arange(spec.weights.N + 1) / K))
             twist = step.copy()
@@ -328,6 +351,8 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
         best = max(best, (float(mags[k]), -(s + m * k)))
         del mags                        # freed before the next transform
     value, k0 = best[0], -best[1]
+    if spec.weights.symmetric:
+        k0 = min(k0, K - k0)            # S(-x) = S(x)
     upper = (value + _rounding_term(spec, K)) / (1 - (math.pi * N / K) ** 2 / 2)
     return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -168,6 +169,25 @@ def test_exponent_jmax_bounds_the_scales(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [r["j"] for r in doc["records"]] == list(range(3, 9))
     assert all(j <= 8 for j in doc["burst_js"])
+
+
+def test_exponent_from_scale_zero(tmp_path, capsys):
+    # j = 0 joins the fit but not the limsup, whose log2(sup)/j it would
+    # divide by zero
+    argv = ["exponent", "--t", "rat:1/3", "--jmin", "0", "--jmax", "12",
+            "--tail-start", "0"]
+    proc = _python("-m", "thetareg.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert main(argv + ["--format", "json"]) == 0
+    fit = json.loads(capsys.readouterr().out)["fit"]
+    assert fit["tail_start"] == 0 and fit["n_points"] == 13
+    assert math.isfinite(fit["alpha_limsup"])
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("j_min = 0\nj_max = 8\ntail_start = 0\n[times]\nrat:1/3\n")
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert math.isfinite(summary[0]["alpha_limsup"])
 
 
 def test_read_config(tmp_path):
@@ -353,8 +373,8 @@ _COMMANDS = [
               _flag("--mode", ["rough", "smooth", "both"]),
               _flag("--oversample", ["2", "3", "8"])),
     st.tuples(st.just(("exponent", "--t")), _TIME,
-              _flag("--jmin", ["2", "3"]), _flag("--jmax", ["7", "8"]),
-              _flag("--tail-start", ["3", "4"]), _flag("--tolerance", ["0", "0.1"]),
+              _flag("--jmin", ["0", "2", "3"]), _flag("--jmax", ["7", "8"]),
+              _flag("--tail-start", ["0", "3", "4"]), _flag("--tolerance", ["0", "0.1"]),
               st.tuples(st.sampled_from(["--check", "--format=json"]))),
     st.tuples(st.just(("probe", "--t")), _TIME,
               _flag("--window", ["1:16", "4:64", "2:9", "1:100000000"]),

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.fft import next_fast_len
 
 from oracles import brute_probe_max, brute_sum_at
-from thetareg import thetasum
+from thetareg import exactnum, thetasum
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
                              one_sided_unit, rough_weights, smooth_weights,
@@ -111,6 +112,82 @@ def test_coset_count_rule():
     N = rough_weights(20).N
     assert _coset_count(_fft_len(2 * (2 * N + 1)), N) == 2     # K/2 >= 2N+1
     assert _coset_count(100, 60) == 1            # aliasing grid: no split
+
+
+def _forced_splits(spec, monkeypatch):
+    """(m, K) for m = 1..8, each m forced through _TRANSFORM_BYTES, on the
+    840-point grid of a window reaching N = 52 (840 = 8 * 105 has every
+    divisor 1..8, and K/8 = 2N+1 still does not alias)."""
+    K = sup_norm(spec).grid_size
+    assert K == 840 and spec.weights.N == 52
+    for m in range(1, 9):
+        monkeypatch.setattr(thetasum, "_TRANSFORM_BYTES", 16 * K // m)
+        assert _coset_count(K, spec.weights.N) == m
+        yield m, K
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_sup_norm_transforms_half_the_cosets_of_an_even_sum(
+        golden, monkeypatch, symmetric):
+    weights = unit_window(3, 52) if symmetric else one_sided_unit(3, 52)
+    spec = SumSpec(golden, weights)
+    calls = []
+    real = thetasum.grid_values
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(thetasum, "grid_values", counting)
+    for m, K in _forced_splits(spec, monkeypatch):
+        calls.clear()
+        sup_norm(spec)
+        want = m // 2 + 1 if symmetric else m
+        assert calls == [K // m] * want, m
+
+
+def test_even_sum_sup_matches_all_cosets_and_folds_argmax(golden, monkeypatch):
+    # the cosets left out mirror ones transformed: the same maximum, within
+    # the rounding bounds, at a point folded into [0, 1/2]
+    spec = SumSpec(golden, unit_window(3, 52))
+    full = np.abs(grid_values(spec, 840))
+    g = int(np.argmax(full))
+    r1 = _rounding_term(spec, 840)
+    for m, K in _forced_splits(spec, monkeypatch):
+        res = sup_norm(spec)
+        assert abs(res.value - full[g]) <= _rounding_term(spec, K) + r1, m
+        assert 0.0 <= res.argmax_x <= 0.5, m
+        assert res.argmax_x == min(g, K - g) / K, m
+
+
+def test_one_sided_sup_keeps_every_coset(golden, monkeypatch):
+    # S is not even here and its maximiser lies in (1/2, 1), in a coset that
+    # an even sum would skip for m = 4 and 7: every coset must be transformed
+    spec = SumSpec(golden, one_sided_unit(10, 52))
+    full = np.abs(grid_values(spec, 840))
+    g = int(np.argmax(full))
+    assert 0.5 < g / 840 < 1.0
+    assert [m for m in range(3, 9) if g % m > m // 2] == [4, 7]
+    r1 = _rounding_term(spec, 840)
+    for m, K in _forced_splits(spec, monkeypatch):
+        res = sup_norm(spec)
+        assert res.argmax_x == g / K, m
+        assert abs(res.value - full[g]) <= _rounding_term(spec, K) + r1, m
+
+
+def test_rounding_term_counts_the_twists_that_run(golden, monkeypatch):
+    # an even sum transforms m//2 + 1 cosets, so its twist term is smaller
+    # than a one-sided sum's of the same l1 mass; m <= 2 runs every coset
+    even = SumSpec(golden, unit_window(1, 52))
+    twice = 2 * even.weights.w_pos               # the same l1 mass: 104
+    odd = SumSpec(golden, WeightVector(j=None, M=1, N=52, w_pos=twice,
+                                       w_neg=np.zeros(53), mode="one-sided"))
+    for m, K in _forced_splits(even, monkeypatch):
+        r_even, r_odd = _rounding_term(even, K), _rounding_term(odd, K)
+        if m <= 2:
+            assert r_even == r_odd, m
+        else:
+            assert r_even < r_odd, m
 
 
 def test_block_budget():
@@ -317,6 +394,29 @@ def test_phase_error_bound_small(golden):
     spec_r = SumSpec(Rational(1, 3), rough_weights(16))
     # exact modular reduction leaves only the final float division
     assert spec_r.phase_error_bound() <= 2.0 ** -50
+
+
+def test_phase_vector_memory_and_bits(golden):
+    # the phases are built in passes and exponentiated in place: the peak
+    # stays below two results' worth, and the bits are the one-pass formula's
+    N = 2 ** 18
+    tracemalloc.start()
+    try:
+        unit = thetasum.phase_vector(golden, N).unit
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * unit.nbytes, (peak, unit.nbytes)
+    t = exactnum.fixed_of_time(golden, scale_bits_for(N))
+    hi, lo, _ = exactnum.half_phase_splits(t)
+    u = np.arange(N + 1).astype(np.float64)
+    u *= u
+    p, e = exactnum._two_prod(u, hi)
+    r = p - np.round(p)
+    tot = r + (e + u * lo)
+    frac = tot - np.floor(tot)
+    frac = np.where(frac >= 1.0, 0.0, frac)
+    assert unit.tobytes() == np.exp((2j * np.pi) * frac).tobytes()
 
 
 def test_coefficient_arrays_symmetric_weights(golden):
