@@ -18,11 +18,10 @@ from .collapse import (CollapseCheck, CombFormula, PeriodizedGaussian,
 from .contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                        QuadraticIrrational, QuotientRule, Rational,
                        SigmaEstimate, TimeSpec, cf_of_real, classify_sigma,
-                       construct_in_class, expand_rational,
-                       khinchin_levy_diagnostic, parse_timespec)
-from .cutoff import (CutoffFunction, WeightVector, make_smooth_cutoff,
-                     one_sided_unit, rough_weights, smooth_weights,
-                     unit_window)
+                       expand_rational, khinchin_levy_diagnostic,
+                       parse_timespec)
+from .cutoff import (WeightVector, one_sided_unit, rough_weights,
+                     smooth_weights, unit_window)
 from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)

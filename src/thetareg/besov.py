@@ -38,12 +38,13 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
-                       SigmaEstimate, TimeSpec, classify_sigma)
+                       Rational, SigmaEstimate, TimeSpec, classify_sigma)
 from .cutoff import MAX_BLOCK_J, block_bounds, rough_weights, smooth_weights
 from .errors import DomainError
 from .thetasum import merged_block_sup, phase_vector
@@ -284,7 +285,10 @@ def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     exponent reaches alpha_pred - tol (via alpha_fit, or alpha_limsup on
     the burst subsequence when there is one).
     """
-    exp: CFExpansion = time.expansion(max_terms=64)
+    # a rational is classified on its whole expansion, so it reads as
+    # finite however many quotients it has
+    terms = sys.maxsize if isinstance(time, Rational) else 64
+    exp: CFExpansion = time.expansion(max_terms=terms)
     sigma_est = classify_sigma(exp, window=window)
     prediction = predicted_exponent(time, sigma_est)
     bursts: list[int] = []

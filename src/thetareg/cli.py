@@ -31,7 +31,7 @@ from .cutoff import rough_weights, smooth_weights, unit_window
 from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
-from .thetasum import rational_probe, stability_ratio
+from .thetasum import MAX_PROBE_Q, rational_probe, stability_ratio
 
 __all__ = ["main", "spectrum_svg", "read_config"]
 
@@ -263,38 +263,42 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    docs = []
-    failures = []
     if args.sweep:
         qmax = args.sweep
-        pairs = [(p, q) for q in range(1, qmax + 1)
-                 for p in range(0, 2 * q) if math.gcd(p, q) == 1]
+        if qmax > MAX_PROBE_Q:
+            raise BudgetError(f"--sweep {qmax} exceeds the comb budget "
+                              f"q <= {MAX_PROBE_Q}")
+        pairs = ((p, q) for q in range(1, qmax + 1)
+                 for p in range(0, 2 * q) if math.gcd(p, q) == 1)
     else:
         spec = parse_timespec(args.t)
         val = spec.exact_value()
         if val is None:
             raise DomainError("collapse needs a rational time (rat: or dec:)")
         pairs = [(val.numerator, val.denominator)]
+    checked = failures = 0
+    worst = None
     for p, q in pairs:
         chk = verify_collapse(p, q)
-        docs.append(chk.as_dict())
+        checked += 1
+        if worst is None or chk.max_residual > worst.max_residual:
+            worst = chk
         if chk.max_residual > args.tol or chk.kappa_unimodular_defect > 1e-8:
-            failures.append((p, q, chk.max_residual))
+            failures += 1
     if args.sweep:
-        worst = max(docs, key=lambda d: d["max_residual"])
         summary = {
-            "pairs_checked": len(docs),
-            "worst_pair": [worst["p"], worst["q"]],
-            "worst_residual": worst["max_residual"],
+            "pairs_checked": checked,
+            "worst_pair": [worst.p, worst.q],
+            "worst_residual": worst.max_residual,
             "tolerance": args.tol,
-            "failures": len(failures),
+            "failures": failures,
         }
         print(json.dumps(summary, sort_keys=True, indent=2))
     else:
-        print(json.dumps(docs[0], sort_keys=True, indent=2))
+        print(json.dumps(worst.as_dict(), sort_keys=True, indent=2))
     if args.check and failures:
         raise VerificationError(
-            f"{len(failures)} collapse pairings exceeded {args.tol}")
+            f"{failures} collapse pairings exceeded {args.tol}")
     return 0
 
 
@@ -359,8 +363,29 @@ def _int_setting(settings: dict, key: str, default: int) -> int:
         raise DomainError(f"config {key} must be an integer, got {text!r}") from None
 
 
+_SCAN_KEYS = ("out", "j_min", "j_max", "mode", "oversample", "tail_start",
+              "format", "svg")
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+
+
+def _bool_setting(settings: dict, key: str, default: bool) -> bool:
+    text = settings.get(key)
+    if text is None:
+        return default
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise DomainError(f"config {key} must be true/false/1/0/yes/no, "
+                          f"got {text!r}") from None
+
+
 def _cmd_scan(args) -> int:
     settings, times = read_config(args.config)
+    unknown = [key for key in settings if key not in _SCAN_KEYS]
+    if unknown:
+        raise DomainError(f"unknown config key {unknown[0]!r}; known keys: "
+                          + ", ".join(_SCAN_KEYS))
     out = Path(args.out or settings.get("out", "scan_out"))
     j_min = _int_setting(settings, "j_min", 6)
     j_max = _int_setting(settings, "j_max", 14)
@@ -368,7 +393,7 @@ def _cmd_scan(args) -> int:
     oversample = _int_setting(settings, "oversample", 8)
     tail_start = _int_setting(settings, "tail_start", 8)
     fmt = settings.get("format", "both")
-    svg = settings.get("svg", "false").lower() in ("1", "true", "yes")
+    svg = _bool_setting(settings, "svg", False)
     if fmt not in ("csv", "json", "both"):
         raise DomainError(f"config format must be csv/json/both, got {fmt!r}")
     out.mkdir(parents=True, exist_ok=True)

@@ -18,15 +18,13 @@ a unimodular constant depending on (p, q) only; it always lands on an
 eighth root of unity. kappa is extracted numerically from one pairing and
 then held fixed while the identity is checked against everything else.
 
-Verification is distributional and two-route:
-
-* coefficient route: the 2q masses from a direct DFT of the coefficients
-  against the masses the closed form predicts (including the exact zeros
-  at the odd parity class);
-* pairing route: <E, phi> computed as sum_n e(n^2 p/(2q)) hat-phi(-n)
-  with a certified coefficient tail, against the comb side
-  (kappa/sqrt(q)) sum_k weight(x_k) phi(x_k), for a family of periodised
-  Gaussians on and off the comb points.
+Verification is distributional: <E, phi> computed as
+sum_n e(n^2 p/(2q)) hat-phi(-n) with a certified coefficient tail,
+against the comb side (kappa/sqrt(q)) sum_k weight(x_k) phi(x_k), for a
+family of periodised Gaussians on and off the comb points. A second,
+coefficient route lives in the tests: the 2q masses of a direct DFT of the
+coefficients (``tests/oracles.slow_comb_masses``) against the masses the
+closed form predicts, including the exact zeros at the odd parity class.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ __all__ = [
     "CombFormula",
     "comb_of",
     "PeriodizedGaussian",
-    "comb_coefficients_dft",
-    "coefficient_residual",
     "lhs_pairing",
     "rhs_pairing",
     "extract_kappa",
@@ -88,11 +84,6 @@ class CombFormula:
         """e(phase) at a comb point; unimodular."""
         return _e(self.phase_fraction(x))
 
-    def mass(self, k: int, kappa: complex) -> complex:
-        """Predicted mass at x_k once kappa is known."""
-        x = Fraction(2 * k + self.xi, 2 * self.q)
-        return kappa / math.sqrt(self.q) * self.weight_phase(x)
-
 
 def comb_of(p: int, q: int) -> CombFormula:
     """Comb data for t = p/q, reduced into [0, 2).
@@ -119,46 +110,6 @@ def comb_of(p: int, q: int) -> CombFormula:
     xi = (p * q) % 2
     eta = (p_prev * q_prev) % 2
     return CombFormula(p=p, q=q, p_prev=p_prev, q_prev=q_prev, xi=xi, eta=eta)
-
-
-def comb_coefficients_dft(p: int, q: int) -> np.ndarray:
-    """Masses at x = k/(2q), k = 0..2q-1, straight from the coefficients.
-
-    c_k = (1/2q) sum_{r mod 2q} e(r^2 p/(2q)) e(r k/(2q)). Independent of
-    the closed form; O(q^2), meant for q up to a few hundred.
-    """
-    if q <= 0 or math.gcd(p, q) != 1:
-        raise DomainError(f"bad rational {p}/{q}")
-    L = 2 * q
-    r = np.arange(L)
-    a = np.exp((2j * np.pi) * rational_phase_array(r, p % (2 * q), q))
-    k = r.reshape(-1, 1)
-    kernel = np.exp((2j * np.pi / L) * (r.reshape(1, -1) * k))
-    return (kernel @ a) / L
-
-
-def coefficient_residual(p: int, q: int) -> tuple[complex, float]:
-    """(kappa, max |dft mass - formula mass| over all 2q grid points).
-
-    kappa is read off at the largest measured mass; the residual then
-    covers every point, including the ones the formula says are zero.
-    """
-    comb = comb_of(p, q)
-    masses = comb_coefficients_dft(comb.p, comb.q)
-    k0 = int(np.argmax(np.abs(masses)))
-    if k0 % 2 != comb.xi % 2:
-        raise VerificationError("largest mass sits on the forbidden parity class")
-    x0 = Fraction(k0, 2 * comb.q)
-    kappa = masses[k0] * math.sqrt(comb.q) / comb.weight_phase(x0)
-    worst = 0.0
-    for k in range(2 * comb.q):
-        x = Fraction(k, 2 * comb.q)
-        if k % 2 == comb.xi:
-            predicted = kappa / math.sqrt(comb.q) * comb.weight_phase(x)
-        else:
-            predicted = 0.0
-        worst = max(worst, abs(masses[k] - predicted))
-    return complex(kappa), worst
 
 
 @dataclass(frozen=True)

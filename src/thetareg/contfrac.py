@@ -51,7 +51,6 @@ __all__ = [
     "QuotientRule",
     "DecimalLiteral",
     "cf_of_real",
-    "construct_in_class",
     "SigmaEstimate",
     "classify_sigma",
     "khinchin_levy_diagnostic",
@@ -209,14 +208,6 @@ class CFExpansion:
         """Value of the (finite) quotient list."""
         return Fraction(self.p(len(self) - 1), self.q(len(self) - 1))
 
-    def determinant_alternates(self) -> bool:
-        """p_k q_{k-1} - p_{k-1} q_k == (-1)^(k+1) for every k >= 0."""
-        for k in range(len(self)):
-            det = self.p(k) * self.q(k - 1) - self.p(k - 1) * self.q(k)
-            if det != (-1) ** (k + 1):
-                return False
-        return True
-
 
 class TimeSpec:
     """Base for time parameters. Subclasses fill in the small protocol below.
@@ -263,15 +254,16 @@ class TimeSpec:
     def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
         """Quotients up to the given budgets; truncated=True when cut off."""
         quots: list[int] = []
-        budget = itertools.islice(self.partial_quotients(), max(max_terms, 0))
-        for a, (_, q) in zip(budget, self.convergent_pairs()):
+        pairs = self.convergent_pairs()
+        truncated = False
+        for a in self.partial_quotients():
+            if len(quots) >= max_terms:
+                truncated = True        # the source has a quotient past the budget
+                break
             quots.append(a)
-            if q.bit_length() > max_q_bits:
+            if next(pairs)[1].bit_length() > max_q_bits:
                 truncated = True
                 break
-        else:
-            # ended by the term budget (truncated) or by the source itself
-            truncated = len(quots) == max_terms
         if not quots:
             raise PrecisionExhaustedError("no quotients could be produced")
         return CFExpansion(tuple(quots), exact_terminates=not truncated,
@@ -330,10 +322,6 @@ class Rational(TimeSpec):
     def _quotients(self) -> Iterator[int]:
         yield from expand_rational(self.p, self.q)
 
-    def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
-        return CFExpansion(tuple(expand_rational(self.p, self.q)),
-                           exact_terminates=True, truncated=False)
-
     def describe(self) -> str:
         return f"rat:{self.p}/{self.q}"
 
@@ -371,9 +359,6 @@ class QuadraticIrrational(TimeSpec):
 
     def exact_value(self) -> Fraction | None:
         return None
-
-    def as_float(self) -> float:
-        return (self.a + self.b * math.sqrt(self.c)) / self.d
 
     def _quotients(self) -> Iterator[int]:
         """a = floor((P + sqrt(D))/Q), then (P, Q) <- (a Q - P, (D - P^2)/Q)."""
@@ -521,17 +506,6 @@ def cf_of_real(text: str, max_terms: int = 64) -> tuple[CFExpansion, CFExpansion
         certified = CFExpansion(tuple(quots), exact_terminates=certified_all,
                                 truncated=not certified_all)
     return certified, center
-
-
-def construct_in_class(sigma, seed=(0, 2)) -> QuotientRule:
-    """Time whose quotient growth realises the given sigma >= 0.
-
-    sigma may be an int, Fraction, decimal string, or float (floats are
-    read at decimal face value: 0.1 means 1/10).
-    """
-    if isinstance(sigma, float):
-        sigma = Fraction(str(sigma))
-    return QuotientRule(Fraction(sigma), tuple(seed))
 
 
 @dataclass(frozen=True)

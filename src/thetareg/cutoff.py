@@ -19,7 +19,7 @@ A WeightVector is one block of per-frequency coefficients w_n >= 0 for
 indicator of 2^(j-1) < |n| <= 2^(j+1), a sharp window on given [M, N], or
 a one-sided variant (w_{-n} = 0) used by the growing-window monitor.
 It carries the bookkeeping the lower-bound probes need: window, two-sided
-mass, l2 norm, and discrete total variation.
+mass and l2 norm.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .errors import BudgetError, DomainError
 __all__ = [
     "MAX_BLOCK_J",
     "MAX_BLOCK_N",
-    "CutoffFunction",
-    "make_smooth_cutoff",
     "WeightVector",
     "block_bounds",
     "smooth_weights",
@@ -74,31 +72,6 @@ def _phi(x: np.ndarray) -> np.ndarray:
 
 def _chi(x: np.ndarray) -> np.ndarray:
     return _phi(x) - _phi(2.0 * np.asarray(x, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class CutoffFunction:
-    """The dyadic bump with its analytically known constants.
-
-    kappa bounds the total variation of one copy of chi on a half-line
-    (one monotone rise plus one monotone fall: exactly 2); integral is
-    int_0^inf chi = 3/4, exact by the phi(1+u) + phi(2-u) = 1 symmetry.
-    """
-
-    kappa: float = 2.0
-    support: tuple[float, float] = (0.5, 2.0)
-    integral: float = 0.75
-
-    def __call__(self, x) -> np.ndarray:
-        return _chi(x)
-
-    def plateau(self, x) -> np.ndarray:
-        """The underlying step phi (the j = 0 weight profile)."""
-        return _phi(x)
-
-
-def make_smooth_cutoff() -> CutoffFunction:
-    return CutoffFunction()
 
 
 @dataclass
@@ -156,16 +129,6 @@ class WeightVector:
 
     def l2_squared(self) -> float:
         return float((self.w_pos ** 2).sum() + (self.neg()[1:] ** 2).sum())
-
-    def _line(self) -> np.ndarray:
-        """Weights on -N-1..N+1 as one array (zero padded ends)."""
-        left = self.neg()[1:][::-1]
-        return np.concatenate(([0.0], left, self.w_pos, [0.0]))
-
-    def tv(self) -> float:
-        """Discrete total variation sum |w_{n+1} - w_n| over the whole line."""
-        line = self._line()
-        return float(np.abs(np.diff(line)).sum())
 
 
 def block_bounds(j: int) -> tuple[int, int]:

@@ -72,13 +72,6 @@ class FixedReal:
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.scale_bits)
 
-    def as_float(self) -> float:
-        return float(self.as_fraction())
-
-    def error_bound(self) -> Fraction:
-        """Exact bound on |represented - true| as a Fraction."""
-        return Fraction(self.err_ulp, 1 << self.scale_bits)
-
 
 def _frac_mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
@@ -127,32 +120,23 @@ def rational_phase_array(
 
 
 def fixed_of_time(spec, bits: int) -> FixedReal:
-    """Fixed-point approximation of a time parameter, total error < 1 ulp.
+    """Fixed-point approximation of an irrational time, total error < 1 ulp.
 
     ``spec`` is anything with the small time-parameter protocol:
-    ``exact_value()`` returning a Fraction or None, ``resolution()``
-    returning the coarseness of a digit-limited literal (or None), and for
-    irrational values ``convergent_pairs()`` yielding successive
-    (p_k, q_k). A rational value is rounded (error <= 1/2 ulp, err_ulp = 0
-    when the rounding is exact); an irrational one is replaced by the
-    first convergent p_k/q_k with q_k q_{k+1} >= 2^(bits+2), whose distance
-    to t is below 1/4 ulp, for a total budget under 1 ulp.
+    ``exact_value()`` returning None, and ``convergent_pairs()`` yielding
+    successive (p_k, q_k). The value is replaced by the first convergent
+    p_k/q_k with q_k q_{k+1} >= 2^(bits+2), whose distance to t is below
+    1/4 ulp, for a total budget under 1 ulp.
 
-    Raises PrecisionExhaustedError when a digit-limited literal is coarser
-    than the requested scale, or when the quotient source dries up.
+    A time with an exact value is refused with DomainError: its phases are
+    exact rationals (``rational_phase_array``), never fixed point. Raises
+    PrecisionExhaustedError when the quotient source dries up.
     """
     if bits <= 0:
         raise DomainError("bits must be positive")
-    res = spec.resolution()
-    if res is not None and res > Fraction(1, 1 << bits):
-        raise PrecisionExhaustedError(
-            f"literal resolution {res} is coarser than 2^-{bits}; "
-            "supply more digits or request fewer bits")
-    exact = spec.exact_value()
-    if exact is not None:
-        scaled = exact * (1 << bits)
-        mant = round(scaled)
-        return FixedReal(mant, bits, 0 if mant == scaled else 1)
+    if spec.exact_value() is not None:
+        raise DomainError("fixed point is for irrational times; an exact "
+                          "time has rational phases")
     target = 1 << (bits + 2)
     prev: tuple[int, int] | None = None
     for pk, qk in spec.convergent_pairs():

@@ -362,7 +362,7 @@ def mean_square_on_grid(spec: SumSpec, oversample: int = 4) -> tuple[float, floa
 
     On any grid of K >= 2N+1 points the mean of |S|^2 equals the
     coefficient power exactly (discrete Parseval), so the pair should agree
-    to rounding; tests and the l2 reporting rely on it.
+    to rounding; the Parseval tests (criterion 5) check it.
     """
     N = max(spec.weights.N, 1)
     K = _fft_len(oversample * (2 * N + 1))

@@ -1,12 +1,6 @@
 import pytest
 
 from thetareg.contfrac import QuadraticIrrational, Rational
-from thetareg.cutoff import make_smooth_cutoff
-
-
-@pytest.fixture(scope="session")
-def cut():
-    return make_smooth_cutoff()
 
 
 @pytest.fixture(scope="session")

@@ -61,6 +61,22 @@ def slow_comb_masses(p: int, q: int) -> list[complex]:
     return out
 
 
+def determinant_alternates(exp) -> bool:
+    """p_k q_{k-1} - p_{k-1} q_k == (-1)^(k+1) for every k >= 0 of a
+    CFExpansion, k = -1 being the seed (1, 0)."""
+    for k in range(len(exp)):
+        det = exp.p(k) * exp.q(k - 1) - exp.p(k - 1) * exp.q(k)
+        if det != (-1) ** (k + 1):
+            return False
+    return True
+
+
+def total_variation(weights) -> float:
+    """sum |w_{n+1} - w_n| over the whole line, zero past -N and N."""
+    line = [0.0, *weights.neg()[:0:-1].tolist(), *weights.w_pos.tolist(), 0.0]
+    return float(sum(abs(b - a) for a, b in zip(line, line[1:])))
+
+
 def mp_value(timespec, dps: int = 60) -> mp.mpf:
     """High-precision value of a time parameter via mpmath."""
     with mp.workdps(dps):

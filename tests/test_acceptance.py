@@ -20,11 +20,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import determinant_alternates, total_variation
 from thetareg.besov import block_spectrum, burst_scales, fit_exponent
 from thetareg.cli import main as cli_main
 from thetareg.collapse import verify_collapse
-from thetareg.contfrac import (CFExpansion, QuadraticIrrational, Rational,
-                               TimeSpec, construct_in_class, expand_rational)
+from thetareg.contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
+                               Rational, TimeSpec, expand_rational)
 from thetareg.cutoff import rough_weights, smooth_weights, unit_window
 from thetareg.thetasum import (SumSpec, eval_sum, grid_values,
                                hl_constant_monitor, mean_square_on_grid,
@@ -87,7 +88,7 @@ def quad_spectra(golden, sqrt2m1):
 @pytest.fixture(scope="module")
 def burst_case():
     """Liouville-leaning class member: smooth sups at its burst scales."""
-    t = construct_in_class(1.0)
+    t = QuotientRule(Fraction(1), (0, 2))
     js = burst_scales(t, 1.0, j_lo=6, j_hi=20)
     records = block_spectrum(t, mode="smooth", js=js)
     return t, js, records
@@ -253,12 +254,12 @@ def test_c08_hardy_littlewood_monitor(golden, third, quad_spectra):
     worst_pair = 0.0
     for name, (t, recs) in quad_spectra.items():
         for r in recs:
-            tv = smooth_weights(r.j).tv()
+            tv = total_variation(smooth_weights(r.j))
             worst_pair = max(worst_pair, r.smooth_sup / (tv * r.rough_sup))
             if r.smooth_sup > tv * r.rough_sup:
                 smooth_ok = False
     for r in block_spectrum(Rational(1, 3), j_min=6, j_max=10, mode="both"):
-        tv = smooth_weights(r.j).tv()
+        tv = total_variation(smooth_weights(r.j))
         worst_pair = max(worst_pair, r.smooth_sup / (tv * r.rough_sup))
         if r.smooth_sup > tv * r.rough_sup:
             smooth_ok = False
@@ -310,12 +311,12 @@ def test_c10_exact_arithmetic_invariants(golden, sqrt2m1):
     for p, q in det_pairs:
         exp = CFExpansion(tuple(expand_rational(p, q)), exact_terminates=True)
         k = len(exp) - 1
-        if not exp.determinant_alternates():
+        if not determinant_alternates(exp):
             failures.append(f"determinant alternation broke at {p}/{q}")
         if exp.q(k) * exp.p(k - 1) - exp.p(k) * exp.q(k - 1) != 1:
             failures.append(f"odd-length orientation broke at {p}/{q}")
-    for t in (golden, sqrt2m1, construct_in_class(1.0)):
-        if not t.expansion(max_terms=40).determinant_alternates():
+    for t in (golden, sqrt2m1, QuotientRule(Fraction(1), (0, 2))):
+        if not determinant_alternates(t.expansion(max_terms=40)):
             failures.append(f"determinant alternation broke for {t.describe()}")
     # two-sided convergent bracketing, certified in exact arithmetic
     bracket_checks = 0

@@ -12,8 +12,7 @@ from thetareg.besov import (BlockRecord, block_spectrum, burst_scales,
                             predicted_exponent, records_to_csv,
                             report_to_json)
 from thetareg.contfrac import (DecimalLiteral, QuotientRule, Rational,
-                               classify_sigma, construct_in_class,
-                               parse_timespec)
+                               classify_sigma, parse_timespec)
 from thetareg.cutoff import rough_weights, smooth_weights
 from thetareg.errors import DomainError
 from thetareg.thetasum import merged_block_sup, rational_probe
@@ -113,8 +112,16 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
             assert rec.probe_satisfied == probe.satisfied
 
 
+def test_long_rational_is_classified_as_finite():
+    # F_70/F_71 has 70 quotients, more than the 64 an endless source is cut at
+    t = Rational(190392490709135, 308061521170129)
+    report = classify_regularity(t, j_min=2, j_max=6, tail_start=2)
+    assert report.sigma.verdict == "indeterminate-finite"
+    assert report.sigma.sigma is None
+
+
 def test_burst_scales_frozen_for_sigma_one():
-    t = construct_in_class(1)
+    t = QuotientRule(Fraction(1), (0, 2))
     # quotient denominators 2, 5, 27, 734, 538783 give ceil(1.5 log2 q) =
     # 2, 4, 8, 15, 29; the window [6, 20] keeps {8, 15}
     assert burst_scales(t, 1.0) == [8, 15]

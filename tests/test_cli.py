@@ -47,6 +47,20 @@ def test_cf_json_output(capsys):
     assert doc["center_quotients"] == [0, 2]
 
 
+def test_cf_terms_bounds_a_rational(capsys):
+    # 13/21 = [0; 1, 1, 1, 1, 1, 2]: --terms 3 prints three of everything
+    assert main(["cf", "--t", "rat:13/21", "--terms", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["quotients"] == [0, 1, 1]
+    assert doc["convergents"] == [[0, 1], [1, 1], [1, 2]]
+    assert [n for n, _ in doc["khinchin_levy"]["per_n"]] == [1, 2]
+    assert doc["truncated"] is True and doc["exact_terminates"] is False
+    assert main(["cf", "--t", "rat:13/21", "--terms", "7", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["quotients"] == [0, 1, 1, 1, 1, 1, 2]
+    assert doc["truncated"] is False and doc["exact_terminates"] is True
+
+
 def test_bad_time_spec_exits_2(capsys):
     assert main(["cf", "--t", "rat:1/0"]) == 2
     assert main(["cf", "--t", "nonsense"]) == 2
@@ -111,6 +125,13 @@ def test_collapse_sweep(capsys):
     assert doc["pairs_checked"] == sum(
         1 for q in range(1, 7) for p in range(0, 2 * q)
         if __import__("math").gcd(p, q) == 1)
+
+
+def test_collapse_sweep_past_the_comb_budget_is_refused_up_front():
+    # 0.61 Q^2 pairs at Q = 10001: refused before the first one is built
+    code, out, err = _main_in_process(["collapse", "--sweep", "10001"])
+    assert (code, out) == (3, "")
+    assert err.startswith("refused:") and "10000" in err
 
 
 def test_collapse_check_with_impossible_tolerance_exits_4(capsys):
@@ -307,15 +328,24 @@ def test_scale_above_block_budget_is_refused(argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("key", ["j_min", "j_max", "oversample", "tail_start"])
-def test_bad_scan_setting_exits_2_without_traceback(key, tmp_path):
+@pytest.mark.parametrize("line, message", [
+    *(pytest.param(f"{key} = abc", f"config {key} must be an integer", id=key)
+      for key in ("j_min", "j_max", "oversample", "tail_start")),
+    # a misspelt key would silently run the default scales
+    pytest.param("jmax = 7", "unknown config key 'jmax'", id="unknown_key"),
+    # a misspelt boolean would silently write no svg
+    pytest.param("svg = ture", "config svg must be true/false/1/0/yes/no",
+                 id="svg"),
+])
+def test_bad_scan_setting_exits_2_without_traceback(line, message, tmp_path):
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text(f"{key} = abc\n[times]\nrat:1/3\n")
+    cfg.write_text(f"{line}\n[times]\nrat:1/3\n")
     proc = _python("-m", "thetareg.cli", "scan", "--config", str(cfg),
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"error: config {key} must be an integer")
+    assert proc.stderr.startswith(f"error: {message}")
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def _main_in_process(argv: list[str]) -> tuple[int, str, str]:

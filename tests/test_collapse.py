@@ -10,11 +10,9 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import slow_comb_masses
-from thetareg.collapse import (CombFormula, PeriodizedGaussian,
-                               comb_coefficients_dft, comb_of,
-                               coefficient_residual, default_test_functions,
-                               extract_kappa, lhs_pairing, rhs_pairing,
-                               verify_collapse)
+from thetareg.collapse import (CombFormula, PeriodizedGaussian, comb_of,
+                               default_test_functions, extract_kappa,
+                               lhs_pairing, rhs_pairing, verify_collapse)
 from thetareg.errors import BudgetError, DomainError, VerificationError
 from thetareg.thetasum import MAX_PROBE_Q
 
@@ -41,6 +39,31 @@ class TrigPolynomial:
 
     def coeff_count(self) -> int:
         return max((abs(k) for k, _ in self.coeffs), default=1)
+
+
+def _comb_mass(comb: CombFormula, k: int, kappa: complex) -> complex:
+    """The closed form's mass at x_k = (2k + xi)/(2q) once kappa is known."""
+    x = Fraction(2 * k + comb.xi, 2 * comb.q)
+    return kappa / math.sqrt(comb.q) * comb.weight_phase(x)
+
+
+def _coefficient_residual(p: int, q: int) -> tuple[complex, float]:
+    """(kappa, max |oracle mass - closed-form mass| over all 2q grid points).
+
+    kappa is read off at the largest oracle mass; the residual then covers
+    every point, including the ones the closed form says are zero.
+    """
+    comb = comb_of(p, q)
+    masses = slow_comb_masses(comb.p, comb.q)
+    l0 = max(range(2 * comb.q), key=lambda l: abs(masses[l]))
+    assert l0 % 2 == comb.xi, "largest mass sits on the forbidden parity class"
+    kappa = (masses[l0] * math.sqrt(comb.q)
+             / comb.weight_phase(Fraction(l0, 2 * comb.q)))
+    worst = 0.0
+    for l, mass in enumerate(masses):
+        predicted = _comb_mass(comb, l // 2, kappa) if l % 2 == comb.xi else 0.0
+        worst = max(worst, abs(mass - predicted))
+    return kappa, worst
 
 
 # ------------------------------------------------------------- comb algebra
@@ -88,27 +111,18 @@ def test_mass_hand_dft_q2():
     c = comb_of(1, 2)
     kappa = extract_kappa(1, 2)
     assert _eq(kappa, E8, 1e-12)
-    assert _eq(c.mass(0, kappa), (1 + 1j) / 2, 1e-12)
-    assert _eq(c.mass(1, kappa), (1 - 1j) / 2, 1e-12)
-    masses = comb_coefficients_dft(1, 2)
+    assert _eq(_comb_mass(c, 0, kappa), (1 + 1j) / 2, 1e-12)
+    assert _eq(_comb_mass(c, 1, kappa), (1 - 1j) / 2, 1e-12)
+    masses = slow_comb_masses(1, 2)
     assert _eq(masses[0], (1 + 1j) / 2, 1e-12)
     assert _eq(masses[2], (1 - 1j) / 2, 1e-12)   # index l = 2 is x = 1/2
     assert abs(masses[1]) < 1e-14 and abs(masses[3]) < 1e-14
 
 
-def test_comb_coefficients_match_slow_oracle():
-    for (p, q) in ((1, 2), (1, 3), (2, 3), (3, 5), (5, 8), (3, 7)):
-        fast = comb_coefficients_dft(p, q)
-        slow = slow_comb_masses(p, q)
-        assert len(fast) == 2 * q
-        for a, b in zip(fast, slow):
-            assert _eq(a, b, 1e-12)
-
-
 def test_forbidden_parity_masses_vanish():
     for (p, q) in ((1, 3), (1, 5), (3, 5), (7, 13), (1, 2), (5, 6)):
         c = comb_of(p, q)
-        masses = comb_coefficients_dft(p, q)
+        masses = slow_comb_masses(p, q)
         for l, m in enumerate(masses):
             if l % 2 != c.xi:
                 assert abs(m) < 1e-13
@@ -121,7 +135,7 @@ def test_gauss_sum_magnitudes():
         for p in (1, q - 1, q + 1):
             if math.gcd(p, q) != 1:
                 continue
-            masses = np.asarray(comb_coefficients_dft(p, q))
+            masses = np.asarray(slow_comb_masses(p, q))
             G = np.abs(masses) * (2 * q)
             nz = G > 1e-8
             assert int(nz.sum()) == q
@@ -133,7 +147,7 @@ def test_coefficient_residual_small_for_all_small_q():
         for p in range(0, 2 * q):
             if math.gcd(p, q) != 1:
                 continue
-            kappa, worst = coefficient_residual(p, q)
+            kappa, worst = _coefficient_residual(p, q)
             assert worst < 1e-12
             assert abs(abs(kappa) - 1.0) < 1e-12
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frac_le_sqrt, mp_value
+from oracles import determinant_alternates, frac_le_sqrt, mp_value
 from thetareg.contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                                QuadraticIrrational, QuotientRule, Rational,
                                canonical_quotients, cf_of_real, classify_sigma,
-                               construct_in_class, convergents, expand_rational,
+                               convergents, expand_rational,
                                floor_quadratic, iroot,
                                khinchin_levy_diagnostic, parse_timespec)
 from thetareg.errors import DomainError, PrecisionExhaustedError
@@ -60,7 +60,7 @@ def test_expand_rational_roundtrip_odd_and_unimodular(p, q):
     assert len(quots) % 2 == 1
     exp = CFExpansion(tuple(quots), exact_terminates=True)
     assert exp.value() == Fraction(p, q)
-    assert exp.determinant_alternates()
+    assert determinant_alternates(exp)
     # odd length = even top index k: q_k p_{k-1} - p_k q_{k-1} = +1
     k = len(quots) - 1
     assert exp.q(k) * exp.p(k - 1) - exp.p(k) * exp.q(k - 1) == 1
@@ -119,7 +119,8 @@ def test_quadratic_construction_and_fold(golden):
     assert (shifted.a, shifted.b, shifted.c, shifted.d) == (-1, 1, 5, 2)
     assert shifted == golden
     neg = QuadraticIrrational(1, -1, 2, 1)    # 1 - sqrt(2) -> 3 - sqrt(2)
-    assert abs(neg.as_float() - (3 - math.sqrt(2))) < 1e-12
+    assert abs((neg.a + neg.b * math.sqrt(neg.c)) / neg.d
+               - (3 - math.sqrt(2))) < 1e-12
     with pytest.raises(DomainError):
         QuadraticIrrational(0, 1, 4, 1)   # square c
     with pytest.raises(DomainError):
@@ -195,6 +196,17 @@ def test_expansion_budgets(golden):
             golden.expansion(budget)
 
 
+def test_rational_expansion_honours_the_term_budget():
+    # 13/21 = [0; 1, 1, 1, 1, 1, 2]: seven quotients in all
+    cut = Rational(13, 21).expansion(3)
+    assert cut.quotients == (0, 1, 1) and len(cut.convergents()) == 3
+    assert cut.truncated and not cut.exact_terminates
+    for budget in (7, 8, 64):
+        whole = Rational(13, 21).expansion(budget)
+        assert whole.quotients == (0, 1, 1, 1, 1, 1, 2)
+        assert whole.exact_terminates and not whole.truncated
+
+
 def test_quotient_rule_validation():
     with pytest.raises(DomainError):
         QuotientRule(Fraction(-1), (0, 2))
@@ -206,14 +218,8 @@ def test_quotient_rule_validation():
         QuotientRule(Fraction(1), (0, 0))
 
 
-def test_construct_in_class_accepts_floats():
-    assert construct_in_class(0.5).sigma == Fraction(1, 2)
-    assert construct_in_class(Fraction(2, 3)).sigma == Fraction(2, 3)
-    assert construct_in_class(1).seed == (0, 2)
-
-
 def test_quotient_rule_fractional_sigma_growth():
-    t = construct_in_class(Fraction(1, 2))
+    t = QuotientRule(Fraction(1, 2), (0, 2))
     qs = [q for _, q in t.expansion(14).convergents()]
     # q_{k+1} ~ q_k^(3/2): check the growth exponent on the tail
     for k in range(8, 13):
@@ -231,7 +237,7 @@ def test_classify_sigma_golden(golden):
 
 
 def test_classify_sigma_rule_recovers_one():
-    est = classify_sigma(construct_in_class(1).expansion(12))
+    est = classify_sigma(QuotientRule(Fraction(1), (0, 2)).expansion(12))
     assert est.sigma is not None and abs(est.sigma - 1.0) <= 0.1
 
 
@@ -328,6 +334,6 @@ def test_parse_timespec_rejects():
 
 
 def test_slug_is_filesystem_safe(golden):
-    for spec in (Rational(3, 5), golden, construct_in_class(1)):
+    for spec in (Rational(3, 5), golden, QuotientRule(Fraction(1), (0, 2))):
         s = spec.slug()
         assert s and all(ch.isalnum() or ch in "._-" for ch in s)

@@ -8,33 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from thetareg.cutoff import (WeightVector, make_smooth_cutoff, one_sided_unit,
+from oracles import total_variation
+from thetareg.cutoff import (WeightVector, _chi, _phi, one_sided_unit,
                              rough_weights, smooth_weights, unit_window)
 from thetareg.errors import DomainError
 
 
-def test_chi_exact_anchor_values(cut):
-    assert cut(np.array([1.0]))[0] == 1.0          # phi(1) - phi(2) = 1 - 0
-    assert cut(np.array([0.5]))[0] == 0.0
-    assert cut(np.array([2.0]))[0] == 0.0
+def test_chi_exact_anchor_values():
+    assert _chi(np.array([1.0]))[0] == 1.0          # phi(1) - phi(2) = 1 - 0
+    assert _chi(np.array([0.5]))[0] == 0.0
+    assert _chi(np.array([2.0]))[0] == 0.0
     x = np.array([0.0, 0.1, 0.49, 2.0, 3.0, 100.0, -1.0])
-    assert np.all(cut(x) == 0.0)                   # bit-exact outside support
+    assert np.all(_chi(x) == 0.0)                   # bit-exact outside support
     # just inside the edges chi is positive but underflows binary64; test
     # strict positivity only where the value is representable
     inside = np.linspace(0.6, 1.9, 301)
-    assert np.all(cut(inside) > 0.0)
+    assert np.all(_chi(inside) > 0.0)
 
 
-def test_phi_complementary_symmetry(cut):
+def test_phi_complementary_symmetry():
     u = np.linspace(1e-6, 1.0 - 1e-6, 257)
-    s = cut.plateau(1.0 + u) + cut.plateau(2.0 - u)
+    s = _phi(1.0 + u) + _phi(2.0 - u)
     assert np.max(np.abs(s - 1.0)) < 1e-14
 
 
-def _partition_sum(cut, x, j_lo: int, j_hi: int) -> np.ndarray:
+def _partition_sum(x, j_lo: int, j_hi: int) -> np.ndarray:
     """sum_{j=j_lo}^{j_hi} chi(2^-j x); equals 1 well inside the range."""
     x = np.asarray(x, dtype=np.float64)
-    return sum(cut(x * 2.0 ** -j) for j in range(j_lo, j_hi + 1))
+    return sum(_chi(x * 2.0 ** -j) for j in range(j_lo, j_hi + 1))
 
 
 def _tv_one_sided(w) -> float:
@@ -42,46 +43,45 @@ def _tv_one_sided(w) -> float:
     return float(np.abs(np.diff(np.append(w.w_pos, 0.0))).sum())
 
 
-def test_partition_of_unity_on_wide_range(cut):
+def test_partition_of_unity_on_wide_range():
     x = np.concatenate([np.geomspace(2.0**-10, 2.0**10, 400),
                         np.array([1.0, 2.0, 0.5, 3.0, 2.0**9])])
-    total = _partition_sum(cut, x, -14, 14)
+    total = _partition_sum(x, -14, 14)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 @given(x=st.floats(0.001, 1000.0, allow_nan=False))
 @settings(max_examples=100)
-def test_partition_of_unity_random(cut, x):
-    total = _partition_sum(cut, np.array([x]), -16, 16)[0]
+def test_partition_of_unity_random(x):
+    total = _partition_sum(np.array([x]), -16, 16)[0]
     assert abs(total - 1.0) < 1e-12
 
 
-def test_plateau_plus_tail_telescopes(cut):
+def test_plateau_plus_tail_telescopes():
     # phi(2^-J x) = phi(x) + sum_{j=1..J} chi(2^-j x); at J large the left
     # side is 1 for moderate x
     x = np.linspace(0.01, 50.0, 97)
-    total = cut.plateau(x).copy()
+    total = _phi(x).copy()
     for j in range(1, 12):
-        total += cut(x * 2.0 ** -j)
+        total += _chi(x * 2.0 ** -j)
     assert np.max(np.abs(total - 1.0)) < 1e-13
 
 
-def test_integral_constant_against_quadrature(cut):
-    val, err = quad(lambda u: float(cut(np.array([u]))[0]), 0.5, 2.0,
+def test_integral_constant_against_quadrature():
+    val, err = quad(lambda u: float(_chi(np.array([u]))[0]), 0.5, 2.0,
                     points=[1.0], limit=200)
     assert err < 1e-6                 # quad is conservative at flat edges
-    assert abs(val - cut.integral) < 1e-9
-    assert cut.integral == 0.75
-    val2, _ = quad(lambda u: float(cut.plateau(np.array([u]))[0]), 0.0, 2.0,
+    assert abs(val - 0.75) < 1e-9       # int_0^inf chi = 3/4 exactly
+    val2, _ = quad(lambda u: float(_phi(np.array([u]))[0]), 0.0, 2.0,
                    limit=200)
     assert abs(val2 - 1.5) < 1e-9
 
 
-def test_kappa_matches_measured_variation(cut):
+def test_kappa_matches_measured_variation():
     grid = np.linspace(0.5, 2.0, 20001)
-    tv = float(np.abs(np.diff(cut(grid))).sum())
-    assert tv <= cut.kappa + 1e-9
-    assert tv > cut.kappa - 1e-3      # one full rise plus one full fall
+    tv = float(np.abs(np.diff(_chi(grid))).sum())
+    assert tv <= 2.0 + 1e-9
+    assert tv > 2.0 - 1e-3            # one full rise plus one full fall
 
 
 # ---------------------------------------------------------- weight vectors
@@ -92,7 +92,7 @@ def test_rough_block_counts_and_bounds():
         assert (w.M, w.N) == (2**(j-1) + 1, 2**(j+1))
         assert w.count_nonzero() == 3 * 2**j
         assert w.l2_squared() == float(3 * 2**j)
-        assert w.tv() == 4.0            # two jumps up, two down
+        assert total_variation(w) == 4.0            # two jumps up, two down
         assert _tv_one_sided(w) == 2.0
         assert w.window_mass() == float(3 * 2**j)
     w0 = rough_weights(0)
@@ -110,7 +110,7 @@ def test_smooth_block_anchors_and_supports():
         assert np.all(w.w_pos[:w.M] == 0.0)          # bit-exact zeros
         assert w.w_pos[w.N] == 0.0                   # chi(2) = 0
         assert np.all(w.w_pos <= 1.0)
-        assert w.tv() <= 4.0 + 1e-12
+        assert total_variation(w) <= 4.0 + 1e-12
         assert _tv_one_sided(w) <= 2.0 + 1e-12
 
 
@@ -123,7 +123,7 @@ def test_smooth_block_mass_riemann():
         assert abs(w.window_mass() - 1.5 * 2**j) <= 4.0
 
 
-def test_smooth_block_zero_uses_plateau(cut):
+def test_smooth_block_zero_uses_plateau():
     w = smooth_weights(0)
     assert (w.M, w.N) == (0, 2)
     assert w.w_pos[0] == 1.0 and w.w_pos[1] == 1.0 and w.w_pos[2] == 0.0

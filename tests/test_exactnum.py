@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import circ_dist, mp_half_phase, mp_value
 from thetareg.contfrac import DecimalLiteral, Rational
-from thetareg.errors import (DomainError, InsufficientPrecisionError,
-                             PrecisionExhaustedError)
+from thetareg.errors import DomainError, InsufficientPrecisionError
 from thetareg.exactnum import (GUARD_BITS, FixedReal, fixed_of_time,
                                half_phase_splits, irrational_phase,
                                linear_phase_array, quadratic_phase_array,
@@ -111,19 +110,10 @@ def test_rational_phase_array_edge_routes():
 def test_fixed_real_validation_and_bounds():
     t = FixedReal(341, 10, 1)
     assert t.as_fraction() == Fraction(341, 1024)
-    assert t.error_bound() == Fraction(1, 1024)
-    assert t.as_float() == 341.0 / 1024.0
     with pytest.raises(DomainError):
         FixedReal(1, 0)
     with pytest.raises(DomainError):
         FixedReal(1, 8, -1)
-
-
-def test_fixed_of_time_rational_rounding():
-    t = fixed_of_time(Rational(1, 3), 10)
-    assert (t.mantissa, t.scale_bits, t.err_ulp) == (341, 10, 1)
-    t2 = fixed_of_time(Rational(1, 2), 4)
-    assert (t2.mantissa, t2.err_ulp) == (8, 0)   # exact dyadic
 
 
 def test_fixed_of_time_golden_frozen(golden):
@@ -132,7 +122,7 @@ def test_fixed_of_time_golden_frozen(golden):
     assert t.mantissa == 40503
     assert t.err_ulp <= 1
     exact = mp_value(golden)
-    assert abs(float(exact) - t.as_float()) <= 2.0 ** -15  # within 2 ulp
+    assert abs(float(exact) - float(t.as_fraction())) <= 2.0 ** -15  # within 2 ulp
     # independent recomputation of the mantissa at high precision
     with mp.workdps(50):
         assert int(mp.floor(exact * 2 ** 16)) in (t.mantissa, t.mantissa + 1)
@@ -145,17 +135,18 @@ def test_fixed_of_time_sqrt2_frozen(sqrt2m1):
     assert t.err_ulp <= 1
     with mp.workdps(50):
         v = mp.sqrt(2) - 1
-        assert abs(float(v) - t.as_float()) <= 2.0 ** -19
+        assert abs(float(v) - float(t.as_fraction())) <= 2.0 ** -19
 
 
-def test_fixed_of_time_decimal_resolution_gate():
-    lit = DecimalLiteral("0.414")
-    # 10^-3 is coarser than 2^-10, finer than 2^-8
-    assert fixed_of_time(lit, 8).scale_bits == 8
-    with pytest.raises(PrecisionExhaustedError):
-        fixed_of_time(lit, 10)
+def test_fixed_of_time_refuses_exact_times(golden):
+    # an exact time (rat: or dec:) has rational phases; fixed point is only
+    # for irrational ones, whatever the literal's resolution
+    for exact, bits in ((Rational(1, 3), 10), (Rational(1, 2), 4),
+                        (DecimalLiteral("0.5"), 8), (DecimalLiteral("0.414"), 10)):
+        with pytest.raises(DomainError):
+            fixed_of_time(exact, bits)
     with pytest.raises(DomainError):
-        fixed_of_time(lit, 0)
+        fixed_of_time(golden, 0)
 
 
 # ------------------------------------------------------------ guard policy
