@@ -138,13 +138,23 @@ def test_fixed_of_time_sqrt2_frozen(sqrt2m1):
         assert abs(float(v) - float(t.as_fraction())) <= 2.0 ** -19
 
 
-def test_fixed_of_time_refuses_exact_times(golden):
-    # an exact time (rat: or dec:) has rational phases; fixed point is only
-    # for irrational ones, whatever the literal's resolution
-    for exact, bits in ((Rational(1, 3), 10), (Rational(1, 2), 4),
-                        (DecimalLiteral("0.5"), 8), (DecimalLiteral("0.414"), 10)):
+def test_fixed_of_time_rational_rounding():
+    # a rational time is never rounded to fixed point, not even a dyadic one
+    # that would be exact: its phases are exact rationals
+    for t, bits in ((Rational(1, 3), 10), (Rational(1, 2), 4)):
         with pytest.raises(DomainError):
-            fixed_of_time(exact, bits)
+            fixed_of_time(t, bits)
+    assert rational_phase(1, 1, 3) == Fraction(1, 6)
+
+
+def test_fixed_of_time_decimal_resolution_gate(golden):
+    # a decimal literal is refused whatever its resolution against 2^-bits
+    # (10^-3 is coarser than 2^-10, finer than 2^-8); bits <= 0 is refused
+    # for an irrational time too
+    for lit, bits in ((DecimalLiteral("0.414"), 8), (DecimalLiteral("0.414"), 10),
+                      (DecimalLiteral("0.5"), 8)):
+        with pytest.raises(DomainError):
+            fixed_of_time(lit, bits)
     with pytest.raises(DomainError):
         fixed_of_time(golden, 0)
 
