@@ -219,18 +219,18 @@ def _cmd_blocks(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        base = outdir / f"blocks_{spec.slug()}"
-        base.with_suffix(".csv").write_text(csv_text)
-        written = [str(base.with_suffix(".csv"))]
+        name = f"blocks_{spec.slug()}"     # a slug may hold a '.'
+        (outdir / f"{name}.csv").write_text(csv_text)
+        written = [str(outdir / f"{name}.csv")]
         if args.svg:
             fit = None
             try:
                 fit = fit_exponent(list(records), tail_start=args.tail_start)
             except DomainError:
                 pass
-            base.with_suffix(".svg").write_text(
+            (outdir / f"{name}.svg").write_text(
                 spectrum_svg(spec.describe(), records, fit=fit))
-            written.append(str(base.with_suffix(".svg")))
+            written.append(str(outdir / f"{name}.svg"))
         for w in written:
             print(w)
     else:
@@ -402,13 +402,13 @@ def _cmd_scan(args) -> int:
         spec = parse_timespec(text)
         report = classify_regularity(spec, j_min=j_min, j_max=j_max, mode=mode,
                                      oversample=oversample, tail_start=tail_start)
-        base = out / spec.slug()
+        name = spec.slug()                  # a slug may hold a '.'
         if fmt in ("csv", "both"):
-            base.with_suffix(".csv").write_text(records_to_csv(list(report.records)))
+            (out / f"{name}.csv").write_text(records_to_csv(list(report.records)))
         if fmt in ("json", "both"):
-            base.with_suffix(".json").write_text(report_to_json(report))
+            (out / f"{name}.json").write_text(report_to_json(report))
         if svg:
-            base.with_suffix(".svg").write_text(
+            (out / f"{name}.svg").write_text(
                 spectrum_svg(report.time, report.records, fit=report.fit,
                              pred_alpha=report.prediction.alpha_hi))
         summary.append({

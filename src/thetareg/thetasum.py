@@ -62,8 +62,6 @@ __all__ = [
 
 MAX_PROBE_Q = 10_000
 MAX_GRID = 1 << 26           # points of one sup grid, however it is split
-# bytes of one transform: sup_norm splits larger grids into cosets
-_TRANSFORM_BYTES = 4 << 20
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
 _SCALE_MARGIN_BITS = 32
@@ -243,19 +241,14 @@ class SupNormResult:
 
 
 def _coset_count(K: int, N: int) -> int:
-    """How many cosets sup_norm splits its K-point grid into.
-
-    The smallest divisor m of K whose transform of K/m points fits in
-    _TRANSFORM_BYTES, capped at the largest divisor that keeps K/m >= 2N+1
-    (so no transform aliases). Small grids take m = 1.
+    """How many cosets sup_norm splits its K-point grid into: the largest
+    divisor m of K with K/m >= 2N+1, so that no transform aliases, and
+    K/m >= m, so that a huge oversample on a short window runs at most
+    sqrt(K) transforms, not K/(2N+1) of a few points each (1 when no split
+    keeps both). At oversample 8 that is m = 5 to 8 at every block scale.
     """
-    m = 1
-    for d in range(1, K // (2 * N + 1) + 1):
-        if K % d == 0:
-            m = d
-            if (K // d) * 16 <= _TRANSFORM_BYTES:
-                break
-    return m
+    top = min(K // (2 * N + 1), math.isqrt(K))
+    return max(d for d in range(1, max(top, 1) + 1) if K % d == 0)
 
 
 def _cosets_run(m: int, weights: WeightVector) -> int:
@@ -308,15 +301,16 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     x = k/K and upper = (value + r) / (1 - pi^2 N^2 / (2 K^2)), r from
     _rounding_term.
 
-    The grid is evaluated in m = _coset_count(K, N) cosets, so that no
-    transform passes _TRANSFORM_BYTES where K/m >= 2N+1 allows: coset s
-    holds x = (s + m k)/K, the values of one transform of K/m points whose
-    coefficients are twisted by e(n s/K) (grid_values with a twist). These
-    are the same K points, and value and argmax_x are their maximum, ties
-    going to the smallest k as one argmax over the whole grid would. For
-    symmetric weights S is even, so only cosets 0..m//2 are transformed
-    (_cosets_run: all m while m <= 2), and argmax_x is folded into
-    [0, 1/2], where the mirror point -x has the same exact value.
+    The grid is evaluated in m = _coset_count(K, N) cosets, each one
+    transform of K/m >= 2N+1 points, the fewest that do not alias: coset
+    s holds x = (s + m k)/K, the values of one transform of K/m points
+    whose coefficients are twisted by e(n s/K) (grid_values with a
+    twist). These are the same K points, and value and argmax_x are
+    their maximum, ties going to the smallest k as one argmax over the
+    whole grid would. For symmetric weights S is even, so only cosets
+    0..m//2 are transformed (_cosets_run: all m while m <= 2), and
+    argmax_x is folded into [0, 1/2], where the mirror point -x has the
+    same exact value.
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N

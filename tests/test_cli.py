@@ -248,6 +248,32 @@ def test_scan_runs_twice_byte_identical(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_scan_names_each_time_by_its_whole_slug(tmp_path, capsys):
+    # a decimal slug keeps its '.', which must not be taken for a suffix:
+    # two decimal times write two sets of files, not one overwritten set
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("j_min = 6\nj_max = 10\nmode = rough\ntail_start = 6\n"
+                   "format = both\nsvg = true\n[times]\n"
+                   "dec:0.41421356237309504880168\n"
+                   "dec:0.61803398874989484820458\n"
+                   "rat:1/3\nquad:(-1+1*sqrt(5))/2\n")
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    stems = ["dec_0.41421356237309504880168", "dec_0.61803398874989484820458",
+             "rat_1_3", "quad_-1_1_sqrt_5_2"]
+    want = {f"{s}.{ext}" for s in stems for ext in ("csv", "json", "svg")}
+    assert {p.name for p in out.iterdir()} == want | {"summary.json"}
+    first, second = (json.loads((out / f"{s}.json").read_text())["time"]
+                     for s in stems[:2])
+    assert (first, second) == ("dec:0.41421356237309504880168",
+                               "dec:0.61803398874989484820458")
+    assert main(["blocks", "--t", "dec:0.41421356237309504880168", "--jmin",
+                 "6", "--jmax", "8", "--out", str(tmp_path), "--svg"]) == 0
+    assert capsys.readouterr().out.split() == [
+        str(tmp_path / f"blocks_{stems[0]}.{ext}") for ext in ("csv", "svg")]
+
+
 def test_spectrum_svg_is_wellformed():
     recs = block_spectrum(Rational(1, 3), j_min=6, j_max=9, mode="both")
     svg = spectrum_svg("rat:1/3", recs)

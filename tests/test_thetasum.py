@@ -69,6 +69,18 @@ def test_grid_values_guards():
         grid_values(spec, 65, twist=np.ones(spec.weights.N))
 
 
+def _force_cosets(monkeypatch, m):
+    """Make sup_norm and _rounding_term split every grid into m cosets."""
+    monkeypatch.setattr(thetasum, "_coset_count", lambda K, N: m)
+
+
+def _whole_grid_term(spec, K):
+    """_rounding_term for one transform of all K points (m = 1)."""
+    with pytest.MonkeyPatch.context() as mp:
+        _force_cosets(mp, 1)
+        return _rounding_term(spec, K)
+
+
 def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
     # every split of the grid that keeps K/m >= 2N+1: the twisted transforms,
     # interleaved, are the one big transform's values within both bounds
@@ -76,53 +88,59 @@ def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
     n = np.arange(spec.weights.N + 1)
     K = 720
     full = grid_values(spec, K)
-    r1 = _rounding_term(spec, K)
+    r1 = _whole_grid_term(spec, K)
     splits = [m for m in range(2, K // 81 + 1) if K % m == 0]
     assert splits == [2, 3, 4, 5, 6, 8]
+    assert _coset_count(K, spec.weights.N) == 8           # the largest
     for m in splits:
-        monkeypatch.setattr(thetasum, "_TRANSFORM_BYTES", 16 * K // m)
-        assert _coset_count(K, spec.weights.N) == m
+        _force_cosets(monkeypatch, m)
         r = _rounding_term(spec, K)
         got = np.empty(K, dtype=np.complex128)
         for s in range(m):
             got[s::m] = grid_values(spec, K // m, np.exp(2j * np.pi * n * s / K))
         assert np.max(np.abs(got - full)) <= r + r1, m
     # sup_norm's own split (twists by recurrence) finds the same maximum
-    monkeypatch.undo()
+    _force_cosets(monkeypatch, 1)
     base = sup_norm(spec)
     K = base.grid_size
-    assert K == 648 and _coset_count(K, spec.weights.N) == 1
+    assert K == 648 and _coset_count(K, spec.weights.N) == 8
     r1 = _rounding_term(spec, K)
     for m in (2, 3, 4, 6, 8):
-        monkeypatch.setattr(thetasum, "_TRANSFORM_BYTES", 16 * K // m)
+        _force_cosets(monkeypatch, m)
         res = sup_norm(spec)
         assert (res.grid_size, res.argmax_x) == (K, base.argmax_x), m
         assert abs(res.value - base.value) <= _rounding_term(spec, K) + r1, m
 
 
 def test_coset_count_rule():
-    # oversample-8 grids of block j: one transform up to j = 12, then the
-    # smallest split within the byte budget, capped where K/m would alias
-    want = {12: 1, 13: 2, 14: 3, 15: 5, 16: 8, 20: 8}
-    for j, m in want.items():
-        N = rough_weights(j).N
-        K = _fft_len(8 * (2 * N + 1))
-        assert _coset_count(K, N) == m, j
-        assert K % m == 0 and K // m >= 2 * N + 1
-    N = rough_weights(20).N
-    assert _coset_count(_fft_len(2 * (2 * N + 1)), N) == 2     # K/2 >= 2N+1
+    # grids of block j = 6..20: the largest divisor m of K that keeps
+    # K/m >= 2N+1 (at most the oversample)
+    want = {2: [1, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2],
+            4: [3, 3, 4, 4, 4, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4],
+            8: [7, 7, 8, 8, 5, 6, 6, 8, 8, 8, 8, 8, 8, 8, 8]}
+    for oversample, ms in want.items():
+        for j, m in zip(range(6, 21), ms):
+            N = rough_weights(j).N
+            K = _fft_len(oversample * (2 * N + 1))
+            assert _coset_count(K, N) == m, (oversample, j)
+            assert K % m == 0 and K // m >= 2 * N + 1
+            assert not any(K % d == 0
+                           for d in range(m + 1, K // (2 * N + 1) + 1))
     assert _coset_count(100, 60) == 1            # aliasing grid: no split
+    # oversample 10^6 on N = 2: 2,000 cosets of 2,500 points, not 10^6 of 5
+    assert _coset_count(5_000_000, 2) == 2000
 
 
 def _forced_splits(spec, monkeypatch):
-    """(m, K) for m = 1..8, each m forced through _TRANSFORM_BYTES, on the
+    """(m, K) for m = 1..8, each m forced through _coset_count, on the
     840-point grid of a window reaching N = 52 (840 = 8 * 105 has every
     divisor 1..8, and K/8 = 2N+1 still does not alias)."""
     K = sup_norm(spec).grid_size
     assert K == 840 and spec.weights.N == 52
+    assert _coset_count(K, spec.weights.N) == 8
     for m in range(1, 9):
-        monkeypatch.setattr(thetasum, "_TRANSFORM_BYTES", 16 * K // m)
-        assert _coset_count(K, spec.weights.N) == m
+        assert K % m == 0 and K // m >= 2 * spec.weights.N + 1
+        _force_cosets(monkeypatch, m)
         yield m, K
 
 
@@ -152,7 +170,7 @@ def test_even_sum_sup_matches_all_cosets_and_folds_argmax(golden, monkeypatch):
     spec = SumSpec(golden, unit_window(3, 52))
     full = np.abs(grid_values(spec, 840))
     g = int(np.argmax(full))
-    r1 = _rounding_term(spec, 840)
+    r1 = _whole_grid_term(spec, 840)
     for m, K in _forced_splits(spec, monkeypatch):
         res = sup_norm(spec)
         assert abs(res.value - full[g]) <= _rounding_term(spec, K) + r1, m
@@ -168,7 +186,7 @@ def test_one_sided_sup_keeps_every_coset(golden, monkeypatch):
     g = int(np.argmax(full))
     assert 0.5 < g / 840 < 1.0
     assert [m for m in range(3, 9) if g % m > m // 2] == [4, 7]
-    r1 = _rounding_term(spec, 840)
+    r1 = _whole_grid_term(spec, 840)
     for m, K in _forced_splits(spec, monkeypatch):
         res = sup_norm(spec)
         assert res.argmax_x == g / K, m
@@ -349,14 +367,14 @@ def test_sup_bracket_contains_refined_sup(kind, oversample):
 @pytest.mark.parametrize("j", [13, 14])
 @pytest.mark.parametrize("kind", ["quad", "rat"])
 def test_sup_bracket_holds_across_cosets(kind, j):
-    # j = 13 and 14 split the oversample-8 grid into 2 and 3 cosets
+    # j = 13 and 14 split the oversample-8 grid into 8 cosets
     text = _BRACKET_TIMES[kind]
     factor = 1.0 / (1.0 - math.pi ** 2 / (8 * 8 ** 2))
     for family in ("rough", "smooth"):
         weights = rough_weights(j) if family == "rough" else smooth_weights(j)
         spec = SumSpec(parse_timespec(text), weights)
         res = sup_norm(spec)
-        assert _coset_count(res.grid_size, weights.N) == j - 11
+        assert _coset_count(res.grid_size, weights.N) == 8
         r = _rounding_term(spec, res.grid_size)
         oracle = _oracle_sup(text, family, j, grid=32)
         where = (family, res.value, oracle, res.upper)
@@ -364,8 +382,26 @@ def test_sup_bracket_holds_across_cosets(kind, j):
         assert res.upper / res.value <= factor * (1 + r / res.value), where
 
 
+@pytest.mark.parametrize("text", ["rat:1234/7919", "quad:(-1+1*sqrt(5))/2"])
+def test_split_sup_matches_one_whole_grid_transform(text):
+    # j = 6..13 split the oversample-8 grid into 5 to 8 cosets, an even sum
+    # transforming about half of them: the maximum is the one transform's,
+    # within both rounding terms, at its argmax folded into [0, 1/2]
+    for family in (rough_weights, smooth_weights):
+        for j in range(6, 14):
+            spec = SumSpec(parse_timespec(text), family(j))
+            res = sup_norm(spec)
+            K = res.grid_size
+            assert _coset_count(K, spec.weights.N) >= 5, j
+            full = np.abs(grid_values(spec, K))
+            g = int(np.argmax(full))
+            r = _rounding_term(spec, K) + _whole_grid_term(spec, K)
+            assert abs(res.value - full[g]) <= r, (family.__name__, j)
+            assert res.argmax_x == min(g, K - g) / K, (family.__name__, j)
+
+
 def test_sup_norm_deterministic(golden):
-    for j in (7, 14):                   # one transform, then three cosets
+    for j in (7, 14):                   # seven cosets, then eight
         spec = SumSpec(golden, rough_weights(j))
         a = sup_norm(spec)
         b = sup_norm(spec)              # the cached coefficients are untouched
