@@ -274,8 +274,8 @@ class RegularityReport:
 
 def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
                         mode: str = "both", oversample: int = 8,
-                        tail_start: int = 8, tolerance: float = 0.1,
-                        window: int = 8) -> RegularityReport:
+                        tail_start: int = 8, tolerance: float = 0.1
+                        ) -> RegularityReport:
     """Spectrum + arithmetic classification + sharpness verdict.
 
     Exactly the scales j_min..j_max are measured; the burst scales are
@@ -289,7 +289,7 @@ def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     # finite however many quotients it has
     terms = sys.maxsize if isinstance(time, Rational) else 64
     exp: CFExpansion = time.expansion(max_terms=terms)
-    sigma_est = classify_sigma(exp, window=window)
+    sigma_est = classify_sigma(exp)
     prediction = predicted_exponent(time, sigma_est)
     bursts: list[int] = []
     sigma_for_bursts: float | None = None
@@ -338,48 +338,17 @@ def records_to_csv(records: list[BlockRecord] | tuple[BlockRecord, ...]) -> str:
 
 
 def report_to_json(report: RegularityReport) -> str:
-    """Full report as deterministic JSON (sorted keys, round-trip floats)."""
-    recs = []
-    for r in report.records:
-        recs.append({
-            "j": r.j, "rough_sup": r.rough_sup,
-            "rough_sup_upper": r.rough_sup_upper,
-            "smooth_sup": r.smooth_sup, "smooth_sup_upper": r.smooth_sup_upper,
-            "l2_exact": r.l2_exact, "q_used": r.q_used,
-            "upper_envelope": r.upper_envelope, "rough_floor": r.rough_floor,
-            "probe_satisfied": r.probe_satisfied,
-        })
-    doc = {
-        "time": report.time,
-        "mode": report.mode,
-        "records": recs,
-        "fit": {
-            "alpha_fit": report.fit.alpha_fit,
-            "alpha_limsup": report.fit.alpha_limsup,
-            "intercept": report.fit.intercept,
-            "residual": report.fit.residual,
-            "n_points": report.fit.n_points,
-            "tail_start": report.fit.tail_start,
-        },
-        "prediction": {
-            "alpha_lo": report.prediction.alpha_lo,
-            "alpha_hi": report.prediction.alpha_hi,
-            "source": report.prediction.source,
-        },
-        "sigma": None if report.sigma is None else {
-            "limsup_est": _nan_to_none(report.sigma.limsup_est),
-            "liminf_est": _nan_to_none(report.sigma.liminf_est),
-            "verdict": report.sigma.verdict,
-            "sigma": report.sigma.sigma,
-        },
-        "burst_js": list(report.burst_js),
-        "sharp_member": report.sharp_member,
-        "sharp_fails_below": report.sharp_fails_below,
-        "is_sharp": report.is_sharp,
-        "tolerance": report.tolerance,
-    }
+    """Full report as deterministic JSON (sorted keys, round-trip floats).
+
+    Each dataclass is written as its fields under their own names, read
+    shallowly through ``vars`` (``dataclasses.asdict`` deep-copies, three
+    times slower), plus ``is_sharp``. A SigmaEstimate's per-n series is
+    left to the ``cf`` command, and its NaN estimates are written as null.
+    """
+    doc = {**vars(report), "records": [vars(r) for r in report.records],
+           "fit": vars(report.fit), "prediction": vars(report.prediction),
+           "is_sharp": report.is_sharp}
+    if report.sigma is not None:
+        doc["sigma"] = {key: None if isinstance(v, float) and math.isnan(v) else v
+                        for key, v in vars(report.sigma).items() if key != "per_n"}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _nan_to_none(x: float) -> float | None:
-    return None if isinstance(x, float) and math.isnan(x) else x

@@ -212,6 +212,8 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
+    if args.svg and not args.out:
+        raise DomainError("--svg needs --out, the directory the chart is written to")
     spec = parse_timespec(args.t)
     records = block_spectrum(spec, j_min=args.jmin, j_max=args.jmax,
                              mode=args.mode, oversample=args.oversample)
@@ -396,12 +398,13 @@ def _cmd_scan(args) -> int:
     svg = _bool_setting(settings, "svg", False)
     if fmt not in ("csv", "json", "both"):
         raise DomainError(f"config format must be csv/json/both, got {fmt!r}")
-    out.mkdir(parents=True, exist_ok=True)
     summary = []
     for text in times:
         spec = parse_timespec(text)
         report = classify_regularity(spec, j_min=j_min, j_max=j_max, mode=mode,
                                      oversample=oversample, tail_start=tail_start)
+        # made once a report stands, so a refused request leaves no directory
+        out.mkdir(parents=True, exist_ok=True)
         name = spec.slug()                  # a slug may hold a '.'
         if fmt in ("csv", "both"):
             (out / f"{name}.csv").write_text(records_to_csv(list(report.records)))

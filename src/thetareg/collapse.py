@@ -149,9 +149,10 @@ class PeriodizedGaussian:
         lead = 2.0 * self.width * math.sqrt(math.pi) * math.exp(-a * (K + 1) ** 2)
         return lead / max(1.0 - math.exp(-a * (2 * K + 3)), 1e-300)
 
-    def coeff_count(self, tol: float = 1e-13) -> int:
+    def coeff_count(self) -> int:
+        """Smallest K = 8 * 2^i whose coefficient tail is at most 1e-13."""
         K = 8
-        while self.coeff_tail_bound(K) > tol:
+        while self.coeff_tail_bound(K) > 1e-13:
             K *= 2
             if K > (1 << 20):
                 raise DomainError("test function too wide for the tail budget")
@@ -161,14 +162,14 @@ class PeriodizedGaussian:
         return f"gauss(c={self.center:.6g},w={self.width:g})"
 
 
-def lhs_pairing(p: int, q: int, phi, n_max: int | None = None) -> complex:
+def lhs_pairing(p: int, q: int, phi) -> complex:
     """<E(p/q, .), phi> from the coefficient side, tail certified.
 
-    Equals sum_{|n| <= n_max} e(n^2 p/(2q)) hat-phi(-n) plus a tail below
-    the phi's own bound at n_max (the coefficients are unimodular).
+    Equals sum_{|n| <= n_max} e(n^2 p/(2q)) hat-phi(-n), n_max =
+    phi.coeff_count(), plus a tail below the phi's own bound at n_max (the
+    coefficients are unimodular).
     """
-    if n_max is None:
-        n_max = phi.coeff_count()
+    n_max = phi.coeff_count()
     n = np.arange(-n_max, n_max + 1)
     phases = rational_phase_array(n, p % (2 * q), q)
     coeffs = np.exp((2j * np.pi) * phases)

@@ -28,6 +28,7 @@ The Khinchin-Levy constant pi^2 / (12 ln 2) is the almost-sure limit of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -84,33 +85,25 @@ def iroot(x: int, k: int) -> int:
     return r
 
 
-def _le_times_sqrt(m: int, b: int, c: int) -> bool:
-    """Exact predicate m <= b*sqrt(c); c positive and not a perfect square."""
-    if b >= 0:
-        if m <= 0:
-            return True
-        return m * m <= b * b * c
-    if m > 0:
-        return False
-    return m * m >= b * b * c
+def _surd_floor(P: int, r: int, Q: int) -> int:
+    """floor((P + sqrt(D))/Q) for Q != 0 and D not a square, from r = isqrt(D).
+
+    P + r < P + sqrt(D) < P + r + 1, and no multiple of Q lies strictly
+    between two consecutive integers, so the floor is that of (P + r)/Q, or
+    of (P + r + 1)/Q when Q < 0 turns the interval round.
+    """
+    return (P + r) // Q if Q > 0 else (P + r + 1) // Q
 
 
 def floor_quadratic(a: int, b: int, c: int, d: int) -> int:
     """floor((a + b*sqrt(c))/d) exactly, for d > 0, c > 0 not a square."""
     if d <= 0:
         raise DomainError("d must be positive")
-    scale = 1 << 32
-    guess = (a * scale + b * math.isqrt(c * scale * scale)) // (d * scale)
-    radius = abs(b) // (d * scale) + 2
-    lo, hi = guess - radius, guess + radius
-    # largest k with k*d - a <= b*sqrt(c)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _le_times_sqrt(mid * d - a, b, c):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    if c <= 0 or math.isqrt(c) ** 2 == c:
+        raise DomainError(f"c = {c} must be positive and not a square")
+    r = math.isqrt(b * b * c)
+    # b sqrt(c) = -sqrt(b^2 c) for b < 0: negate numerator and denominator
+    return _surd_floor(a, r, d) if b >= 0 else _surd_floor(-a, r, -d)
 
 
 def canonical_quotients(p: int, q: int) -> list[int]:
@@ -180,33 +173,21 @@ class CFExpansion:
     def __len__(self) -> int:
         return len(self.quotients)
 
-    @property
-    def _pq(self) -> tuple[list[int], list[int]]:
-        cached = self.__dict__.get("_pq_cache")
-        if cached is None:
-            ps, qs = [1], [0]  # index shifted by one: position k+1 holds p_k
-            for p, q in convergents(self.quotients):
-                ps.append(p)
-                qs.append(q)
-            cached = (ps, qs)
-            self.__dict__["_pq_cache"] = cached
-        return cached
+    @functools.cached_property
+    def _pq(self) -> list[tuple[int, int]]:
+        """(p_k, q_k) at position k + 1, behind the seed (1, 0) at position 0."""
+        return [(1, 0), *convergents(self.quotients)]
 
     def p(self, k: int) -> int:
         """Numerator p_k; k = -1 is the seed value 1."""
-        return self._pq[0][k + 1]
+        return self._pq[k + 1][0]
 
     def q(self, k: int) -> int:
         """Denominator q_k; k = -1 is the seed value 0."""
-        return self._pq[1][k + 1]
+        return self._pq[k + 1][1]
 
     def convergents(self) -> list[tuple[int, int]]:
-        ps, qs = self._pq
-        return list(zip(ps[1:], qs[1:]))
-
-    def value(self) -> Fraction:
-        """Value of the (finite) quotient list."""
-        return Fraction(self.p(len(self) - 1), self.q(len(self) - 1))
+        return self._pq[1:]
 
 
 class TimeSpec:
@@ -218,7 +199,6 @@ class TimeSpec:
     scale matching) shares one memo.
     """
 
-    kind = "abstract"
     _memo: tuple[list[int], Iterator[int]] | None = None
 
     def exact_value(self) -> Fraction | None:
@@ -270,20 +250,22 @@ class TimeSpec:
                            truncated=truncated)
 
     def value_bracket(self, eps: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact lo <= t <= hi with hi - lo <= eps."""
+        """Exact lo <= t <= hi with hi - lo <= eps.
+
+        The ends are the first pair of convergents with q_k q_{k+1} >= 1/eps,
+        so that the gap 1/(q_k q_{k+1}) between them is at most eps.
+        """
         if eps <= 0:
             raise DomainError("eps must be positive")
         exact = self.exact_value()
         if exact is not None:
             return exact, exact
+        need = math.ceil(1 / eps)       # q_k q_{k+1} is an integer
         prev: tuple[int, int] | None = None
         for pk, qk in self.convergent_pairs():
-            if prev is not None:
-                gap = Fraction(1, prev[1] * qk)
-                if gap <= eps:
-                    lo = Fraction(prev[0], prev[1])
-                    hi = Fraction(pk, qk)
-                    return (lo, hi) if lo <= hi else (hi, lo)
+            if prev is not None and prev[1] * qk >= need:
+                lo, hi = Fraction(*prev), Fraction(pk, qk)
+                return (lo, hi) if lo <= hi else (hi, lo)
             prev = (pk, qk)
         raise PrecisionExhaustedError("quotient source ended before the bracket closed")
 
@@ -304,7 +286,6 @@ class Rational(TimeSpec):
 
     p: int
     q: int
-    kind = "rational"
 
     def __post_init__(self) -> None:
         if self.q == 0:
@@ -334,8 +315,6 @@ class QuadraticIrrational(TimeSpec):
     expansion is eventually periodic and arbitrarily many quotients cost
     nothing.
     """
-
-    kind = "quadratic"
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if d == 0:
@@ -370,8 +349,7 @@ class QuadraticIrrational(TimeSpec):
             P, D, Q = P * s, D * s * s, Q * s
         rD = math.isqrt(D)
         while True:
-            # floor against the irrational sqrt(D) from its integer floor rD
-            a = (P + rD) // Q if Q > 0 else (P + rD + 1) // Q
+            a = _surd_floor(P, rD, Q)
             yield a
             P = a * Q - P
             Q = (D - P * P) // Q
@@ -388,8 +366,6 @@ class QuotientRule(TimeSpec):
     exact Fraction and the floor is an exact integer root, so the expansion
     is reproducible bit for bit.
     """
-
-    kind = "rule"
 
     def __init__(self, sigma: Fraction, seed: tuple[int, ...]):
         sigma = Fraction(sigma)
@@ -430,8 +406,6 @@ class QuotientRule(TimeSpec):
 
 class DecimalLiteral(TimeSpec):
     """A decimal string, treated as exact but of known limited resolution."""
-
-    kind = "decimal"
 
     def __init__(self, text: str):
         if not re.fullmatch(r"[01]?\.\d+", text.strip()):

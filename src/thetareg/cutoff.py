@@ -85,7 +85,6 @@ class WeightVector:
     block budget MAX_BLOCK_N is refused.
     """
 
-    j: int | None
     M: int
     N: int
     w_pos: np.ndarray
@@ -151,7 +150,7 @@ def smooth_weights(j: int) -> WeightVector:
         w = np.zeros(N + 1)
         inner = np.arange(M, N + 1, dtype=np.float64)
         w[M:] = _chi(inner * 2.0 ** -j)
-    return WeightVector(j=j, M=M, N=N, w_pos=w, w_neg=None, mode="smooth")
+    return WeightVector(M=M, N=N, w_pos=w, w_neg=None, mode="smooth")
 
 
 def rough_weights(j: int) -> WeightVector:
@@ -161,7 +160,7 @@ def rough_weights(j: int) -> WeightVector:
     w[M:] = 1.0
     if j == 0:
         w[0] = 1.0
-    return WeightVector(j=j, M=M, N=N, w_pos=w, w_neg=None, mode="rough")
+    return WeightVector(M=M, N=N, w_pos=w, w_neg=None, mode="rough")
 
 
 def _unit_line(M: int, N: int) -> np.ndarray:
@@ -178,11 +177,11 @@ def _unit_line(M: int, N: int) -> np.ndarray:
 
 def unit_window(M: int, N: int) -> WeightVector:
     """Unit weights on M <= |n| <= N, both sides."""
-    return WeightVector(j=None, M=M, N=N, w_pos=_unit_line(M, N), w_neg=None,
+    return WeightVector(M=M, N=N, w_pos=_unit_line(M, N), w_neg=None,
                         mode="unit")
 
 
 def one_sided_unit(M: int, N: int) -> WeightVector:
     """Unit weights on M <= n <= N only (nothing on the negative side)."""
-    return WeightVector(j=None, M=M, N=N, w_pos=_unit_line(M, N),
+    return WeightVector(M=M, N=N, w_pos=_unit_line(M, N),
                         w_neg=np.zeros(N + 1), mode="one-sided")

@@ -4,9 +4,9 @@ Everything downstream evaluates sums whose terms are e(n^2 t/2 + n x),
 e(z) = exp(2 pi i z), so the only thing that matters about a phase is its
 value mod 1, to a small fraction of a cycle. Two regimes:
 
-* rational t = p/q: n^2 p/(2q) + n h/q_x is an exact rational; reduce the
-  numerator mod the common denominator in integer arithmetic and divide
-  once at the end. No rounding at all before the final binary64 quotient.
+* rational t = p/q: n^2 p/(2q) is an exact rational; reduce the numerator
+  mod the denominator 2q in integer arithmetic and divide once at the end.
+  No rounding at all before the final binary64 quotient.
 
 * irrational t: double precision alone is useless once n^2 t has a large
   integer part (the fractional bits are the ones that got rounded away).
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InsufficientPrecisionError, PrecisionExhaustedError
+from .errors import DomainError, InsufficientPrecisionError
 
 __all__ = [
     "FixedReal",
@@ -73,59 +73,52 @@ class FixedReal:
         return Fraction(self.mantissa, 1 << self.scale_bits)
 
 
-def _frac_mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def rational_phase(n: int, p: int, q: int) -> Fraction:
+    """Exact (n^2 p/(2q)) mod 1 as a Fraction in [0, 1).
 
-
-def rational_phase(n: int, p: int, q: int, h: int = 0, q_x: int = 1) -> Fraction:
-    """Exact (n^2 p/(2q) + n h/q_x) mod 1 as a Fraction in [0, 1).
-
-    The map n -> phase is periodic with period dividing 2*q*q_x; tests and
-    the residue-class probe exploit that. No floating point is involved.
+    The map n -> phase is periodic with period dividing 2q; tests and the
+    residue-class probe exploit that. No floating point is involved.
     """
-    if q <= 0 or q_x <= 0:
-        raise DomainError("denominators must be positive")
+    if q <= 0:
+        raise DomainError("q must be positive")
     if math.gcd(p, q) != 1:
         raise DomainError(f"{p}/{q} is not in lowest terms")
-    total = Fraction(n * n * p, 2 * q) + Fraction(n * h, q_x)
-    return _frac_mod1(total)
+    return Fraction(n * n * p % (2 * q), 2 * q)
 
 
-def rational_phase_array(
-    n: np.ndarray, p: int, q: int, h: int = 0, q_x: int = 1
-) -> np.ndarray:
+def rational_phase_array(n: np.ndarray, p: int, q: int) -> np.ndarray:
     """Vectorised ``rational_phase`` as float64 in [0, 1).
 
-    The numerator is reduced mod the common denominator L = 2 q q_x exactly
-    and divided once, so each value is the correctly rounded quotient, equal
-    to ``float(rational_phase(...))``. The reduction runs in int64 while
-    products of residues fit (L < 2^31); past that it runs on an object
-    array of Python ints, whose int / int true division is correctly
-    rounded too.
+    The numerator n^2 p is reduced mod L = 2q exactly and divided once, so
+    each value is the correctly rounded quotient, equal to
+    ``float(rational_phase(...))``. The reduction runs in int64, in place
+    on one array, while products of residues fit (L < 2^31); past that it
+    runs on an object array of Python ints, whose int / int true division
+    is correctly rounded too. ``n`` itself is never written.
     """
-    if q <= 0 or q_x <= 0:
-        raise DomainError("denominators must be positive")
+    if q <= 0:
+        raise DomainError("q must be positive")
     if math.gcd(p, q) != 1:
         raise DomainError(f"{p}/{q} is not in lowest terms")
-    L = 2 * q * q_x
+    L = 2 * q
     if L > (1 << 31) - 1:
         nn = np.asarray(n).astype(object)
-        num = (nn * nn * (p * q_x) + nn * (2 * q * h)) % L
-        return np.asarray(num / L, dtype=np.float64)
-    nn = np.asarray(n, dtype=np.int64) % L
-    quad = (nn * nn) % L
-    quad = (quad * ((p * q_x) % L)) % L
-    lin = (nn * ((2 * q * h) % L)) % L
-    return ((quad + lin) % L).astype(np.float64) / float(L)
+        return np.asarray((nn * nn * p) % L / L, dtype=np.float64)
+    nn = np.asarray(n, dtype=np.int64) % L     # a new array: n is not written
+    nn *= nn
+    nn %= L
+    nn *= p % L
+    nn %= L
+    return nn / L
 
 
 def fixed_of_time(spec, bits: int) -> FixedReal:
     """Fixed-point approximation of an irrational time, total error < 1 ulp.
 
-    ``spec`` is anything with the small time-parameter protocol:
-    ``exact_value()`` returning None, and ``convergent_pairs()`` yielding
-    successive (p_k, q_k). The value is replaced by the first convergent
-    p_k/q_k with q_k q_{k+1} >= 2^(bits+2), whose distance to t is below
+    ``spec`` is a time parameter whose ``exact_value()`` is None. Its
+    ``value_bracket`` at width 2^-(bits+2) closes on the first convergent
+    pair with q_k q_{k+1} >= 2^(bits+2); the value is replaced by the end
+    with the smaller denominator, p_k/q_k, whose distance to t is below
     1/4 ulp, for a total budget under 1 ulp.
 
     A time with an exact value is refused with DomainError: its phases are
@@ -137,15 +130,9 @@ def fixed_of_time(spec, bits: int) -> FixedReal:
     if spec.exact_value() is not None:
         raise DomainError("fixed point is for irrational times; an exact "
                           "time has rational phases")
-    target = 1 << (bits + 2)
-    prev: tuple[int, int] | None = None
-    for pk, qk in spec.convergent_pairs():
-        if prev is not None and prev[1] * qk >= target:
-            scaled = Fraction(prev[0] * (1 << bits), prev[1])
-            return FixedReal(round(scaled), bits, 1)
-        prev = (pk, qk)
-    raise PrecisionExhaustedError(
-        f"convergent stream ended before reaching {bits} bits")
+    ends = spec.value_bracket(Fraction(1, 1 << (bits + 2)))
+    near = min(ends, key=lambda end: end.denominator)
+    return FixedReal(round(near * (1 << bits)), bits, 1)
 
 
 def _check_guard(n_max: int, t: FixedReal) -> None:

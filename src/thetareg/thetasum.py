@@ -147,7 +147,6 @@ class SumSpec:
         if phases is None:
             phases = phase_vector(time, weights.N)
         _check_phases(phases, weights)
-        self.time = time
         self.weights = weights
         self.phases = phases
         self._coeffs: tuple[np.ndarray, np.ndarray] | None = None

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from thetareg.contfrac import QuadraticIrrational
+
 TAU = 2.0 * math.pi
 
 
@@ -83,8 +85,7 @@ def mp_value(timespec, dps: int = 60) -> mp.mpf:
         ex = timespec.exact_value()
         if ex is not None:
             return mp.mpf(ex.numerator) / mp.mpf(ex.denominator)
-        kind = getattr(timespec, "kind", "")
-        if kind == "quadratic":
+        if isinstance(timespec, QuadraticIrrational):
             return ((timespec.a + timespec.b * mp.sqrt(timespec.c))
                     / timespec.d)
         lo, hi = timespec.value_bracket(Fraction(1, 10 ** (dps + 5)))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thetareg
+from thetareg import cli
 from thetareg.cli import build_parser, main, read_config, spectrum_svg
 from thetareg.besov import block_spectrum
 from thetareg.contfrac import Rational
@@ -87,6 +88,16 @@ def test_blocks_insufficient_decimal_exits_3(capsys):
     # 2 digits cannot pin a time to the ~52 bits a j = 8 block needs
     assert main(["blocks", "--t", "dec:0.41", "--jmin", "8", "--jmax", "8"]) == 3
     assert "refused" in capsys.readouterr().err
+
+
+def test_blocks_svg_without_out_exits_2(capsys, monkeypatch):
+    # the chart goes to a file in --out; without one it would go nowhere
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a block was computed")
+    monkeypatch.setattr(cli, "block_spectrum", unreachable)
+    assert main(["blocks", "--t", "rat:1/3", "--svg"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --svg needs --out")
 
 
 def test_blocks_out_dir_with_svg(tmp_path, capsys):
@@ -362,6 +373,8 @@ def test_scale_above_block_budget_is_refused(argv):
     # a misspelt boolean would silently write no svg
     pytest.param("svg = ture", "config svg must be true/false/1/0/yes/no",
                  id="svg"),
+    pytest.param("mode = foo", "unknown mode 'foo'", id="mode"),
+    pytest.param("j_min = 30", "no scales requested", id="empty_range"),
 ])
 def test_bad_scan_setting_exits_2_without_traceback(line, message, tmp_path):
     cfg = tmp_path / "scan.cfg"
@@ -371,6 +384,16 @@ def test_bad_scan_setting_exits_2_without_traceback(line, message, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: {message}")
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_past_block_budget_is_refused_before_mkdir(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("j_max = 21\n[times]\nrat:1/3\n")
+    proc = _python("-m", "thetareg.cli", "scan", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("refused:")
     assert not (tmp_path / "out").exists()
 
 

@@ -26,17 +26,34 @@ def test_iroot_bracket(x, k):
     assert r ** k <= x < (r + 1) ** k
 
 
-@given(a=st.integers(-60, 60), b=st.integers(-9, 9).filter(lambda v: v != 0),
-       c=st.sampled_from([2, 3, 5, 7, 10, 13, 61]), d=st.integers(1, 9))
+def _at_most(k: int, a: int, b: int, c: int, d: int) -> bool:
+    """k <= (a + b sqrt(c))/d, decided exactly for b != 0 and c not a square."""
+    # d k - a <= b sqrt(c); dividing by b < 0 turns the inequality round,
+    # and (d k - a)/b never equals the irrational sqrt(c)
+    return frac_le_sqrt(Fraction(d * k - a, b), c) == (b > 0)
+
+
+_BIG = 10 ** 30
+
+
+@given(a=st.one_of(st.integers(-60, 60), st.integers(-_BIG, _BIG)),
+       b=st.one_of(st.integers(-9, 9), st.integers(-_BIG, _BIG)).filter(
+           lambda v: v != 0),
+       c=st.sampled_from([2, 3, 5, 7, 10, 13, 61, 1, 4, 49]),
+       d=st.integers(1, 9))
 def test_floor_quadratic_matches_float(a, b, c, d):
+    if math.isqrt(c) ** 2 == c:
+        # the floor is read off isqrt(b^2 c), exact only for irrational sqrt(c)
+        with pytest.raises(DomainError):
+            floor_quadratic(a, b, c, d)
+        return
     got = floor_quadratic(a, b, c, d)
-    # (a + b sqrt(c))/d is far from an integer for these small parameters,
-    # so the double-precision floor is already exact
-    val = (a + b * math.sqrt(c)) / d
-    assert got == math.floor(val)
-    # and the defining inequality holds exactly: got <= t < got + 1
-    assert frac_le_sqrt(Fraction(d * got - a, b) if b > 0
-                        else Fraction(a - d * (got + 1), -b), c)
+    # the defining inequality holds exactly: got <= t < got + 1
+    assert _at_most(got, a, b, c, d) and not _at_most(got + 1, a, b, c, d)
+    if max(abs(a), abs(b)) <= 60:
+        # (a + b sqrt(c))/d is far from an integer for these small
+        # parameters, so the double-precision floor is already exact
+        assert got == math.floor((a + b * math.sqrt(c)) / d)
 
 
 # ------------------------------------------------------ rational expansion
@@ -59,7 +76,7 @@ def test_expand_rational_roundtrip_odd_and_unimodular(p, q):
     quots = expand_rational(p, q)
     assert len(quots) % 2 == 1
     exp = CFExpansion(tuple(quots), exact_terminates=True)
-    assert exp.value() == Fraction(p, q)
+    assert Fraction(*exp.convergents()[-1]) == Fraction(p, q)
     assert determinant_alternates(exp)
     # odd length = even top index k: q_k p_{k-1} - p_k q_{k-1} = +1
     k = len(quots) - 1
@@ -79,7 +96,7 @@ def test_convergents_seed_indexing():
     exp = CFExpansion((1, 2, 2))  # 1 + 1/(2 + 1/2) = 7/5
     assert (exp.p(-1), exp.q(-1)) == (1, 0)
     assert exp.convergents() == [(1, 1), (3, 2), (7, 5)]
-    assert exp.value() == Fraction(7, 5)
+    assert Fraction(*exp.convergents()[-1]) == Fraction(7, 5)
 
 
 def _fraction_of(quots: list[int]) -> Fraction:
@@ -137,7 +154,8 @@ def test_quadratic_quotients_periodic(golden, sqrt2m1):
     sqrt3 = QuadraticIrrational(0, 1, 3, 1)
     assert list(itertools.islice(sqrt3.partial_quotients(), 9)) == [1] + [1, 2] * 4
     # deep expansion still matches the float value
-    v = CFExpansion(tuple(sqrt3.expansion(40).quotients)).value()
+    deep = CFExpansion(tuple(sqrt3.expansion(40).quotients))
+    v = Fraction(*deep.convergents()[-1])
     assert abs(float(v) - math.sqrt(3)) < 1e-14
 
 

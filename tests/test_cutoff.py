@@ -148,8 +148,8 @@ def test_unit_windows():
 
 def test_weight_vector_shape_validation():
     with pytest.raises(DomainError):
-        WeightVector(j=None, M=1, N=4, w_pos=np.ones(4), w_neg=None,
+        WeightVector(M=1, N=4, w_pos=np.ones(4), w_neg=None,
                      mode="unit")
     with pytest.raises(DomainError):
-        WeightVector(j=None, M=5, N=4, w_pos=np.ones(5), w_neg=None,
+        WeightVector(M=5, N=4, w_pos=np.ones(5), w_neg=None,
                      mode="unit")

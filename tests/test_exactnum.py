@@ -21,8 +21,7 @@ from thetareg.exactnum import (GUARD_BITS, FixedReal, fixed_of_time,
 # ---------------------------------------------------------------- rational
 
 def test_rational_phase_hand_values():
-    # n=3, t=2/3, h/q_x=1/3: 9*2/6 = 3 == 0 and 3*1/3 = 1 == 0 (mod 1)
-    assert rational_phase(3, 2, 3, h=1, q_x=3) == 0
+    assert rational_phase(3, 2, 3) == 0               # 9*2/6 = 3 == 0 (mod 1)
     assert rational_phase(1, 1, 2) == Fraction(1, 4)
     assert rational_phase(5, 1, 3) == Fraction(1, 6)   # 25/6 mod 1
     assert rational_phase(-5, 1, 3) == Fraction(1, 6)  # even in n
@@ -39,33 +38,32 @@ def test_rational_phase_rejects_bad_input():
 
 
 @given(n=st.integers(-10**6, 10**6), p=st.integers(-20, 20),
-       q=st.integers(1, 30), h=st.integers(-10, 10), qx=st.integers(1, 10))
-def test_rational_phase_periodic_and_in_range(n, p, q, h, qx):
+       q=st.integers(1, 30))
+def test_rational_phase_periodic_and_in_range(n, p, q):
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if q < 0:
         p, q = -p, -q
-    ph = rational_phase(n, p, q, h, qx)
+    ph = rational_phase(n, p, q)
     assert 0 <= ph < 1
-    assert rational_phase(n + 2 * q * qx, p, q, h, qx) == ph
+    assert rational_phase(n + 2 * q, p, q) == ph
 
 
 @given(p=st.integers(-9, 9), q=st.integers(1, 40),
-       h=st.integers(-5, 5), qx=st.integers(1, 6),
        seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40)
-def test_rational_phase_array_matches_scalar(p, q, h, qx, seed):
+def test_rational_phase_array_matches_scalar(p, q, seed):
     g = math.gcd(p, q)
     p, q = p // g, q // g
     rng = np.random.default_rng(seed)
     n = rng.integers(-10**6, 10**6, size=17)
-    got = rational_phase_array(n, p, q, h, qx)
-    want = np.array([float(rational_phase(int(k), p, q, h, qx)) for k in n])
+    got = rational_phase_array(n, p, q)
+    want = np.array([float(rational_phase(int(k), p, q)) for k in n])
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_rational_phase_array_bigint_fallback():
-    # common denominator 2*q*q_x above the int64-safe range: Python-int route
+    # denominator 2q above the int64-safe range: Python-int route
     q = (1 << 31) + 11    # prime-ish odd, gcd(1, q) = 1
     n = np.array([3, -7, 123456789, 2**40 + 5])
     got = rational_phase_array(n, 1, q)
@@ -73,35 +71,33 @@ def test_rational_phase_array_bigint_fallback():
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
-# q q_x = 2^30 - 1 is the largest product on the int64 route (L = 2^31 - 2;
-# L is even, so 2^31 - 1 itself never occurs); 2^30 is the first past it.
+# q = 2^30 - 1 is the largest q on the int64 route (L = 2q = 2^31 - 2; L is
+# even, so 2^31 - 1 itself never occurs); 2^30 is the first past it.
 _EDGE_Q = (1 << 30) - 1, 1 << 30, (1 << 30) + 1
 
 
 @given(p=st.integers(-10**6, 10**6),
        q=st.one_of(st.integers(1, 10**40), st.sampled_from(_EDGE_Q)),
-       h=st.integers(-10**6, 10**6), qx=st.integers(1, 50),
        shape=st.sampled_from([(), (9,), (3, 4)]),
        seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=80)
-def test_rational_phase_array_equals_scalar_exactly(p, q, h, qx, shape, seed):
-    if q in _EDGE_Q:
-        q = max(q // qx, 1)     # put q * q_x at or just below the edge
+def test_rational_phase_array_equals_scalar_exactly(p, q, shape, seed):
     assume(math.gcd(p, q) == 1)
     n = np.random.default_rng(seed).integers(-(1 << 21), 1 << 21, size=shape)
-    got = rational_phase_array(n, p, q, h, qx)
-    want = np.array([float(rational_phase(int(k), p, q, h, qx))
+    kept = n.copy()
+    got = rational_phase_array(n, p, q)
+    want = np.array([float(rational_phase(int(k), p, q))
                      for k in np.ravel(n)]).reshape(shape)
     assert np.array_equal(got, want)
+    assert np.array_equal(n, kept)      # the in-place reduction leaves n alone
 
 
 def test_rational_phase_array_edge_routes():
     # both sides of the int64 / Python-int boundary, negative and 2-D n
     n = np.array([[0, -1, 2], [(1 << 21) - 1, -(1 << 21), 12345]])
-    for q, qx in (((1 << 30) - 1, 1), (1 << 30, 1), (1 << 29, 2), (10**40 + 1, 7)):
-        got = rational_phase_array(n, 5, q, -5, qx)
-        want = [[float(rational_phase(int(k), 5, q, -5, qx)) for k in row]
-                for row in n]
+    for q in ((1 << 30) - 1, 1 << 30, 10**40 + 1):
+        got = rational_phase_array(n, 5, q)
+        want = [[float(rational_phase(int(k), 5, q)) for k in row] for row in n]
         assert np.array_equal(got, np.array(want))
 
 

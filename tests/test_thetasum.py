@@ -198,7 +198,7 @@ def test_rounding_term_counts_the_twists_that_run(golden, monkeypatch):
     # than a one-sided sum's of the same l1 mass; m <= 2 runs every coset
     even = SumSpec(golden, unit_window(1, 52))
     twice = 2 * even.weights.w_pos               # the same l1 mass: 104
-    odd = SumSpec(golden, WeightVector(j=None, M=1, N=52, w_pos=twice,
+    odd = SumSpec(golden, WeightVector(M=1, N=52, w_pos=twice,
                                        w_neg=np.zeros(53), mode="one-sided"))
     for m, K in _forced_splits(even, monkeypatch):
         r_even, r_odd = _rounding_term(even, K), _rounding_term(odd, K)
@@ -229,7 +229,7 @@ def test_block_budget_is_one_limit():
             make(1, MAX_BLOCK_N + 1)
     # weights built by hand meet the same limit where they are made
     with pytest.raises(BudgetError):
-        WeightVector(j=None, M=1, N=MAX_BLOCK_N + 1,
+        WeightVector(M=1, N=MAX_BLOCK_N + 1,
                      w_pos=np.ones(MAX_BLOCK_N + 2), w_neg=None, mode="unit")
 
 
@@ -432,16 +432,22 @@ def test_phase_error_bound_small(golden):
     assert spec_r.phase_error_bound() <= 2.0 ** -50
 
 
-def test_phase_vector_memory_and_bits(golden):
-    # the phases are built in passes and exponentiated in place: the peak
-    # stays below two results' worth, and the bits are the one-pass formula's
-    N = 2 ** 18
+def _traced_unit(time, N: int) -> tuple[np.ndarray, int]:
+    """(phase_vector(time, N).unit, tracemalloc peak of building it)."""
     tracemalloc.start()
     try:
-        unit = thetasum.phase_vector(golden, N).unit
-        peak = tracemalloc.get_traced_memory()[1]
+        unit = thetasum.phase_vector(time, N).unit
+        return unit, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_phase_vector_memory_and_bits(golden):
+    # irrational phases are built in passes, rational ones reduced in place
+    # on one array, and both exponentiated in place: the peak stays below
+    # two results' worth, and the bits are the one-pass formula's
+    N = 2 ** 18
+    unit, peak = _traced_unit(golden, N)
     assert peak <= 2 * unit.nbytes, (peak, unit.nbytes)
     t = exactnum.fixed_of_time(golden, scale_bits_for(N))
     hi, lo, _ = exactnum.half_phase_splits(t)
@@ -452,6 +458,12 @@ def test_phase_vector_memory_and_bits(golden):
     tot = r + (e + u * lo)
     frac = tot - np.floor(tot)
     frac = np.where(frac >= 1.0, 0.0, frac)
+    assert unit.tobytes() == np.exp((2j * np.pi) * frac).tobytes()
+    # t = 1234/7919: the exact route is Python's correctly rounded int / int
+    unit, peak = _traced_unit(Rational(1234, 7919), N)
+    assert peak <= 2 * unit.nbytes, (peak, unit.nbytes)
+    L = 2 * 7919
+    frac = np.array([k * k * 1234 % L / L for k in range(N + 1)])
     assert unit.tobytes() == np.exp((2j * np.pi) * frac).tobytes()
 
 
