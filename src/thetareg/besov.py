@@ -213,25 +213,20 @@ def predicted_exponent(time: TimeSpec,
     those classify, and as the generic range [1/2, 1] otherwise.
     """
     if time.resolution() is not None:
-        if sigma_est is not None and sigma_est.sigma is not None:
-            s = max(sigma_est.sigma, 0.0)
-            a = (1.0 + s) / (2.0 + s)
-            return Prediction(a, a, f"estimated class {sigma_est.verdict}")
-        return Prediction(0.5, 1.0, "digit-limited literal: class uncertified")
-    if time.exact_value() is not None:
+        if sigma_est is None or sigma_est.sigma is None:
+            return Prediction(0.5, 1.0, "digit-limited literal: class uncertified")
+        s = max(sigma_est.sigma, 0.0)
+        source = f"estimated class {sigma_est.verdict}"
+    elif time.exact_value() is not None:
         return Prediction(1.0, 1.0, "rational: comb collapse scales like 2^j")
-    if isinstance(time, QuadraticIrrational):
+    elif isinstance(time, QuadraticIrrational):
         return Prediction(0.5, 0.5,
                           "periodic quotients: square-root cancellation floor")
-    if isinstance(time, QuotientRule):
+    else:                               # a QuotientRule: its sigma is given
         s = float(time.sigma)
-        a = (1.0 + s) / (2.0 + s)
-        return Prediction(a, a, f"quotient rule with sigma = {time.sigma}")
-    if sigma_est is not None and sigma_est.sigma is not None:
-        s = max(sigma_est.sigma, 0.0)
-        a = (1.0 + s) / (2.0 + s)
-        return Prediction(a, a, f"estimated class {sigma_est.verdict}")
-    return Prediction(0.5, 1.0, "unclassified irrational")
+        source = f"quotient rule with sigma = {time.sigma}"
+    a = (1.0 + s) / (2.0 + s)
+    return Prediction(a, a, source)
 
 
 def burst_scales(time: TimeSpec, sigma: float,

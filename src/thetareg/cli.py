@@ -31,7 +31,7 @@ from .cutoff import rough_weights, smooth_weights, unit_window
 from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
-from .thetasum import MAX_PROBE_Q, rational_probe, stability_ratio
+from .thetasum import MAX_PROBE_Q, SumSpec, rational_probe, stability_ratio
 
 __all__ = ["main", "spectrum_svg", "read_config"]
 
@@ -305,8 +305,8 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    spec = parse_timespec(args.t)
-    val = spec.exact_value()
+    time = parse_timespec(args.t)
+    val = time.exact_value()
     if val is None:
         raise DomainError("the comb probe needs a rational time")
     try:
@@ -322,7 +322,8 @@ def _cmd_probe(args) -> int:
             raise DomainError(
                 f"smooth block j = {j} (support ({w.M}, {w.N})) does not fit "
                 f"inside [{M}, {N}]")
-    result = rational_probe(val.numerator, val.denominator, w, window=(M, N))
+    result = rational_probe(val.numerator, val.denominator, SumSpec(time, w),
+                            window=(M, N))
     doc = {
         "p": result.p, "q": result.q, "window": list(result.window),
         "weights": args.weights,

@@ -249,23 +249,27 @@ class TimeSpec:
         return CFExpansion(tuple(quots), exact_terminates=not truncated,
                            truncated=truncated)
 
-    def value_bracket(self, eps: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact lo <= t <= hi with hi - lo <= eps.
+    def value_bracket(self, eps: Fraction
+                      ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Exact lo <= t <= hi with hi - lo <= eps, as (numerator,
+        denominator) pairs in lowest terms with positive denominators.
 
         The ends are the first pair of convergents with q_k q_{k+1} >= 1/eps,
-        so that the gap 1/(q_k q_{k+1}) between them is at most eps.
+        so that the gap 1/(q_k q_{k+1}) between them is at most eps. An
+        exact time is both ends of its own bracket.
         """
         if eps <= 0:
             raise DomainError("eps must be positive")
         exact = self.exact_value()
         if exact is not None:
-            return exact, exact
-        need = math.ceil(1 / eps)       # q_k q_{k+1} is an integer
+            end = (exact.numerator, exact.denominator)
+            return end, end
+        need = -(-eps.denominator // eps.numerator)     # ceil(1/eps)
         prev: tuple[int, int] | None = None
         for pk, qk in self.convergent_pairs():
             if prev is not None and prev[1] * qk >= need:
-                lo, hi = Fraction(*prev), Fraction(pk, qk)
-                return (lo, hi) if lo <= hi else (hi, lo)
+                ends = prev, (pk, qk)
+                return ends if prev[0] * qk <= pk * prev[1] else ends[::-1]
             prev = (pk, qk)
         raise PrecisionExhaustedError("quotient source ended before the bracket closed")
 

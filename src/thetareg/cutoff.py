@@ -112,12 +112,6 @@ class WeightVector:
         """Weights of -n indexed by n (index 0 is meaningless, kept for shape)."""
         return self.w_pos if self.w_neg is None else self.w_neg
 
-    def count_nonzero(self) -> int:
-        """Number of integer frequencies with nonzero weight (two-sided)."""
-        pos = int(np.count_nonzero(self.w_pos))
-        negside = int(np.count_nonzero(self.neg()[1:]))
-        return pos + negside
-
     def window_mass(self) -> float:
         """sum over M <= n <= N of (w_n + w_{-n})."""
         lo = max(self.M, 1)

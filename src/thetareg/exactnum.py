@@ -69,9 +69,6 @@ class FixedReal:
         if self.err_ulp < 0:
             raise DomainError("err_ulp must be non-negative")
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 1 << self.scale_bits)
-
 
 def rational_phase(n: int, p: int, q: int) -> Fraction:
     """Exact (n^2 p/(2q)) mod 1 as a Fraction in [0, 1).
@@ -130,9 +127,12 @@ def fixed_of_time(spec, bits: int) -> FixedReal:
     if spec.exact_value() is not None:
         raise DomainError("fixed point is for irrational times; an exact "
                           "time has rational phases")
-    ends = spec.value_bracket(Fraction(1, 1 << (bits + 2)))
-    near = min(ends, key=lambda end: end.denominator)
-    return FixedReal(round(near * (1 << bits)), bits, 1)
+    p, q = min(spec.value_bracket(Fraction(1, 1 << (bits + 2))),
+               key=lambda end: end[1])
+    mantissa, rem = divmod(p << bits, q)
+    if 2 * rem > q or (2 * rem == q and mantissa % 2):   # half to even, as round
+        mantissa += 1
+    return FixedReal(mantissa, bits, 1)
 
 
 def _check_guard(n_max: int, t: FixedReal) -> None:

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactnum
-from .contfrac import Rational, TimeSpec
+from .contfrac import TimeSpec
 from .cutoff import WeightVector, one_sided_unit
 from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
                      PrecisionExhaustedError)
@@ -127,12 +127,6 @@ def phase_vector(time: TimeSpec, N: int) -> PhaseVector:
     return PhaseVector(unit=np.exp(unit, out=unit), error=err)
 
 
-def _check_phases(phases: PhaseVector, weights: WeightVector) -> None:
-    if phases.unit.shape != (weights.N + 1,):
-        raise DomainError(
-            f"{phases.unit.size} phases for a window reaching |n| = {weights.N}")
-
-
 class SumSpec:
     """One weighted sum: a time parameter plus a weight block.
 
@@ -146,7 +140,9 @@ class SumSpec:
                  phases: PhaseVector | None = None):
         if phases is None:
             phases = phase_vector(time, weights.N)
-        _check_phases(phases, weights)
+        if phases.unit.shape != (weights.N + 1,):
+            raise DomainError(
+                f"{phases.unit.size} phases for a window reaching |n| = {weights.N}")
         self.weights = weights
         self.phases = phases
         self._coeffs: tuple[np.ndarray, np.ndarray] | None = None
@@ -162,15 +158,10 @@ class SumSpec:
         symmetric weights they are one array.
         """
         if self._coeffs is None:
-            self._coeffs = _coefficients(self.weights, self.phases.unit)
+            w, unit = self.weights, self.phases.unit
+            cpos = w.w_pos * unit
+            self._coeffs = cpos, cpos if w.symmetric else w.neg() * unit
         return self._coeffs
-
-
-def _coefficients(weights: WeightVector, unit: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(c_n, c_{-n}) for n = 0..N; symmetric weights share one array."""
-    cpos = weights.w_pos * unit
-    return cpos, cpos if weights.symmetric else weights.neg() * unit
 
 
 def eval_sum(spec: SumSpec, x: float) -> complex:
@@ -365,7 +356,7 @@ def mean_square_on_grid(spec: SumSpec, oversample: int = 4) -> tuple[float, floa
 
 
 def probe_floors(weights: WeightVector, q: int,
-                 window: tuple[int, int] | None = None) -> dict[str, float]:
+                 window: tuple[int, int]) -> dict[str, float]:
     """Guaranteed lower bounds for max_h |S(h/(2q))| at t = p/q.
 
     Which floor applies depends on how the denominator compares with the
@@ -378,7 +369,7 @@ def probe_floors(weights: WeightVector, q: int,
     Unit windows additionally get the sharper combinatorial forms. All
     floors are per the two-sided mass sum_{M<=n<=N} (w_n + w_{-n}).
     """
-    M, N = window if window is not None else (weights.M, weights.N)
+    M, N = window
     if M < 1 or N <= M:
         raise DomainError("floors need a window 1 <= M < N")
     L = N - M + 1
@@ -412,15 +403,15 @@ class ProbeResult:
         return self.max_abs / top if top > 0 else math.inf
 
 
-def rational_probe(p: int, q: int, weights: WeightVector,
-                   window: tuple[int, int] | None = None,
-                   phases: PhaseVector | None = None) -> ProbeResult:
+def rational_probe(p: int, q: int, spec: SumSpec,
+                   window: tuple[int, int] | None = None) -> ProbeResult:
     """Exact maximum of |S| over the comb grid x = h/(2q), h = 0..2q-1.
 
-    Folds the coefficients onto residue classes mod 2q (the phase period)
-    and takes one small DFT; cost O(N + q log q). Records the guaranteed
-    floors and whether the measured maximum meets them. ``phases``, when
-    given, must be ``phase_vector(Rational(p, q), weights.N)``.
+    ``spec`` is the sum at t = p/q; its coefficient arrays are folded onto
+    residue classes mod 2q (the phase period) and one small DFT is taken,
+    cost O(N + q log q). Records the guaranteed floors over ``window``
+    (default (max(M, 1), N) of the weights) and whether the measured
+    maximum meets them.
     """
     if q <= 0:
         raise DomainError("q must be positive")
@@ -428,12 +419,10 @@ def rational_probe(p: int, q: int, weights: WeightVector,
         raise DomainError(f"{p}/{q} is not in lowest terms")
     if q > MAX_PROBE_Q:
         raise BudgetError(f"q = {q} exceeds probe budget {MAX_PROBE_Q}")
-    if phases is None:
-        phases = phase_vector(Rational(p, q), weights.N)
-    _check_phases(phases, weights)
+    weights = spec.weights
     L = 2 * q
     n = np.arange(weights.N + 1)
-    cpos, cneg = _coefficients(weights, phases.unit)
+    cpos, cneg = spec.coefficient_arrays()
     res_pos = (n % L).astype(np.intp)
     res_neg = ((-n) % L).astype(np.intp)
     acc = (np.bincount(res_pos, weights=cpos.real, minlength=L)
@@ -463,8 +452,9 @@ def _certify_distance(a: TimeSpec, b: TimeSpec | Fraction, radius: Fraction,
     """
     eps = radius / 16
     for _ in range(64):
-        lo_a, hi_a = a.value_bracket(eps)
-        lo_b, hi_b = (b, b) if isinstance(b, Fraction) else b.value_bracket(eps)
+        lo_a, hi_a = (Fraction(*end) for end in a.value_bracket(eps))
+        lo_b, hi_b = (b, b) if isinstance(b, Fraction) else (
+            Fraction(*end) for end in b.value_bracket(eps))
         worst = max(hi_a - lo_b, hi_b - lo_a)
         best = max(lo_a - hi_b, lo_b - hi_a, 0)
         if worst < radius if strict else worst <= radius:
@@ -546,7 +536,7 @@ def merged_block_sup(time: TimeSpec, weights: WeightVector, oversample: int = 8,
     taken into account (the reported value is the max of the two). The
     probe samples S too, so it only raises the lower end; the grid's
     upper end still bounds the sup. ``phases`` is passed on to SumSpec, and
-    the sum and the probe share it.
+    the probe reads that sum's coefficients.
     """
     spec = SumSpec(time, weights, phases)
     result = sup_norm(spec, oversample=oversample)
@@ -554,8 +544,7 @@ def merged_block_sup(time: TimeSpec, weights: WeightVector, oversample: int = 8,
     exact = time.exact_value()
     if exact is not None and exact.denominator <= MAX_PROBE_Q \
             and weights.N > max(weights.M, 1):
-        probe = rational_probe(exact.numerator, exact.denominator, weights,
-                               phases=spec.phases)
+        probe = rational_probe(exact.numerator, exact.denominator, spec)
         if probe.max_abs > result.value:
             result = replace(
                 result, value=probe.max_abs,

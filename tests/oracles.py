@@ -79,6 +79,11 @@ def total_variation(weights) -> float:
     return float(sum(abs(b - a) for a, b in zip(line, line[1:])))
 
 
+def count_nonzero(weights) -> int:
+    """Integer frequencies with nonzero weight, both sides, n = 0 once."""
+    return int((weights.w_pos != 0).sum() + (weights.neg()[1:] != 0).sum())
+
+
 def mp_value(timespec, dps: int = 60) -> mp.mpf:
     """High-precision value of a time parameter via mpmath."""
     with mp.workdps(dps):
@@ -88,7 +93,8 @@ def mp_value(timespec, dps: int = 60) -> mp.mpf:
         if isinstance(timespec, QuadraticIrrational):
             return ((timespec.a + timespec.b * mp.sqrt(timespec.c))
                     / timespec.d)
-        lo, hi = timespec.value_bracket(Fraction(1, 10 ** (dps + 5)))
+        lo, hi = (Fraction(*end) for end in
+                  timespec.value_bracket(Fraction(1, 10 ** (dps + 5))))
         mid = (lo + hi) / 2
         return mp.mpf(mid.numerator) / mp.mpf(mid.denominator)
 

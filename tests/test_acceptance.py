@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import determinant_alternates, total_variation
+from oracles import count_nonzero, determinant_alternates, total_variation
 from thetareg.besov import block_spectrum, burst_scales, fit_exponent
 from thetareg.cli import main as cli_main
 from thetareg.collapse import verify_collapse
@@ -52,7 +52,7 @@ def _abs_diff_lt(t: TimeSpec, center: Fraction, bound: Fraction) -> bool:
     """
     eps = bound / 1024
     for _ in range(8):
-        lo, hi = t.value_bracket(eps)
+        lo, hi = (Fraction(*end) for end in t.value_bracket(eps))
         if center - bound < lo and hi < center + bound:
             return True
         if hi <= center - bound or center + bound <= lo:
@@ -171,7 +171,7 @@ def test_c05_parseval_identity(golden, third):
     worst_weights = 0.0
     for j in range(0, 21):
         w = rough_weights(j)
-        count = w.count_nonzero()
+        count = count_nonzero(w)
         rel = abs(w.l2_squared() - count) / count
         worst_weights = max(worst_weights, rel)
     worst_grid = 0.0
@@ -222,7 +222,8 @@ def test_c07_probe_floor_grid():
         for m, n in ((1, 16), (4, 64), (16, 128)):
             j = n.bit_length() - 2      # smooth block living inside (m, n]
             for w in (unit_window(m, n), smooth_weights(j)):
-                res = rational_probe(1, q, w, window=(m, n))
+                res = rational_probe(1, q, SumSpec(Rational(1, q), w),
+                                     window=(m, n))
                 cells += 1
                 worst_margin = min(worst_margin, res.floor_margin())
                 if not res.satisfied:
@@ -335,7 +336,7 @@ def test_c10_exact_arithmetic_invariants(golden, sqrt2m1):
                                                  golden.convergent_pairs())}
     legendre_hits = 0
     for q in range(1, 401):
-        lo, hi = golden.value_bracket(Fraction(1, 10 ** 9))
+        lo, hi = (Fraction(*end) for end in golden.value_bracket(Fraction(1, 10 ** 9)))
         candidates = {(lo.numerator * q) // lo.denominator + d
                       for d in (-1, 0, 1, 2)}
         bound = Fraction(1, 2 * q * q)

@@ -15,7 +15,7 @@ from thetareg.contfrac import (DecimalLiteral, QuotientRule, Rational,
                                classify_sigma, parse_timespec)
 from thetareg.cutoff import rough_weights, smooth_weights
 from thetareg.errors import DomainError
-from thetareg.thetasum import merged_block_sup, rational_probe
+from thetareg.thetasum import SumSpec, merged_block_sup, rational_probe
 from fractions import Fraction
 
 
@@ -96,8 +96,8 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
         monkeypatch.setattr(exactnum, name, counted)
     recs = block_spectrum(time, js=js, mode="both")
     assert len(built) == len(js)
-    # the same numbers as one SumSpec per family, and as a probe that
-    # builds its own phases
+    # the same numbers as one SumSpec per family, and as a probe of a
+    # freshly built sum
     for rec in recs:
         rough, probe = merged_block_sup(time, rough_weights(rec.j))
         smooth, sprobe = merged_block_sup(time, smooth_weights(rec.j))
@@ -106,8 +106,10 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
         assert (probe is None) == (time.exact_value() is None)
         if probe is not None:
             exact = time.exact_value()
+            fresh = SumSpec(Rational(exact.numerator, exact.denominator),
+                            rough_weights(rec.j))
             assert probe == rational_probe(exact.numerator, exact.denominator,
-                                           rough_weights(rec.j))
+                                           fresh)
             assert rec.rough_floor == max(v for _, v in probe.floors)
             assert rec.probe_satisfied == probe.satisfied
 
@@ -141,6 +143,17 @@ def test_predicted_exponent_cases(golden):
     assert (pred.alpha_lo, pred.alpha_hi) == (0.5, 1.0)
     assert pred.point is None
     assert "[0.5000, 1.0000]" in pred.summary()
+
+
+def test_predicted_exponent_of_a_classified_literal():
+    # 40 digits of the golden mean certify enough quotients to classify
+    lit = parse_timespec("dec:0.61803398874989484820458683436563811772")
+    est = classify_sigma(lit.expansion())
+    pred = predicted_exponent(lit, est)
+    s = max(est.sigma, 0.0)
+    assert pred.alpha_lo == pred.alpha_hi == (1 + s) / (2 + s)
+    assert pred.source == "estimated class I(0.01736)"
+    assert pred.summary() == "alpha = 0.5043 (estimated class I(0.01736))"
 
 
 def test_classify_regularity_golden_is_sharp(golden):

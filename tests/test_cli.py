@@ -170,6 +170,24 @@ def test_probe_bad_window_exits_2(capsys):
     assert main(["probe", "--t", "rat:1/5", "--window", "banana"]) == 2
 
 
+def test_probe_coarse_decimal_is_refused(capsys):
+    # one digit moves the phase at |n| = 8 by 64/10 cycles, as in blocks
+    assert main(["probe", "--t", "dec:0.5", "--window", "2:8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: literal resolution")
+
+
+@pytest.mark.parametrize("weights", ["unit", "smooth"])
+def test_probe_fine_decimal_prints_its_rational(weights, capsys):
+    outs = []
+    for t in ("dec:0.20000000000000000000", "rat:1/5"):
+        assert main(["probe", "--t", t, "--window", "4:64",
+                     "--weights", weights]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_stability_command_and_refusal(capsys):
     assert main(["stability", "--t", "quad:(-1+1*sqrt(5))/2",
                  "--t1", "rat:144/233", "--j", "6", "--check"]) == 0

@@ -184,7 +184,7 @@ def test_quadratic_convergents_bracket_exactly(golden):
 
 
 def test_value_bracket_golden(golden):
-    lo, hi = golden.value_bracket(Fraction(1, 10**20))
+    lo, hi = (Fraction(*end) for end in golden.value_bracket(Fraction(1, 10**20)))
     assert hi - lo <= Fraction(1, 10**20)
     assert abs(float(lo) - 0.6180339887498949) < 1e-12
     # exact containment: lo <= t <= hi

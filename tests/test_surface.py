@@ -1,8 +1,12 @@
-"""The public surface: every exported name has a caller inside the package.
+"""The public surface: every exported name, and every public method and
+property of the package's classes, has a caller inside the package.
 
-A name in a module's ``__all__`` that nothing in ``src/thetareg`` uses is
-surface that only tests hold up. It belongs in ``tests/oracles.py`` or
-nowhere, unless KEPT names a reason to keep it.
+A name in a module's ``__all__``, or a method or property not named with a
+leading underscore, that nothing in ``src/thetareg`` uses is surface that
+only tests hold up. It belongs in ``tests/oracles.py`` or nowhere, unless
+KEPT names a reason to keep it. Methods are keyed ``Class.name``; a use is
+any load of the name or attribute read of it, so a call through any object
+counts.
 """
 
 import ast
@@ -13,7 +17,7 @@ import thetareg
 
 PACKAGE = Path(thetareg.__file__).resolve().parent
 
-# name -> why it stays public without a caller in the package
+# name (or Class.name) -> why it stays public without a caller in the package
 KEPT = {
     "eval_sum": "wrapped by perfbench/spans.py (thetasum.eval_sum)",
     "extract_kappa": "wrapped by perfbench/spans.py (collapse.extract_kappa)",
@@ -24,6 +28,7 @@ KEPT = {
                            "or goes (ROADMAP item 3)",
     "hl_constant_monitor": "gets a CLI caller or moves into tests "
                            "(ROADMAP item 5)",
+    "SupNormResult.refinement_gain": "read per sup_norm by perfbench/spans.py",
 }
 
 
@@ -61,9 +66,21 @@ def _uses(node: ast.AST) -> Counter:
     return used
 
 
-def _unused_exports() -> dict[str, str]:
-    """Exported name -> its module, for names used nowhere in the package
-    outside their own definition. Import lines do not count as uses."""
+def _public_methods(tree: ast.Module):
+    """(Class.name, def node) for each public method and property of the
+    module's top-level classes."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def _unused_surface() -> dict[str, str]:
+    """Exported name or Class.name -> its module, for names used nowhere in
+    the package outside their own definition. Import lines do not count as
+    uses."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     uses = {module: _uses(tree) for module, tree in trees.items()}
@@ -75,13 +92,16 @@ def _unused_exports() -> dict[str, str]:
             own = _uses(defs[name])[name] if name in defs else 0
             if total[name] == own:
                 unused[name] = module
+        for key, node in _public_methods(tree):
+            if total[node.name] == _uses(node)[node.name]:
+                unused[key] = module
     return unused
 
 
 def test_every_export_has_a_caller_in_the_package():
-    unused = _unused_exports()
+    unused = _unused_surface()
     stray = {name: module for name, module in unused.items() if name not in KEPT}
-    assert not stray, (f"exported but unused in src/thetareg: {stray}; "
+    assert not stray, (f"public but unused in src/thetareg: {stray}; "
                        "delete them, move them to tests/oracles.py, "
                        "or give a reason in KEPT")
     # a kept name that gained a caller, or left the surface, leaves KEPT too

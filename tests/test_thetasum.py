@@ -258,7 +258,7 @@ def test_probe_matches_bruteforce():
     for q in (2, 3, 5, 7, 12):
         p = 1 if q != 12 else 5
         for w in (unit_window(1, 16), smooth_weights(3), unit_window(2, 9)):
-            pr = rational_probe(p, q, w)
+            pr = rational_probe(p, q, SumSpec(Rational(p, q), w))
             want = brute_probe_max(p, q, w)
             assert pr.max_abs == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert 0 <= pr.argmax_h < 2 * q
@@ -266,7 +266,7 @@ def test_probe_matches_bruteforce():
 
 def test_probe_argmax_attains_max():
     w = unit_window(1, 16)
-    pr = rational_probe(3, 7, w)
+    pr = rational_probe(3, 7, SumSpec(Rational(3, 7), w))
     direct = abs(brute_sum_at(3, 7, w, pr.argmax_h, 14))
     assert direct == pytest.approx(pr.max_abs, rel=1e-12)
 
@@ -289,14 +289,15 @@ def test_probe_floors_branches():
 
 def test_probe_floor_satisfaction_spot_checks():
     for q, win in ((17, (1, 16)), (101, (16, 128)), (3, (1, 16))):
-        pr = rational_probe(1, q, unit_window(*win), window=win)
+        pr = rational_probe(1, q, SumSpec(Rational(1, q), unit_window(*win)),
+                            window=win)
         assert pr.satisfied
         assert pr.floor_margin() >= 1.0
 
 
 def test_probe_budget():
     with pytest.raises(BudgetError):
-        rational_probe(1, 10_001, unit_window(1, 16))
+        rational_probe(1, 10_001, SumSpec(Rational(1, 10_001), unit_window(1, 16)))
 
 
 def test_sup_norm_dominates_samples(golden):
