@@ -22,7 +22,7 @@ from .contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                        parse_timespec)
 from .cutoff import (WeightVector, one_sided_unit, rough_weights,
                      smooth_weights, unit_window)
-from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
+from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
 from .exactnum import (FixedReal, fixed_of_time, irrational_phase,

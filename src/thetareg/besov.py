@@ -66,8 +66,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockRecord:
-    """Measured data for one dyadic scale; each true sup is certified to
-    lie in [x_sup, x_sup_upper]."""
+    """Measured data for one dyadic scale; each true sup is certified to be
+    at most x_sup_upper, and x_sup is the largest computed sample."""
 
     j: int
     rough_sup: float | None

@@ -28,7 +28,7 @@ from .collapse import verify_collapse
 from .contfrac import (KHINCHIN_LEVY, classify_sigma, khinchin_levy_diagnostic,
                        parse_timespec)
 from .cutoff import rough_weights, smooth_weights, unit_window
-from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
+from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
 from .thetasum import MAX_PROBE_Q, SumSpec, rational_probe, stability_ratio
@@ -535,7 +535,7 @@ def main(argv=None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
     except (InsufficientPrecisionError, PrecisionExhaustedError,
-            BudgetError, AliasingError, HypothesisError) as exc:
+            BudgetError, HypothesisError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except (DomainError, ThetaError, OSError) as exc:

@@ -36,10 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contfrac import CFExpansion, expand_rational
+from .contfrac import CFExpansion, Rational, expand_rational
 from .errors import BudgetError, DomainError, VerificationError
-from .exactnum import rational_phase_array
-from .thetasum import MAX_PROBE_Q
+from .thetasum import MAX_PROBE_Q, phase_vector
 
 __all__ = [
     "CombFormula",
@@ -167,12 +166,12 @@ def lhs_pairing(p: int, q: int, phi) -> complex:
 
     Equals sum_{|n| <= n_max} e(n^2 p/(2q)) hat-phi(-n), n_max =
     phi.coeff_count(), plus a tail below the phi's own bound at n_max (the
-    coefficients are unimodular).
+    coefficients are unimodular, and even in n, so n < 0 mirrors n > 0).
     """
     n_max = phi.coeff_count()
+    unit = phase_vector(Rational(p, q), n_max).unit
+    coeffs = np.concatenate((unit[:0:-1], unit))
     n = np.arange(-n_max, n_max + 1)
-    phases = rational_phase_array(n, p % (2 * q), q)
-    coeffs = np.exp((2j * np.pi) * phases)
     return complex(np.sum(coeffs * phi.fourier(-n)))
 
 
@@ -250,9 +249,9 @@ class CollapseCheck:
         }
 
 
-def verify_collapse(p: int, q: int, phis=None) -> CollapseCheck:
-    """Pair every test function once, take kappa from the first usable
-    pair, then check every pairing against the comb form.
+def verify_collapse(p: int, q: int) -> CollapseCheck:
+    """Pair every default test function once, take kappa from the first
+    usable pair, then check every pairing against the comb form.
 
     The residual for each test function is |<E, phi> - kappa <comb, phi>|
     with the same kappa throughout; max_residual is the headline number.
@@ -261,9 +260,7 @@ def verify_collapse(p: int, q: int, phis=None) -> CollapseCheck:
     comb = comb_of(p, q)
     if comb.q > MAX_PROBE_Q:
         raise BudgetError(f"q = {comb.q} exceeds the comb budget {MAX_PROBE_Q}")
-    functions = list(phis) if phis is not None else default_test_functions(comb)
-    if not functions:
-        raise DomainError("need at least one test function")
+    functions = default_test_functions(comb)
     pairs = list(_pairings(comb, functions))
     kappa = _kappa_of(pairs)
     residuals = [(f.label(), abs(lhs - kappa * rhs))

@@ -22,10 +22,6 @@ class PrecisionExhaustedError(ThetaError):
     """A digit or quotient source ran out before the target precision."""
 
 
-class AliasingError(ThetaError):
-    """Grid evaluation was asked for fewer points than the sum has frequencies."""
-
-
 class BudgetError(ThetaError):
     """Refused: the request exceeds a configured size budget."""
 

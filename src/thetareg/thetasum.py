@@ -6,19 +6,19 @@ with w from one dyadic block or window. Three deterministic routes:
 
 * direct: term-by-term summation at a single x, correctly rounded by
   math.fsum (so results are reproducible bit for bit);
-* grid: S is a trigonometric polynomial of degree N, so its values on a
-  uniform grid of K >= 2N+1 points are one inverse FFT of the coefficient
-  array placed at n mod K. That is exact evaluation (no aliasing), not an
-  approximation;
-* probe: for rational t = p/q the coefficient phases are periodic in n
-  with period dividing 2q, so the values on the grid x = h/(2q) come from
-  a length-2q DFT of residue-class mass. This is the grid on which the
-  quadratic Gauss sum lower bounds are guaranteed, and the probe records
-  those floors next to the measured maximum.
+* grid: the values of S on the K points x = k/K see only n mod K, so they
+  are one inverse FFT of the coefficients summed over residues mod K
+  (each c_n placed at n mod K once K >= 2N+1). That is exact evaluation,
+  not an approximation, for every K;
+* probe: for rational t = p/q the grid of the 2q points x = h/(2q). This
+  is the grid on which the quadratic Gauss sum lower bounds are
+  guaranteed, and the probe records those floors next to the measured
+  maximum.
 
-The sup norm over x is reported as a certified bracket: the maximum over
-one dense grid (default 8x past the polynomial degree) is the lower end,
-and Bernstein's inequality turns it into a closed-form upper end.
+The sup norm over x is reported as a bracket [value, upper] of which only
+upper is certified: value is the maximum over one dense grid (default 8x
+past the polynomial degree), as computed, and Bernstein's inequality plus
+a rounding term turn it into a closed-form upper end.
 
 Also here: the growing-window constant monitor for the near-rational
 upper bound sup_{M<n<=M+L} ~ C (L/sqrt(q) + sqrt(q)) under the hypothesis
@@ -39,7 +39,7 @@ import numpy as np
 from . import exactnum
 from .contfrac import TimeSpec
 from .cutoff import WeightVector, one_sided_unit
-from .errors import (AliasingError, BudgetError, DomainError, HypothesisError,
+from .errors import (BudgetError, DomainError, HypothesisError,
                      PrecisionExhaustedError)
 
 __all__ = [
@@ -188,23 +188,32 @@ def grid_values(spec: SumSpec, K: int,
     and c_{-n} by its conjugate, which shifts every grid point by d.
     Without it d = 0.
 
-    Needs K >= 2N+1 so distinct frequencies occupy distinct residues
-    (otherwise the values would alias and the result would be a different
-    polynomial's values; that case is refused).
+    At x = k/K the term n reads e(n k/K), which depends on n mod K only, so
+    the transform takes the coefficients summed per residue mod K: each c_n
+    is placed at n mod K alone for K >= 2N+1, and for fewer points the
+    n >= 0 side is summed and the n < 0 side added to it. Only untwisted
+    coefficients fold.
     """
     N = spec.weights.N
-    if K < 2 * N + 1:
-        raise AliasingError(f"K = {K} < 2N+1 = {2 * N + 1}")
+    if K < 1:
+        raise DomainError(f"a grid needs K >= 1 points, not {K}")
     _check_grid(K)
     cpos, cneg = spec.coefficient_arrays()
-    buf = np.zeros(K, dtype=np.complex128)
-    if twist is None:
+    if K < 2 * N + 1:
+        if twist is not None:
+            raise DomainError(f"a twist needs K >= 2N+1 = {2 * N + 1}, not {K}")
+        n = np.arange(N + 1)
+        buf = _residue_sum(n % K, cpos, K)
+        buf += _residue_sum(-n[1:] % K, cneg[1:], K)
+    elif twist is None:
+        buf = np.zeros(K, dtype=np.complex128)
         buf[:N + 1] = cpos
         if N >= 1:
             buf[K - N:] = cneg[1:][::-1]
     else:
         if twist.shape != cpos.shape:
             raise DomainError(f"{twist.size} twist factors for {N + 1} coefficients")
+        buf = np.zeros(K, dtype=np.complex128)
         np.multiply(cpos, twist, out=buf[:N + 1])
         if N >= 1:
             tail = buf[K - N:]
@@ -215,9 +224,16 @@ def grid_values(spec: SumSpec, K: int,
     return vals
 
 
+def _residue_sum(res: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
+    """The sum of c[i] over each residue res[i] = 0..K-1."""
+    return (np.bincount(res, weights=c.real, minlength=K)
+            + 1j * np.bincount(res, weights=c.imag, minlength=K))
+
+
 @dataclass(frozen=True)
 class SupNormResult:
-    """Certified bracket value <= sup_x |S(x)| <= upper (see sup_norm)."""
+    """sup_x |S(x)| <= upper, certified (see sup_norm); value is the largest
+    computed grid sample, up to the rounding term above an exact one."""
 
     value: float
     upper: float
@@ -232,10 +248,11 @@ class SupNormResult:
 
 def _coset_count(K: int, N: int) -> int:
     """How many cosets sup_norm splits its K-point grid into: the largest
-    divisor m of K with K/m >= 2N+1, so that no transform aliases, and
-    K/m >= m, so that a huge oversample on a short window runs at most
-    sqrt(K) transforms, not K/(2N+1) of a few points each (1 when no split
-    keeps both). At oversample 8 that is m = 5 to 8 at every block scale.
+    divisor m of K with K/m >= 2N+1, so that no coset transform folds, as
+    _rounding_term's ||y||_2 = sqrt(L) ||c||_2 assumes, and K/m >= m, so
+    that a huge oversample on a short window runs at most sqrt(K)
+    transforms, not K/(2N+1) of a few points each (1 when no split keeps
+    both). At oversample 8 that is m = 5 to 8 at every block scale.
     """
     top = min(K // (2 * N + 1), math.isqrt(K))
     return max(d for d in range(1, max(top, 1) + 1) if K % d == 0)
@@ -285,14 +302,14 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
 
 
 def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
-    """sup_x |S(x)| as a certified bracket [value, upper] from one FFT grid.
+    """[value, upper] around sup_x |S(x)| from one FFT grid; upper is certified.
 
     value is the maximum over the K = _fft_len(oversample * (2N+1)) points
     x = k/K and upper = (value + r) / (1 - pi^2 N^2 / (2 K^2)), r from
     _rounding_term.
 
     The grid is evaluated in m = _coset_count(K, N) cosets, each one
-    transform of K/m >= 2N+1 points, the fewest that do not alias: coset
+    transform of K/m >= 2N+1 points, the fewest that need no fold: coset
     s holds x = (s + m k)/K, the values of one transform of K/m points
     whose coefficients are twisted by e(n s/K) (grid_values with a
     twist). These are the same K points, and value and argmax_x are
@@ -341,7 +358,7 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 
 
-def mean_square_on_grid(spec: SumSpec, oversample: int = 4) -> tuple[float, float]:
+def mean_square_on_grid(spec: SumSpec) -> tuple[float, float]:
     """(grid mean of |S|^2, exact sum of |w_n|^2 over both sides).
 
     On any grid of K >= 2N+1 points the mean of |S|^2 equals the
@@ -349,7 +366,7 @@ def mean_square_on_grid(spec: SumSpec, oversample: int = 4) -> tuple[float, floa
     to rounding; the Parseval tests (criterion 5) check it.
     """
     N = max(spec.weights.N, 1)
-    K = _fft_len(oversample * (2 * N + 1))
+    K = _fft_len(4 * (2 * N + 1))
     vals = grid_values(spec, K)
     mean = float(np.mean(np.abs(vals) ** 2))
     return mean, spec.weights.l2_squared()
@@ -407,8 +424,7 @@ def rational_probe(p: int, q: int, spec: SumSpec,
                    window: tuple[int, int] | None = None) -> ProbeResult:
     """Exact maximum of |S| over the comb grid x = h/(2q), h = 0..2q-1.
 
-    ``spec`` is the sum at t = p/q; its coefficient arrays are folded onto
-    residue classes mod 2q (the phase period) and one small DFT is taken,
+    ``spec`` is the sum at t = p/q; the comb grid is grid_values at K = 2q,
     cost O(N + q log q). Records the guaranteed floors over ``window``
     (default (max(M, 1), N) of the weights) and whether the measured
     maximum meets them.
@@ -420,18 +436,7 @@ def rational_probe(p: int, q: int, spec: SumSpec,
     if q > MAX_PROBE_Q:
         raise BudgetError(f"q = {q} exceeds probe budget {MAX_PROBE_Q}")
     weights = spec.weights
-    L = 2 * q
-    n = np.arange(weights.N + 1)
-    cpos, cneg = spec.coefficient_arrays()
-    res_pos = (n % L).astype(np.intp)
-    res_neg = ((-n) % L).astype(np.intp)
-    acc = (np.bincount(res_pos, weights=cpos.real, minlength=L)
-           + 1j * np.bincount(res_pos, weights=cpos.imag, minlength=L))
-    if weights.N >= 1:
-        acc += (np.bincount(res_neg[1:], weights=cneg[1:].real, minlength=L)
-                + 1j * np.bincount(res_neg[1:], weights=cneg[1:].imag, minlength=L))
-    vals = np.fft.ifft(acc) * L          # S(h / (2q)), h = 0..2q-1
-    mags = np.abs(vals)
+    mags = np.abs(grid_values(spec, 2 * q))     # |S(h / (2q))|
     h = int(np.argmax(mags))
     max_abs = float(mags[h])
     win = window if window is not None else (max(weights.M, 1), weights.N)
@@ -467,20 +472,19 @@ def _certify_distance(a: TimeSpec, b: TimeSpec | Fraction, radius: Fraction,
 
 @dataclass(frozen=True)
 class HLRecord:
-    length: int            # window length L, sum over M < n <= M + L
+    length: int            # window length L, sum over 1 <= n <= L
     sup: float
     envelope: float        # L / sqrt(q) + sqrt(q)
     ratio: float
 
 
 def hl_constant_monitor(time: TimeSpec, p: int, q: int,
-                        lengths: list[int], start: int = 0,
-                        oversample: int = 8) -> list[HLRecord]:
+                        lengths: list[int]) -> list[HLRecord]:
     """Growing one-sided windows against the L/sqrt(q) + sqrt(q) envelope.
 
     Valid only under |t - p/q| <= 1/q^2, which is certified exactly first
-    (HypothesisError otherwise). Returns one record per window length; the
-    interesting output is how flat the ratio stays.
+    (HypothesisError otherwise). Returns one record per window 1 <= n <= L;
+    the interesting output is how flat the ratio stays.
     """
     if q <= 0 or math.gcd(p, q) != 1:
         raise DomainError(f"bad reference rational {p}/{q}")
@@ -491,8 +495,7 @@ def hl_constant_monitor(time: TimeSpec, p: int, q: int,
     for L in lengths:
         if L < 2:
             raise DomainError("window length must be >= 2")
-        w = one_sided_unit(start + 1, start + L)
-        sup = sup_norm(SumSpec(time, w), oversample=oversample).value
+        sup = sup_norm(SumSpec(time, one_sided_unit(1, L))).value
         env = L / math.sqrt(q) + math.sqrt(q)
         out.append(HLRecord(length=L, sup=sup, envelope=env, ratio=sup / env))
     return out
@@ -534,16 +537,17 @@ def merged_block_sup(time: TimeSpec, weights: WeightVector, oversample: int = 8,
     The FFT grid does not necessarily contain the points x = h/(2q); for
     rational t those carry the Gauss-sum peaks, so the probe maximum is
     taken into account (the reported value is the max of the two). The
-    probe samples S too, so it only raises the lower end; the grid's
-    upper end still bounds the sup. ``phases`` is passed on to SumSpec, and
-    the probe reads that sum's coefficients.
+    probe samples S too, so it only raises value; the grid's upper end
+    still bounds the sup. ``phases`` is passed on to SumSpec, and the probe
+    reads that sum's coefficients. A block holding n = 0 (M = 0) is not
+    probed: no floor's window 1..N covers w_0.
     """
     spec = SumSpec(time, weights, phases)
     result = sup_norm(spec, oversample=oversample)
     probe: ProbeResult | None = None
     exact = time.exact_value()
     if exact is not None and exact.denominator <= MAX_PROBE_Q \
-            and weights.N > max(weights.M, 1):
+            and 1 <= weights.M < weights.N:
         probe = rational_probe(exact.numerator, exact.denominator, spec)
         if probe.max_abs > result.value:
             result = replace(

@@ -114,6 +114,23 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
             assert rec.probe_satisfied == probe.satisfied
 
 
+def test_block_floors_hold_from_j0():
+    """No comb floor may exceed the certified sup, nor fail, at any block.
+
+    The j = 0 block holds n = 0, outside every floor's window 1..N, so it
+    is not probed; at j >= 1 every rational time with q <= 30 meets its
+    floors."""
+    for q in range(1, 31):
+        for p in range(2 * q):
+            if math.gcd(p, q) != 1:
+                continue
+            for r in block_spectrum(Rational(p, q), j_min=0, j_max=8):
+                assert r.probe_satisfied is not False, (p, q, r.j)
+                assert r.rough_floor is None or \
+                    r.rough_floor <= r.rough_sup_upper, (p, q, r.j)
+                assert (r.rough_floor is None) == (r.j == 0), (p, q, r.j)
+
+
 def test_long_rational_is_classified_as_finite():
     # F_70/F_71 has 70 quotients, more than the 64 an endless source is cut at
     t = Rational(190392490709135, 308061521170129)

@@ -107,3 +107,38 @@ def test_every_export_has_a_caller_in_the_package():
     # a kept name that gained a caller, or left the surface, leaves KEPT too
     stale = sorted(set(KEPT) - set(unused))
     assert not stale, f"KEPT names that no longer need keeping: {stale}"
+
+
+# name -> the one function of src/thetareg that may use it
+ONE_ROUTE = {
+    "np.fft": "grid_values",
+    "rational_phase_array": "phase_vector",
+    "quadratic_phase_array": "phase_vector",
+}
+
+
+def _route_uses(tree: ast.Module):
+    """(name, top-level function) for each reference to np.fft and each
+    call of a phase-array builder in the module."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+            else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                yield "np.fft", owner
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                if name in ONE_ROUTE:
+                    yield name, owner
+
+
+def test_one_transform_and_one_phase_builder():
+    stray = sorted(
+        (f"{path.stem}.{owner}", name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, owner in _route_uses(ast.parse(path.read_text()))
+        if owner != ONE_ROUTE[name])
+    assert not stray, (f"used outside their one route {ONE_ROUTE}: {stray}")

@@ -15,8 +15,7 @@ from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
                              one_sided_unit, rough_weights, smooth_weights,
                              unit_window)
-from thetareg.errors import (AliasingError, BudgetError, DomainError,
-                             HypothesisError)
+from thetareg.errors import BudgetError, DomainError, HypothesisError
 from thetareg.thetasum import (SumSpec, _coset_count, _fft_len,
                                _rounding_term, eval_sum,
                                grid_values, hl_constant_monitor,
@@ -61,8 +60,19 @@ def test_grid_values_match_pointwise_eval(golden):
 
 def test_grid_values_guards():
     spec = SumSpec(Rational(1, 3), rough_weights(4))  # N = 32
-    with pytest.raises(AliasingError):
-        grid_values(spec, 64)            # needs >= 2N+1 = 65
+    # K < 2N+1 = 65 folds the coefficients onto n mod K: still the exact
+    # values at x = k/K, down to K = 7 (about nine terms per residue)
+    w = spec.weights
+    for K in (64, 7):
+        vals = grid_values(spec, K)
+        assert vals.shape == (K,)
+        for k in range(K):
+            assert abs(vals[k] - eval_sum(spec, k / K)) < 1e-9
+            assert abs(vals[k] - brute_sum_at(1, 3, w, k, K)) < 1e-9
+    with pytest.raises(DomainError):     # only untwisted sums fold
+        grid_values(spec, 64, twist=np.ones(spec.weights.N + 1))
+    with pytest.raises(DomainError):
+        grid_values(spec, 0)
     with pytest.raises(BudgetError):
         grid_values(spec, 1 << 27)
     with pytest.raises(DomainError):
@@ -255,7 +265,9 @@ def test_parseval_identity(golden):
 
 
 def test_probe_matches_bruteforce():
-    for q in (2, 3, 5, 7, 12):
+    # at N = 16 (2N+1 = 33) the comb grid folds up to q = 16 and places
+    # at q = 17
+    for q in (2, 3, 5, 7, 12, 16, 17):
         p = 1 if q != 12 else 5
         for w in (unit_window(1, 16), smooth_weights(3), unit_window(2, 9)):
             pr = rational_probe(p, q, SumSpec(Rational(p, q), w))
