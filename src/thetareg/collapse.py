@@ -249,9 +249,9 @@ class CollapseCheck:
         }
 
 
-def verify_collapse(p: int, q: int) -> CollapseCheck:
-    """Pair every default test function once, take kappa from the first
-    usable pair, then check every pairing against the comb form.
+def verify_collapse(p: int, q: int, phis=None) -> CollapseCheck:
+    """Pair every test function once, take kappa from the first usable
+    pair, then check every pairing against the comb form.
 
     The residual for each test function is |<E, phi> - kappa <comb, phi>|
     with the same kappa throughout; max_residual is the headline number.
@@ -260,7 +260,9 @@ def verify_collapse(p: int, q: int) -> CollapseCheck:
     comb = comb_of(p, q)
     if comb.q > MAX_PROBE_Q:
         raise BudgetError(f"q = {comb.q} exceeds the comb budget {MAX_PROBE_Q}")
-    functions = default_test_functions(comb)
+    functions = list(phis) if phis is not None else default_test_functions(comb)
+    if not functions:
+        raise DomainError("need at least one test function")
     pairs = list(_pairings(comb, functions))
     kappa = _kappa_of(pairs)
     residuals = [(f.label(), abs(lhs - kappa * rhs))

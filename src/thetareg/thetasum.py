@@ -192,7 +192,8 @@ def grid_values(spec: SumSpec, K: int,
     the transform takes the coefficients summed per residue mod K: each c_n
     is placed at n mod K alone for K >= 2N+1, and for fewer points the
     n >= 0 side is summed and the n < 0 side added to it. Only untwisted
-    coefficients fold.
+    coefficients fold. Placement is kept as the cheaper copy: an all-fold
+    route gave the same bits at 11% fewer spectrum_deep items/s (2 cores).
     """
     N = spec.weights.N
     if K < 1:
@@ -425,9 +426,8 @@ def rational_probe(p: int, q: int, spec: SumSpec,
     """Exact maximum of |S| over the comb grid x = h/(2q), h = 0..2q-1.
 
     ``spec`` is the sum at t = p/q; the comb grid is grid_values at K = 2q,
-    cost O(N + q log q). Records the guaranteed floors over ``window``
-    (default (max(M, 1), N) of the weights) and whether the measured
-    maximum meets them.
+    cost O(N + q log q). Records the floors over ``window`` (default (M, N)
+    of the weights; one holding n = 0 is refused) and whether they are met.
     """
     if q <= 0:
         raise DomainError("q must be positive")
@@ -439,7 +439,7 @@ def rational_probe(p: int, q: int, spec: SumSpec,
     mags = np.abs(grid_values(spec, 2 * q))     # |S(h / (2q))|
     h = int(np.argmax(mags))
     max_abs = float(mags[h])
-    win = window if window is not None else (max(weights.M, 1), weights.N)
+    win = window if window is not None else (weights.M, weights.N)
     floors = probe_floors(weights, q, win)
     ok = all(max_abs >= f * (1.0 - 1e-12) for f in floors.values())
     return ProbeResult(p=p, q=q, max_abs=max_abs, argmax_h=h,

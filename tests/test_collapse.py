@@ -226,6 +226,15 @@ def test_verify_collapse_refuses_q_past_the_comb_budget():
         verify_collapse(1, MAX_PROBE_Q + 1)
 
 
+def test_verify_collapse_takes_given_test_functions():
+    c = comb_of(3, 5)
+    phis = default_test_functions(c)
+    assert verify_collapse(3, 5, phis).as_dict() == verify_collapse(3, 5).as_dict()
+    assert len(verify_collapse(3, 5, phis[:2]).residuals) == 2
+    with pytest.raises(DomainError):
+        verify_collapse(3, 5, phis=[])
+
+
 def test_default_test_functions_are_varied():
     c = comb_of(3, 5)
     phis = default_test_functions(c)

@@ -307,6 +307,12 @@ def test_probe_floor_satisfaction_spot_checks():
         assert pr.floor_margin() >= 1.0
 
 
+def test_probe_refuses_a_block_holding_n0():
+    # the j = 0 block has M = 0: no floor's window 1..N covers w_0
+    with pytest.raises(DomainError):
+        rational_probe(1, 4, SumSpec(Rational(1, 4), rough_weights(0)))
+
+
 def test_probe_budget():
     with pytest.raises(BudgetError):
         rational_probe(1, 10_001, SumSpec(Rational(1, 10_001), unit_window(1, 16)))
