@@ -20,17 +20,15 @@ from .contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                        SigmaEstimate, TimeSpec, cf_of_real, classify_sigma,
                        expand_rational, khinchin_levy_diagnostic,
                        parse_timespec)
-from .cutoff import (WeightVector, one_sided_unit, rough_weights,
-                     smooth_weights, unit_window)
+from .cutoff import WeightVector, rough_weights, smooth_weights, unit_window
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
 from .exactnum import (FixedReal, fixed_of_time, irrational_phase,
                        linear_phase_array, quadratic_phase_array,
                        rational_phase, rational_phase_array)
-from .thetasum import (HLRecord, ProbeResult, StabilityResult, SumSpec,
-                       SupNormResult, eval_sum, grid_values,
-                       hl_constant_monitor, mean_square_on_grid,
+from .thetasum import (ProbeResult, StabilityResult, SumSpec, SupNormResult,
+                       eval_sum, grid_values, mean_square_on_grid,
                        rational_probe, stability_ratio, sup_norm)
 
 __version__ = "0.1.0"

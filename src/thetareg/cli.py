@@ -399,9 +399,10 @@ def _cmd_scan(args) -> int:
     svg = _bool_setting(settings, "svg", False)
     if fmt not in ("csv", "json", "both"):
         raise DomainError(f"config format must be csv/json/both, got {fmt!r}")
+    # every time is parsed first, so a malformed one writes no report
+    specs = [parse_timespec(text) for text in times]
     summary = []
-    for text in times:
-        spec = parse_timespec(text)
+    for spec in specs:
         report = classify_regularity(spec, j_min=j_min, j_max=j_max, mode=mode,
                                      oversample=oversample, tail_start=tail_start)
         # made once a report stands, so a refused request leaves no directory

@@ -16,10 +16,10 @@ which int_0^inf chi = (3/2)/2 = 3/4 exactly.
 
 A WeightVector is one block of per-frequency coefficients w_n >= 0 for
 |n| in a window [M, N]: either the smooth chi(2^-j |n|), the sharp
-indicator of 2^(j-1) < |n| <= 2^(j+1), a sharp window on given [M, N], or
-a one-sided variant (w_{-n} = 0) used by the growing-window monitor.
-It carries the bookkeeping the lower-bound probes need: window, two-sided
-mass and l2 norm.
+indicator of 2^(j-1) < |n| <= 2^(j+1), or a sharp window on given [M, N].
+Each is even in n (w_{-n} = w_n), so one array indexed by |n| holds it,
+and every block sum is even in x. It carries the bookkeeping the
+lower-bound probes need: window, mass over both signs and l2 norm.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "smooth_weights",
     "rough_weights",
     "unit_window",
-    "one_sided_unit",
 ]
 
 
@@ -76,52 +75,38 @@ def _chi(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WeightVector:
-    """Coefficients of one frequency block.
+    """Coefficients of one frequency block, even in n.
 
-    w_pos[n] is the weight of +n for n = 0..N; w_neg[n] the weight of -n
-    (w_neg is None for symmetric blocks, meaning w_neg == w_pos). M and N
-    delimit the support window: w_pos[n] == 0 for 0 < n < M and n > N
-    (n = 0 itself only carries weight in the lowest block). N past the
-    block budget MAX_BLOCK_N is refused.
+    w[n] is the weight of both +n and -n for n = 0..N. M and N delimit the
+    support window: w[n] == 0 for 0 < n < M and n > N (n = 0 itself only
+    carries weight in the lowest block). N past the block budget
+    MAX_BLOCK_N is refused.
     """
 
     M: int
     N: int
-    w_pos: np.ndarray
-    w_neg: np.ndarray | None
+    w: np.ndarray
     mode: str
 
     def __post_init__(self) -> None:
         if self.N > MAX_BLOCK_N:
             raise BudgetError(f"window reaches |n| = {self.N} > {MAX_BLOCK_N}")
-        self.w_pos = np.asarray(self.w_pos, dtype=np.float64)
-        if self.w_pos.shape != (self.N + 1,):
-            raise DomainError("w_pos must have length N + 1")
-        if self.w_neg is not None:
-            self.w_neg = np.asarray(self.w_neg, dtype=np.float64)
-            if self.w_neg.shape != (self.N + 1,):
-                raise DomainError("w_neg must have length N + 1")
+        self.w = np.asarray(self.w, dtype=np.float64)
+        if self.w.shape != (self.N + 1,):
+            raise DomainError("w must have length N + 1")
         if self.M < 0 or self.N < self.M:
             raise DomainError("need 0 <= M <= N")
 
-    @property
-    def symmetric(self) -> bool:
-        return self.w_neg is None
-
-    def neg(self) -> np.ndarray:
-        """Weights of -n indexed by n (index 0 is meaningless, kept for shape)."""
-        return self.w_pos if self.w_neg is None else self.w_neg
-
     def window_mass(self) -> float:
-        """sum over M <= n <= N of (w_n + w_{-n})."""
+        """sum over M <= |n| <= N of w_n, n = 0 counted once."""
         lo = max(self.M, 1)
-        mass = float(self.w_pos[lo:].sum() + self.neg()[lo:].sum())
+        mass = 2 * float(self.w[lo:].sum())
         if self.M == 0:
-            mass += float(self.w_pos[0])
+            mass += float(self.w[0])
         return mass
 
     def l2_squared(self) -> float:
-        return float((self.w_pos ** 2).sum() + (self.neg()[1:] ** 2).sum())
+        return float((self.w ** 2).sum() + (self.w[1:] ** 2).sum())
 
 
 def block_bounds(j: int) -> tuple[int, int]:
@@ -144,7 +129,7 @@ def smooth_weights(j: int) -> WeightVector:
         w = np.zeros(N + 1)
         inner = np.arange(M, N + 1, dtype=np.float64)
         w[M:] = _chi(inner * 2.0 ** -j)
-    return WeightVector(M=M, N=N, w_pos=w, w_neg=None, mode="smooth")
+    return WeightVector(M=M, N=N, w=w, mode="smooth")
 
 
 def rough_weights(j: int) -> WeightVector:
@@ -154,28 +139,16 @@ def rough_weights(j: int) -> WeightVector:
     w[M:] = 1.0
     if j == 0:
         w[0] = 1.0
-    return WeightVector(M=M, N=N, w_pos=w, w_neg=None, mode="rough")
+    return WeightVector(M=M, N=N, w=w, mode="rough")
 
 
-def _unit_line(M: int, N: int) -> np.ndarray:
-    """Unit weights on M <= n <= N, refused past the block budget before
-    the array is allocated."""
+def unit_window(M: int, N: int) -> WeightVector:
+    """Unit weights on M <= |n| <= N, both sides; a window past the block
+    budget is refused before the array is allocated."""
     if M < 1:
         raise DomainError("windows start at M >= 1 (n = 0 has no phase)")
     if N > MAX_BLOCK_N:
         raise BudgetError(f"window reaches |n| = {N} > {MAX_BLOCK_N}")
     w = np.zeros(N + 1)
     w[M:] = 1.0
-    return w
-
-
-def unit_window(M: int, N: int) -> WeightVector:
-    """Unit weights on M <= |n| <= N, both sides."""
-    return WeightVector(M=M, N=N, w_pos=_unit_line(M, N), w_neg=None,
-                        mode="unit")
-
-
-def one_sided_unit(M: int, N: int) -> WeightVector:
-    """Unit weights on M <= n <= N only (nothing on the negative side)."""
-    return WeightVector(M=M, N=N, w_pos=_unit_line(M, N),
-                        w_neg=np.zeros(N + 1), mode="one-sided")
+    return WeightVector(M=M, N=N, w=w, mode="unit")

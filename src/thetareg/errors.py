@@ -27,7 +27,7 @@ class BudgetError(ThetaError):
 
 
 class HypothesisError(ThetaError):
-    """A monitored estimate was invoked outside its certified hypothesis."""
+    """stability_ratio's two times are not certified closer than k_bound/N^2."""
 
 
 class VerificationError(ThetaError):

@@ -2,7 +2,9 @@
 
     S(x) = sum_n w_n e(n^2 t/2 + n x),      e(z) = exp(2 pi i z),
 
-with w from one dyadic block or window. Three deterministic routes:
+with w from one dyadic block or window. Both w_n and e(n^2 t/2) are even
+in n, so every such sum is even in x: S(-x) = S(x). Three deterministic
+routes:
 
 * direct: term-by-term summation at a single x, correctly rounded by
   math.fsum (so results are reproducible bit for bit);
@@ -20,11 +22,9 @@ upper is certified: value is the maximum over one dense grid (default 8x
 past the polynomial degree), as computed, and Bernstein's inequality plus
 a rounding term turn it into a closed-form upper end.
 
-Also here: the growing-window constant monitor for the near-rational
-upper bound sup_{M<n<=M+L} ~ C (L/sqrt(q) + sqrt(q)) under the hypothesis
-|t - p/q| <= 1/q^2, and the two-time stability comparison under
-|t - t1| < K/N^2, both of which certify their hypotheses with exact
-rational brackets before touching floats.
+Also here: the two-time stability comparison under |t - t1| < K/N^2,
+which certifies its hypothesis with exact rational brackets before
+touching floats.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import exactnum
 from .contfrac import TimeSpec
-from .cutoff import WeightVector, one_sided_unit
+from .cutoff import WeightVector
 from .errors import (BudgetError, DomainError, HypothesisError,
                      PrecisionExhaustedError)
 
@@ -53,8 +53,6 @@ __all__ = [
     "sup_norm",
     "rational_probe",
     "probe_floors",
-    "hl_constant_monitor",
-    "HLRecord",
     "stability_ratio",
     "StabilityResult",
     "mean_square_on_grid",
@@ -145,33 +143,27 @@ class SumSpec:
                 f"{phases.unit.size} phases for a window reaching |n| = {weights.N}")
         self.weights = weights
         self.phases = phases
-        self._coeffs: tuple[np.ndarray, np.ndarray] | None = None
+        self._coeffs: np.ndarray | None = None
 
     def phase_error_bound(self) -> float:
         return self.phases.error
 
-    def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(c_n for n = 0..N, c_{-n} for n = 0..N) with c_n = w_n e(n^2 t/2).
-
-        The quadratic phase is even in n, so both arrays share one phase
-        vector; they differ only through asymmetric weights, and for
-        symmetric weights they are one array.
-        """
+    def coefficient_arrays(self) -> np.ndarray:
+        """c_n = w_n e(n^2 t/2) for n = 0..N, which is also c_{-n}: the
+        weights and the quadratic phase are both even in n."""
         if self._coeffs is None:
-            w, unit = self.weights, self.phases.unit
-            cpos = w.w_pos * unit
-            self._coeffs = cpos, cpos if w.symmetric else w.neg() * unit
+            self._coeffs = self.weights.w * self.phases.unit
         return self._coeffs
 
 
 def eval_sum(spec: SumSpec, x: float) -> complex:
     """S(x) by direct summation, each part rounded once (math.fsum)."""
-    cpos, cneg = spec.coefficient_arrays()
+    c = spec.coefficient_arrays()
     n = np.arange(spec.weights.N + 1)
     unit = np.exp((2j * np.pi) * exactnum.linear_phase_array(n, float(x)))
-    terms = cpos * unit
+    terms = c * unit
     if spec.weights.N >= 1:
-        terms[1:] += cneg[1:] * np.conj(unit[1:])
+        terms[1:] += c[1:] * np.conj(unit[1:])
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
@@ -199,27 +191,27 @@ def grid_values(spec: SumSpec, K: int,
     if K < 1:
         raise DomainError(f"a grid needs K >= 1 points, not {K}")
     _check_grid(K)
-    cpos, cneg = spec.coefficient_arrays()
+    c = spec.coefficient_arrays()
     if K < 2 * N + 1:
         if twist is not None:
             raise DomainError(f"a twist needs K >= 2N+1 = {2 * N + 1}, not {K}")
         n = np.arange(N + 1)
-        buf = _residue_sum(n % K, cpos, K)
-        buf += _residue_sum(-n[1:] % K, cneg[1:], K)
+        buf = _residue_sum(n % K, c, K)
+        buf += _residue_sum(-n[1:] % K, c[1:], K)
     elif twist is None:
         buf = np.zeros(K, dtype=np.complex128)
-        buf[:N + 1] = cpos
+        buf[:N + 1] = c
         if N >= 1:
-            buf[K - N:] = cneg[1:][::-1]
+            buf[K - N:] = c[1:][::-1]
     else:
-        if twist.shape != cpos.shape:
+        if twist.shape != c.shape:
             raise DomainError(f"{twist.size} twist factors for {N + 1} coefficients")
         buf = np.zeros(K, dtype=np.complex128)
-        np.multiply(cpos, twist, out=buf[:N + 1])
+        np.multiply(c, twist, out=buf[:N + 1])
         if N >= 1:
             tail = buf[K - N:]
             np.conjugate(twist[:0:-1], out=tail)
-            tail *= cneg[:0:-1]
+            tail *= c[:0:-1]
     vals = np.fft.ifft(buf, out=buf)
     vals *= K
     return vals
@@ -259,30 +251,20 @@ def _coset_count(K: int, N: int) -> int:
     return max(d for d in range(1, max(top, 1) + 1) if K % d == 0)
 
 
-def _cosets_run(m: int, weights: WeightVector) -> int:
-    """How many of the m cosets sup_norm transforms: cosets 0..c-1.
-
-    Symmetric weights make S even, S(-x) = S(x): the substitution n -> -n
-    maps the sum at -x onto the sum at x, as e(n^2 t/2) is even in n. The
-    mirror of x = (s + m k)/K is (K - s - m k)/K mod 1, a point of coset
-    (m - s) mod m, so cosets 0..m//2 hold a mirror of every grid point.
-    """
-    return m // 2 + 1 if weights.symmetric else m
-
-
 def _rounding_term(spec: SumSpec, K: int) -> float:
     """Bound on |computed - exact| for each value sup_norm takes from its
-    K-point grid: c = _cosets_run(m, w) of the m = _coset_count(K, N)
-    transforms of L = K/m points.
+    K-point grid: the m//2 + 1 transforms of L = K/m points that it runs
+    of the m = _coset_count(K, N) cosets.
 
     Input: each c_n is off by at most |w_n| (2 pi phase_error_bound() +
     32u), the phase error times 2 pi plus a few ulps u for the argument,
     exp, product, 1/L normalisation, rescale and abs. For m > 1 coset s
     multiplies c_n by a twist built as e(n/K)^s by the recurrence
-    tw_s = tw_(s-1) e(n/K), and then by one product with c_n: s + 1 <= c
-    steps of one exp or one product, each within the same 32u as a
-    coefficient's own phase (|tw_s| stays within (1 + 32u)^c of 1), so
-    the twist adds 32 c u per coefficient, and nothing at m = 1. The input
+    tw_s = tw_(s-1) e(n/K), and then by one product with c_n: for the
+    c = m//2 + 1 cosets run, s + 1 <= c steps of one exp or one product,
+    each within the same 32u as a coefficient's own phase (|tw_s| stays
+    within (1 + 32u)^c of 1), so the twist adds 32 c u per coefficient,
+    and nothing at m = 1. The input
     errors move every output by at most their l1 sum. Transform: an FFT of
     P passes, each of relative 2-norm error eta, errs by at most
     P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and Stability of
@@ -296,8 +278,8 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     w = spec.weights
     m = _coset_count(K, w.N)
     L = K // m
-    l1 = float(np.abs(w.w_pos).sum() + np.abs(w.neg()[1:]).sum())
-    twist = 0 if m == 1 else 32 * _cosets_run(m, w)
+    l1 = float(np.abs(w.w).sum() + np.abs(w.w[1:]).sum())
+    twist = 0 if m == 1 else 32 * (m // 2 + 1)
     ulps = 32 + twist + 2 * math.log2(L) * 64 * math.sqrt(L)
     return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
 
@@ -315,19 +297,22 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     whose coefficients are twisted by e(n s/K) (grid_values with a
     twist). These are the same K points, and value and argmax_x are
     their maximum, ties going to the smallest k as one argmax over the
-    whole grid would. For symmetric weights S is even, so only cosets
-    0..m//2 are transformed (_cosets_run: all m while m <= 2), and
-    argmax_x is folded into [0, 1/2], where the mirror point -x has the
-    same exact value.
+    whole grid would. S is even, S(-x) = S(x): the substitution n -> -n
+    maps the sum at -x onto the sum at x, as w_n and e(n^2 t/2) are even
+    in n. The mirror of x = (s + m k)/K is (K - s - m k)/K mod 1, a point
+    of coset (m - s) mod m, so cosets 0..m//2 hold a mirror of every grid
+    point. Only they are transformed (all m while m <= 2), and argmax_x
+    is folded into [0, 1/2], where the mirror point -x has the same exact
+    value.
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
     with f <= |S| <= M = f(x*), so f'(x*) = 0 and, by Bernstein's
     inequality, |f''| <= (2 pi N)^2 M; Taylor at x* gives |S(x* + d)| >=
     f(x* + d) >= M (1 - 2 pi^2 N^2 d^2). Some grid point has |d| <= 1/(2K),
-    so the exact grid maximum is at least M (1 - pi^2 N^2 / (2 K^2)). For
-    an even S the grid point -k/K holds the same exact value as k/K and
-    lies in an evaluated coset (_cosets_run), so the exact maximum over
+    so the exact grid maximum is at least M (1 - pi^2 N^2 / (2 K^2)). As
+    S is even, the grid point -k/K holds the same exact value as k/K and
+    lies in an evaluated coset, so the exact maximum over
     the evaluated cosets is the exact maximum over all K points. Each
     computed value is within r of its exact one, so the computed maximum
     is at least the exact grid maximum minus r, and the bracket holds as
@@ -342,7 +327,7 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     m = _coset_count(K, spec.weights.N)
     best = (-1.0, 0)                    # (value, -k): ties go to the smallest k
     twist = None
-    for s in range(_cosets_run(m, spec.weights)):
+    for s in range(m // 2 + 1):
         if s == 1:
             step = np.exp((2j * np.pi) * (np.arange(spec.weights.N + 1) / K))
             twist = step.copy()
@@ -353,8 +338,7 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
         best = max(best, (float(mags[k]), -(s + m * k)))
         del mags                        # freed before the next transform
     value, k0 = best[0], -best[1]
-    if spec.weights.symmetric:
-        k0 = min(k0, K - k0)            # S(-x) = S(x)
+    k0 = min(k0, K - k0)                # S(-x) = S(x)
     upper = (value + _rounding_term(spec, K)) / (1 - (math.pi * N / K) ** 2 / 2)
     return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 
@@ -385,7 +369,7 @@ def probe_floors(weights: WeightVector, q: int,
       q < L   (saturated case): Cauchy-Schwarz over the 2q residue classes.
 
     Unit windows additionally get the sharper combinatorial forms. All
-    floors are per the two-sided mass sum_{M<=n<=N} (w_n + w_{-n}).
+    floors are per the mass over both signs, sum_{M<=|n|<=N} w_n.
     """
     M, N = window
     if M < 1 or N <= M:
@@ -447,58 +431,25 @@ def rational_probe(p: int, q: int, spec: SumSpec,
                        satisfied=ok)
 
 
-def _certify_distance(a: TimeSpec, b: TimeSpec | Fraction, radius: Fraction,
-                      strict: bool) -> bool:
-    """Exact certificate that |a - b| < radius (or <= when not strict).
+def _certify_distance(a: TimeSpec, b: TimeSpec, radius: Fraction) -> bool:
+    """Exact certificate that |a - b| < radius.
 
     Brackets both sides, starting at eps = radius/16 and tightening until
-    the comparison is decided. An exact time brackets to its own value and
-    a Fraction ``b`` is its own bracket, so two exact values decide at once.
+    the comparison is decided. An exact time brackets to its own value, so
+    two exact values decide at once.
     """
     eps = radius / 16
     for _ in range(64):
         lo_a, hi_a = (Fraction(*end) for end in a.value_bracket(eps))
-        lo_b, hi_b = (b, b) if isinstance(b, Fraction) else (
-            Fraction(*end) for end in b.value_bracket(eps))
+        lo_b, hi_b = (Fraction(*end) for end in b.value_bracket(eps))
         worst = max(hi_a - lo_b, hi_b - lo_a)
         best = max(lo_a - hi_b, lo_b - hi_a, 0)
-        if worst < radius if strict else worst <= radius:
+        if worst < radius:
             return True
-        if best >= radius if strict else best > radius:
+        if best >= radius:
             return False
         eps /= 16
     raise HypothesisError("could not decide the distance certificate")
-
-
-@dataclass(frozen=True)
-class HLRecord:
-    length: int            # window length L, sum over 1 <= n <= L
-    sup: float
-    envelope: float        # L / sqrt(q) + sqrt(q)
-    ratio: float
-
-
-def hl_constant_monitor(time: TimeSpec, p: int, q: int,
-                        lengths: list[int]) -> list[HLRecord]:
-    """Growing one-sided windows against the L/sqrt(q) + sqrt(q) envelope.
-
-    Valid only under |t - p/q| <= 1/q^2, which is certified exactly first
-    (HypothesisError otherwise). Returns one record per window 1 <= n <= L;
-    the interesting output is how flat the ratio stays.
-    """
-    if q <= 0 or math.gcd(p, q) != 1:
-        raise DomainError(f"bad reference rational {p}/{q}")
-    if not _certify_distance(time, Fraction(p, q), Fraction(1, q * q), strict=False):
-        raise HypothesisError(
-            f"|t - {p}/{q}| > 1/q^2; the envelope has no backing here")
-    out = []
-    for L in lengths:
-        if L < 2:
-            raise DomainError("window length must be >= 2")
-        sup = sup_norm(SumSpec(time, one_sided_unit(1, L))).value
-        env = L / math.sqrt(q) + math.sqrt(q)
-        out.append(HLRecord(length=L, sup=sup, envelope=env, ratio=sup / env))
-    return out
 
 
 @dataclass(frozen=True)
@@ -519,7 +470,7 @@ def stability_ratio(time_a: TimeSpec, time_b: TimeSpec,
     """
     N = weights.N
     radius = Fraction(k_bound) / (N * N)
-    if not _certify_distance(time_a, time_b, radius, strict=True):
+    if not _certify_distance(time_a, time_b, radius):
         raise HypothesisError(
             f"|t - t1| is not certified below {k_bound}/N^2 for N = {N}")
     sup_a = sup_norm(SumSpec(time_a, weights), oversample=oversample).value

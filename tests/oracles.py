@@ -31,16 +31,12 @@ def brute_sum_at(p: int, q: int, weights, num: int, den: int) -> complex:
     Phases are reduced as exact Fractions before any float enters.
     """
     total = 0.0 + 0.0j
-    neg = weights.neg()
-    for n in range(weights.N + 1):
-        for (sgn, w) in ((1, weights.w_pos[n]), (-1, neg[n])):
-            if n == 0 and sgn == -1:
-                continue
-            if w == 0.0:
-                continue
-            m = sgn * n
-            ph = Fraction(m * m * p, 2 * q) + Fraction(m * num, den)
-            total += w * e_frac(ph)
+    for m in range(-weights.N, weights.N + 1):
+        w = weights.w[abs(m)]
+        if w == 0.0:
+            continue
+        ph = Fraction(m * m * p, 2 * q) + Fraction(m * num, den)
+        total += w * e_frac(ph)
     return total
 
 
@@ -75,13 +71,13 @@ def determinant_alternates(exp) -> bool:
 
 def total_variation(weights) -> float:
     """sum |w_{n+1} - w_n| over the whole line, zero past -N and N."""
-    line = [0.0, *weights.neg()[:0:-1].tolist(), *weights.w_pos.tolist(), 0.0]
+    line = [0.0, *weights.w[:0:-1].tolist(), *weights.w.tolist(), 0.0]
     return float(sum(abs(b - a) for a, b in zip(line, line[1:])))
 
 
 def count_nonzero(weights) -> int:
     """Integer frequencies with nonzero weight, both sides, n = 0 once."""
-    return int((weights.w_pos != 0).sum() + (weights.neg()[1:] != 0).sum())
+    return int((weights.w != 0).sum() + (weights.w[1:] != 0).sum())
 
 
 def mp_value(timespec, dps: int = 60) -> mp.mpf:

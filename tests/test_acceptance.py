@@ -27,8 +27,8 @@ from thetareg.collapse import verify_collapse
 from thetareg.contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
                                Rational, TimeSpec, expand_rational)
 from thetareg.cutoff import rough_weights, smooth_weights, unit_window
-from thetareg.thetasum import (SumSpec, eval_sum, grid_values,
-                               hl_constant_monitor, mean_square_on_grid,
+from thetareg.thetasum import (SumSpec, _fft_len, eval_sum, grid_values,
+                               mean_square_on_grid, phase_vector,
                                rational_probe, stability_ratio)
 
 import numpy as np
@@ -235,17 +235,31 @@ def test_c07_probe_floor_grid():
     assert ok, detail
 
 
+def _hl_ratio(t: TimeSpec, p: int, q: int, L: int) -> float:
+    """C_L = sup_x |sum_{1<=n<=L} e(n^2 t/2 + n x)| / (L/sqrt(q) + sqrt(q)).
+
+    The one-sided sum is not even in x, so its sup is taken over the whole
+    grid of K = _fft_len(8 (2L+1)) points, one plain inverse FFT of the
+    phases placed at n = 1..L. The envelope is backed only under
+    |t - p/q| <= 1/q^2, which is certified exactly first.
+    """
+    assert _abs_diff_lt(t, Fraction(p, q), Fraction(1, q * q)), (p, q)
+    K = _fft_len(8 * (2 * L + 1))
+    buf = np.zeros(K, dtype=np.complex128)
+    buf[1:L + 1] = phase_vector(t, L).unit[1:]
+    sup = float(np.abs(np.fft.ifft(buf) * K).max())
+    return sup / (L / math.sqrt(q) + math.sqrt(q))
+
+
 def test_c08_hardy_littlewood_monitor(golden, third, quad_spectra):
     lengths = [2 ** k for k in range(4, 17)]
-    ratios_third = [r.ratio for r in
-                    hl_constant_monitor(third, 1, 3, lengths)]
+    ratios_third = [_hl_ratio(third, 1, 3, length) for length in lengths]
     ratios_golden = []
     convergents = list(itertools.islice(golden.convergent_pairs(), 26))
     for length in lengths:
         p, q = min(convergents,
                    key=lambda pq: length / math.sqrt(pq[1]) + math.sqrt(pq[1]))
-        rec, = hl_constant_monitor(golden, p, q, [length])
-        ratios_golden.append(rec.ratio)
+        ratios_golden.append(_hl_ratio(golden, p, q, length))
     c_third = max(ratios_third)
     c_golden = max(ratios_golden)
     # summation by parts: a smooth block sup is at most the weight's total

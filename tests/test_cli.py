@@ -415,6 +415,20 @@ def test_scan_past_block_budget_is_refused_before_mkdir(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_scan_refuses_a_malformed_time_before_any_report(tmp_path):
+    # the valid first time must not leave files behind a run that exits 2
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("j_min = 6\nj_max = 11\ntail_start = 6\n"
+                   "[times]\nrat:1/3\nrat:1/0\n")
+    proc = _python("-m", "thetareg.cli", "scan", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def _main_in_process(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of main(argv); argparse exits with SystemExit."""
     out, err = io.StringIO(), io.StringIO()

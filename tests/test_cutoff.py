@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import count_nonzero, total_variation
-from thetareg.cutoff import (WeightVector, _chi, _phi, one_sided_unit,
-                             rough_weights, smooth_weights, unit_window)
+from thetareg.cutoff import (WeightVector, _chi, _phi, rough_weights,
+                             smooth_weights, unit_window)
 from thetareg.errors import DomainError
 
 
@@ -40,7 +40,7 @@ def _partition_sum(x, j_lo: int, j_hi: int) -> np.ndarray:
 
 def _tv_one_sided(w) -> float:
     """Total variation of n -> w_n over n >= 0 (padded with zero at N+1)."""
-    return float(np.abs(np.diff(np.append(w.w_pos, 0.0))).sum())
+    return float(np.abs(np.diff(np.append(w.w, 0.0))).sum())
 
 
 def test_partition_of_unity_on_wide_range():
@@ -105,11 +105,11 @@ def test_rough_block_counts_and_bounds():
 def test_smooth_block_anchors_and_supports():
     for j in range(1, 14):
         w = smooth_weights(j)
-        assert w.w_pos[2**j] == 1.0                  # chi(1) = 1 exactly
-        assert w.w_pos[w.M - 1] == 0.0 if w.M > 0 else True
-        assert np.all(w.w_pos[:w.M] == 0.0)          # bit-exact zeros
-        assert w.w_pos[w.N] == 0.0                   # chi(2) = 0
-        assert np.all(w.w_pos <= 1.0)
+        assert w.w[2**j] == 1.0                  # chi(1) = 1 exactly
+        assert w.w[w.M - 1] == 0.0 if w.M > 0 else True
+        assert np.all(w.w[:w.M] == 0.0)          # bit-exact zeros
+        assert w.w[w.N] == 0.0                   # chi(2) = 0
+        assert np.all(w.w <= 1.0)
         assert total_variation(w) <= 4.0 + 1e-12
         assert _tv_one_sided(w) <= 2.0 + 1e-12
 
@@ -118,7 +118,7 @@ def test_smooth_block_mass_riemann():
     # sum_n chi(2^-j n) = 2^j * integral + O(tv): within 2 of 0.75 * 2^j
     for j in range(4, 17):
         w = smooth_weights(j)
-        one_sided = float(w.w_pos.sum())
+        one_sided = float(w.w.sum())
         assert abs(one_sided - 0.75 * 2**j) <= 2.0
         assert abs(w.window_mass() - 1.5 * 2**j) <= 4.0
 
@@ -126,7 +126,7 @@ def test_smooth_block_mass_riemann():
 def test_smooth_block_zero_uses_plateau():
     w = smooth_weights(0)
     assert (w.M, w.N) == (0, 2)
-    assert w.w_pos[0] == 1.0 and w.w_pos[1] == 1.0 and w.w_pos[2] == 0.0
+    assert w.w[0] == 1.0 and w.w[1] == 1.0 and w.w[2] == 0.0
 
 
 def test_unit_windows():
@@ -134,22 +134,12 @@ def test_unit_windows():
     assert count_nonzero(w) == 32
     assert w.window_mass() == 32.0
     assert w.l2_squared() == 32.0
-    assert w.symmetric
-    o = one_sided_unit(3, 10)
-    assert not o.symmetric
-    assert count_nonzero(o) == 8
-    assert o.window_mass() == 8.0
-    assert np.all(o.neg() == 0.0)
     with pytest.raises(DomainError):
         unit_window(0, 4)
-    with pytest.raises(DomainError):
-        one_sided_unit(0, 4)
 
 
 def test_weight_vector_shape_validation():
     with pytest.raises(DomainError):
-        WeightVector(M=1, N=4, w_pos=np.ones(4), w_neg=None,
-                     mode="unit")
+        WeightVector(M=1, N=4, w=np.ones(4), mode="unit")
     with pytest.raises(DomainError):
-        WeightVector(M=5, N=4, w_pos=np.ones(5), w_neg=None,
-                     mode="unit")
+        WeightVector(M=5, N=4, w=np.ones(5), mode="unit")

@@ -26,8 +26,6 @@ KEPT = {
     "irrational_phase": "the reference of the phase-array tests",
     "mean_square_on_grid": "becomes the p = 2 case of the block L^p spectra "
                            "or goes (ROADMAP item 3)",
-    "hl_constant_monitor": "gets a CLI caller or moves into tests "
-                           "(ROADMAP item 5)",
     "SupNormResult.refinement_gain": "read per sup_norm by perfbench/spans.py",
 }
 

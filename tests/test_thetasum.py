@@ -13,12 +13,10 @@ from oracles import brute_probe_max, brute_sum_at
 from thetareg import exactnum, thetasum
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
-                             one_sided_unit, rough_weights, smooth_weights,
-                             unit_window)
+                             rough_weights, smooth_weights, unit_window)
 from thetareg.errors import BudgetError, DomainError, HypothesisError
 from thetareg.thetasum import (SumSpec, _coset_count, _fft_len,
-                               _rounding_term, eval_sum,
-                               grid_values, hl_constant_monitor,
+                               _rounding_term, eval_sum, grid_values,
                                mean_square_on_grid,
                                merged_block_sup, probe_floors, rational_probe,
                                scale_bits_for, stability_ratio, sup_norm)
@@ -31,8 +29,8 @@ def test_scale_bits_for():
 
 
 def test_hand_zero_sum():
-    # t = 1: e(n^2/2) = (-1)^n, so the n = 1..4 partial sum vanishes at x = 0
-    spec = SumSpec(Rational(1, 1), one_sided_unit(1, 4))
+    # t = 1: e(n^2/2) = (-1)^n, so the 1 <= |n| <= 4 sum vanishes at x = 0
+    spec = SumSpec(Rational(1, 1), unit_window(1, 4))
     assert abs(eval_sum(spec, 0.0)) < 1e-13
 
 
@@ -154,11 +152,19 @@ def _forced_splits(spec, monkeypatch):
         yield m, K
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: rough_weights(8), id="rough"),
+    pytest.param(lambda: smooth_weights(8), id="smooth"),
+    pytest.param(lambda: unit_window(3, 52), id="unit"),
+])
 def test_sup_norm_transforms_half_the_cosets_of_an_even_sum(
-        golden, monkeypatch, symmetric):
-    weights = unit_window(3, 52) if symmetric else one_sided_unit(3, 52)
-    spec = SumSpec(golden, weights)
+        golden, monkeypatch, make):
+    spec = SumSpec(golden, make())
+    N = spec.weights.N
+    K = sup_norm(spec).grid_size
+    # every split that keeps K/m >= 2N+1, up to 7 or 8 cosets
+    splits = [m for m in range(1, K // (2 * N + 1) + 1) if K % m == 0]
+    assert max(splits) >= 7
     calls = []
     real = thetasum.grid_values
 
@@ -167,11 +173,11 @@ def test_sup_norm_transforms_half_the_cosets_of_an_even_sum(
         return real(*args)
 
     monkeypatch.setattr(thetasum, "grid_values", counting)
-    for m, K in _forced_splits(spec, monkeypatch):
+    for m in splits:
+        _force_cosets(monkeypatch, m)
         calls.clear()
         sup_norm(spec)
-        want = m // 2 + 1 if symmetric else m
-        assert calls == [K // m] * want, m
+        assert calls == [K // m] * (m // 2 + 1), m
 
 
 def test_even_sum_sup_matches_all_cosets_and_folds_argmax(golden, monkeypatch):
@@ -186,36 +192,6 @@ def test_even_sum_sup_matches_all_cosets_and_folds_argmax(golden, monkeypatch):
         assert abs(res.value - full[g]) <= _rounding_term(spec, K) + r1, m
         assert 0.0 <= res.argmax_x <= 0.5, m
         assert res.argmax_x == min(g, K - g) / K, m
-
-
-def test_one_sided_sup_keeps_every_coset(golden, monkeypatch):
-    # S is not even here and its maximiser lies in (1/2, 1), in a coset that
-    # an even sum would skip for m = 4 and 7: every coset must be transformed
-    spec = SumSpec(golden, one_sided_unit(10, 52))
-    full = np.abs(grid_values(spec, 840))
-    g = int(np.argmax(full))
-    assert 0.5 < g / 840 < 1.0
-    assert [m for m in range(3, 9) if g % m > m // 2] == [4, 7]
-    r1 = _whole_grid_term(spec, 840)
-    for m, K in _forced_splits(spec, monkeypatch):
-        res = sup_norm(spec)
-        assert res.argmax_x == g / K, m
-        assert abs(res.value - full[g]) <= _rounding_term(spec, K) + r1, m
-
-
-def test_rounding_term_counts_the_twists_that_run(golden, monkeypatch):
-    # an even sum transforms m//2 + 1 cosets, so its twist term is smaller
-    # than a one-sided sum's of the same l1 mass; m <= 2 runs every coset
-    even = SumSpec(golden, unit_window(1, 52))
-    twice = 2 * even.weights.w_pos               # the same l1 mass: 104
-    odd = SumSpec(golden, WeightVector(M=1, N=52, w_pos=twice,
-                                       w_neg=np.zeros(53), mode="one-sided"))
-    for m, K in _forced_splits(even, monkeypatch):
-        r_even, r_odd = _rounding_term(even, K), _rounding_term(odd, K)
-        if m <= 2:
-            assert r_even == r_odd, m
-        else:
-            assert r_even < r_odd, m
 
 
 def test_block_budget():
@@ -233,14 +209,13 @@ def test_block_budget_is_one_limit():
         SumSpec(Rational(1, 3), w)
         with pytest.raises(BudgetError):
             make(MAX_BLOCK_J + 1)
-    for make in (unit_window, one_sided_unit):
-        assert make(1, MAX_BLOCK_N).N == MAX_BLOCK_N
-        with pytest.raises(BudgetError):
-            make(1, MAX_BLOCK_N + 1)
+    assert unit_window(1, MAX_BLOCK_N).N == MAX_BLOCK_N
+    with pytest.raises(BudgetError):
+        unit_window(1, MAX_BLOCK_N + 1)
     # weights built by hand meet the same limit where they are made
     with pytest.raises(BudgetError):
-        WeightVector(M=1, N=MAX_BLOCK_N + 1,
-                     w_pos=np.ones(MAX_BLOCK_N + 2), w_neg=None, mode="unit")
+        WeightVector(M=1, N=MAX_BLOCK_N + 1, w=np.ones(MAX_BLOCK_N + 2),
+                     mode="unit")
 
 
 def test_fft_len_matches_scipy():
@@ -487,33 +462,13 @@ def test_phase_vector_memory_and_bits(golden):
 
 
 def test_coefficient_arrays_symmetric_weights(golden):
+    # e((-n)^2 t/2) = e(n^2 t/2) and w_{-n} = w_n: one array holds c_n and
+    # c_{-n}, built once per sum
     spec = SumSpec(golden, rough_weights(5))
-    cpos, cneg = spec.coefficient_arrays()
-    assert cpos.shape == cneg.shape == (spec.weights.N + 1,)
-    # e((-n)^2 t/2) = e(n^2 t/2), so symmetric weights share one array
-    assert cneg is cpos
-    one = SumSpec(golden, one_sided_unit(1, 20))
-    _, cneg1 = one.coefficient_arrays()
-    assert np.all(cneg1[1:] == 0.0)
-
-
-# ------------------------------------------------------------- HL monitor
-
-def test_hl_monitor_on_exact_rational(third):
-    recs = hl_constant_monitor(third, 1, 3, [16, 64, 256, 1024])
-    assert [r.length for r in recs] == [16, 64, 256, 1024]
-    for r in recs:
-        assert 0.0 < r.ratio <= 1.05
-        assert r.envelope == pytest.approx(r.length / math.sqrt(3) + math.sqrt(3))
-
-
-def test_hl_monitor_certifies_hypothesis(golden):
-    # 1/4 is more than 1/16 away from the golden conjugate: must refuse
-    with pytest.raises(HypothesisError):
-        hl_constant_monitor(golden, 1, 4, [16])
-    # a true convergent passes
-    recs = hl_constant_monitor(golden, 5, 8, [16, 64])
-    assert all(r.ratio > 0 for r in recs)
+    c = spec.coefficient_arrays()
+    assert c.shape == (spec.weights.N + 1,)
+    assert c.tobytes() == (spec.weights.w * spec.phases.unit).tobytes()
+    assert spec.coefficient_arrays() is c
 
 
 # ---------------------------------------------------------------- stability
