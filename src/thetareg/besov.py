@@ -12,7 +12,7 @@ is encoded in the exponent alpha. Predictions by arithmetic type of t:
 
 * rational p/q: block sups grow like 2^j (alpha = 1); explicitly,
   3*2^j / sqrt(q) on the comb grid up to bounded factors, with the
-  two-sided envelope count/sqrt(q) + sqrt(q);
+  heuristic envelope count/sqrt(q) + sqrt(q) as a scale guide;
 * badly approximable (e.g. quadratic irrationals, bounded quotients):
   alpha = 1/2, the square-root cancellation floor;
 * controlled growth log q_{n+1} ~ (1 + sigma) log q_n: the limsup
@@ -67,7 +67,9 @@ __all__ = [
 @dataclass(frozen=True)
 class BlockRecord:
     """Measured data for one dyadic scale; each true sup is certified to be
-    at most x_sup_upper, and x_sup is the largest computed sample."""
+    at most x_sup_upper, and x_sup is the largest computed sample or, for
+    a rational block settled in closed form (merged_block_sup), the
+    certified lower end of its comb bracket when that is larger."""
 
     j: int
     rough_sup: float | None
@@ -76,7 +78,9 @@ class BlockRecord:
     smooth_sup_upper: float | None
     l2_exact: float            # sqrt(#frequencies of the sharp block), exact
     q_used: int | None         # denominator scale-matched to 2^j (when known)
-    upper_envelope: float | None   # 3*2^j/sqrt(q_used) + sqrt(q_used)
+    # heuristic scale guide count/sqrt(q_used) + sqrt(q_used), not a bound;
+    # the certified upper ends are the x_sup_upper fields
+    upper_envelope: float | None
     rough_floor: float | None      # strongest guaranteed comb floor (rational t)
     probe_satisfied: bool | None
 

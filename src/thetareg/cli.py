@@ -31,7 +31,8 @@ from .cutoff import rough_weights, smooth_weights, unit_window
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
-from .thetasum import MAX_PROBE_Q, SumSpec, rational_probe, stability_ratio
+from .thetasum import (MAX_PROBE_Q, SumSpec, check_phase_resolution,
+                       rational_probe, stability_ratio)
 
 __all__ = ["main", "spectrum_svg", "read_config"]
 
@@ -399,8 +400,12 @@ def _cmd_scan(args) -> int:
     svg = _bool_setting(settings, "svg", False)
     if fmt not in ("csv", "json", "both"):
         raise DomainError(f"config format must be csv/json/both, got {fmt!r}")
-    # every time is parsed first, so a malformed one writes no report
+    # every time is parsed, and its phases checked at the top scale, before
+    # the first report, so a refused time leaves no files behind
     specs = [parse_timespec(text) for text in times]
+    if 0 <= j_min <= j_max:
+        for spec in specs:
+            check_phase_resolution(spec, 2 ** (j_max + 1))
     summary = []
     for spec in specs:
         report = classify_regularity(spec, j_min=j_min, j_max=j_max, mode=mode,

@@ -3,7 +3,7 @@
     S(x) = sum_n w_n e(n^2 t/2 + n x),      e(z) = exp(2 pi i z),
 
 with w from one dyadic block or window. Both w_n and e(n^2 t/2) are even
-in n, so every such sum is even in x: S(-x) = S(x). Three deterministic
+in n, so every such sum is even in x: S(-x) = S(x). Four deterministic
 routes:
 
 * direct: term-by-term summation at a single x, correctly rounded by
@@ -15,12 +15,19 @@ routes:
 * probe: for rational t = p/q the grid of the 2q points x = h/(2q). This
   is the grid on which the quadratic Gauss sum lower bounds are
   guaranteed, and the probe records those floors next to the measured
-  maximum.
+  maximum;
+* closed comb bracket: at t = p/q the sum is a comb of q shifted copies
+  of one t-free kernel W, S(x) = sum_h G_h W(x + h/(2q)) with |G_h| =
+  1/sqrt(q), so [(W(0) - T)/sqrt(q), (W(0) + T)/sqrt(q)] brackets its sup
+  with no grid at all, T a summation-by-parts tail (_comb_bracket).
 
-The sup norm over x is reported as a bracket [value, upper] of which only
+The sup norm over x is reported as a bracket [value, upper] of which
 upper is certified: value is the maximum over one dense grid (default 8x
 past the polynomial degree), as computed, and Bernstein's inequality plus
-a rounding term turn it into a closed-form upper end.
+a rounding term turn it into a closed-form upper end. A rational block
+whose closed comb bracket is at least as tight settles from it instead
+(merged_block_sup): its value is the larger of the probe maximum and the
+certified lower end.
 
 Also here: the two-time stability comparison under |t - t1| < K/N^2,
 which certifies its hypothesis with exact rational brackets before
@@ -44,6 +51,7 @@ from .errors import (BudgetError, DomainError, HypothesisError,
 
 __all__ = [
     "PhaseVector",
+    "check_phase_resolution",
     "phase_vector",
     "SumSpec",
     "SupNormResult",
@@ -97,19 +105,23 @@ class PhaseVector:
     error: float
 
 
-def phase_vector(time: TimeSpec, N: int) -> PhaseVector:
-    """The phase vector of a time for n = 0..N: exact for rational values
-    (one final rounding), error-tracked fixed point otherwise.
-
-    Refuses a digit-limited literal whose resolution cannot pin the top
-    phase: it moves that phase by about N^2 * resolution.
-    """
+def check_phase_resolution(time: TimeSpec, N: int) -> None:
+    """Refuse a digit-limited literal whose resolution cannot pin the phase
+    at |n| = N: it moves that phase by about N^2 * resolution."""
     res = time.resolution()
     if res is not None and N > 0 \
             and res * N ** 2 > Fraction(1, 1 << exactnum.GUARD_BITS):
         raise PrecisionExhaustedError(
             f"literal resolution {res} cannot pin phases at "
             f"|n| = {N}; supply more digits")
+
+
+def phase_vector(time: TimeSpec, N: int) -> PhaseVector:
+    """The phase vector of a time for n = 0..N: exact for rational values
+    (one final rounding), error-tracked fixed point otherwise. Refused by
+    check_phase_resolution where a literal's digits cannot pin it.
+    """
+    check_phase_resolution(time, N)
     n = np.arange(N + 1)
     rational = time.exact_value()
     if rational is not None:
@@ -226,7 +238,9 @@ def _residue_sum(res: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SupNormResult:
     """sup_x |S(x)| <= upper, certified (see sup_norm); value is the largest
-    computed grid sample, up to the rounding term above an exact one."""
+    computed grid sample, up to the rounding term above an exact one. A
+    block settled from its comb bracket (merged_block_sup) has grid_size
+    2q, the probe's grid, and upper the bracket's closed end."""
 
     value: float
     upper: float
@@ -237,6 +251,22 @@ class SupNormResult:
     def refinement_gain(self) -> float:
         """Always 1.0; kept because perfbench/spans.py reads it per sup_norm."""
         return 1.0
+
+
+def _grid_size(N: int, oversample: int) -> int:
+    """sup_norm's K = _fft_len(oversample * (2N+1)) for a window reaching
+    N >= 1; refuses oversample < 2 and grids past MAX_GRID."""
+    if oversample < 2:
+        raise DomainError("oversample below 2 voids the sup bracket's grid bound")
+    K = _fft_len(oversample * (2 * N + 1))
+    _check_grid(K)
+    return K
+
+
+def _grid_shrink(N: int, K: int) -> float:
+    """1 - pi^2 N^2 / (2 K^2): the least exact K-point grid maximum of a
+    degree-N sum over its sup (see sup_norm)."""
+    return 1 - (math.pi * N / K) ** 2 / 2
 
 
 def _coset_count(K: int, N: int) -> int:
@@ -319,11 +349,8 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     for the whole grid. K >= 4N + 2 (oversample 2) keeps the factor
     positive; at oversample 8 it is <= 1/(1 - pi^2/512).
     """
-    if oversample < 2:
-        raise DomainError("oversample below 2 voids the sup bracket's grid bound")
     N = max(spec.weights.N, 1)
-    K = _fft_len(oversample * (2 * N + 1))
-    _check_grid(K)
+    K = _grid_size(N, oversample)
     m = _coset_count(K, spec.weights.N)
     best = (-1.0, 0)                    # (value, -k): ties go to the smallest k
     twist = None
@@ -339,7 +366,7 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
         del mags                        # freed before the next transform
     value, k0 = best[0], -best[1]
     k0 = min(k0, K - k0)                # S(-x) = S(x)
-    upper = (value + _rounding_term(spec, K)) / (1 - (math.pi * N / K) ** 2 / 2)
+    upper = (value + _rounding_term(spec, K)) / _grid_shrink(N, K)
     return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 
 
@@ -431,6 +458,110 @@ def rational_probe(p: int, q: int, spec: SumSpec,
                        satisfied=ok)
 
 
+_U = 2.0 ** -53              # unit roundoff of a float64
+
+
+def _comb_sine_sum(q: int, k: int) -> float:
+    """An upper bound on sum_{i=1}^{q-1} (2 sin(pi d_i))^-k for k <= 3,
+    d_i = (min(i, q-i) - 1/2)/q, the comb-point distances of _comb_bracket.
+
+    Each argument pi d_i is formed within 3u of exact (u = 2^-53) and, as
+    x cot x <= 1 on (0, pi/2], libm's sin (within one ulp) then errs by at
+    most 5u relatively; the k - 1 products and the reciprocal bring a term
+    to within (6k + 3) u <= 21u of exact, math.fsum rounds the sum once,
+    and the factor 1 + 64u covers all of it.
+    """
+    terms = []
+    for i in range(1, q):
+        d = 2.0 * math.sin(math.pi * (min(i, q - i) - 0.5) / q)
+        terms.append(1.0 / math.prod([d] * k))
+    return math.fsum(terms) * (1 + 64 * _U)
+
+
+def _comb_bracket(q: int, weights: WeightVector, settles=None
+                  ) -> tuple[float, float] | None:
+    """Certified [lower, upper] around sup_x |S(x)| at t = p/q, gcd(p, q) = 1,
+    from the comb identity alone: no grid, O(N) array work plus an O(q)
+    sine sum.
+
+    Comb: u_n = e(n^2 p/(2q)) has period 2q in n, so u_n = sum_h G_h
+    e(n h/(2q)) over h = 0..2q-1, and
+
+        S(x) = sum_h G_h W(x + h/(2q)),    W(x) = sum_n w_n e(n x).
+
+    In |G_h|^2 = (2q)^-2 sum_{r,s} u_r conj(u_s) e(-(r-s) h/(2q)), put
+    r = s + d: the sum over s mod 2q of e(s d p/q) is 2q when q | d and 0
+    otherwise, so |G_h|^2 = (1 + (-1)^(qp+h)) / (2q). Exactly q of the G_h
+    are nonzero, each of modulus 1/sqrt(q), at every other h: their points
+    lie 1/q apart.
+
+    Kernel: w >= 0 and w is even, so W is real and even and |W| <= W(0) =
+    sum w over both sides. k summations by parts, (1 - e(x))^k W(x) =
+    sum_n (Delta^k w)_n e(n x), give |W(x)| <= B_k / |2 sin(pi x)|^k with
+    B_k = ||Delta^k w||_1 over both sides: k = 3 for smooth blocks, else
+    k = 1, where a sharp block has B_1 = 4.
+
+    Bracket: for any x the q comb points x + h/(2q) with G_h != 0 are
+    y_0 + i/q, i = 0..q-1, with y_0 the one nearest an integer, so y_i is
+    within 1/(2q) of i/q and at least d_i = (min(i, q-i) - 1/2)/q from
+    every integer. Hence
+
+        |S(x)| <= (W(0) + T)/sqrt(q),    T = B_k sum_{i=1}^{q-1} (2 sin(pi d_i))^-k.
+
+    At the x that puts y_0 on 0, a point h/(2q) of the probe's comb grid,
+    y_i = i/q, so |S(x)| >= (W(0) - T)/sqrt(q) there.
+
+    Rounding: W(0) = w_0 + 2 sum w[1:] and B_k are sums of at most N + 4
+    float terms, and in any order such a sum is within gamma_(N+5) <= nu =
+    (N + 8) u of its terms' absolute sum (u = 2^-53; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.2). So the exact
+    W(0) is within 2 nu of the computed one, relatively. An entry of
+    Delta^k w, k rounded differences deep, is within gamma_k sum_i C(k, i)
+    |w_(n-i)| of exact, which over all n is gamma_k 2^k W(0); so B_k is at
+    most the computed one times 1 + 2 nu, plus k 2^(k+2) u W(0).
+    _comb_sine_sum bounds the sine sum from above. The dozen operations
+    that combine these err by at most u each, and 1 +- 64u on the ends
+    covers them, the lower end's cancellation included while 3T <= W(0);
+    past that the lower end is 0.
+
+    ``settles(lower, upper)``, when given, is the caller's rule: None is
+    returned unless the bracket passes it, and before the sine sum when the
+    two nearest comb points alone break it (both ends only widen as T
+    grows). A window narrower than k, N < k, returns None too.
+    """
+    w, N = weights.w, weights.N
+    k = 3 if weights.mode == "smooth" else 1
+    if N < k:
+        return None
+    lo = (k - 1) // 2           # |Delta^k v| is even about k/2: sum n > k/2
+    head = np.concatenate((w[lo:0:-1], w[:k + 1]))          # w_|n|, n = -lo..k
+    tail = np.concatenate((w[N - k + 1:], np.zeros(k)))     # n = N-k+1..N+k
+    # n = k+1..N in chunks of 2^13, so no temporary grows with N
+    inner = sum(float(np.abs(np.diff(w[a:a + (1 << 13) + k], k)).sum())
+                for a in range(1, N + 1, 1 << 13))
+    B = 2 * (float(np.abs(np.diff(head, k)).sum()) + inner
+             + float(np.abs(np.diff(tail, k)).sum()))
+    W = float(w[0] + 2 * w[1:].sum())
+    nu = (N + 8) * _U
+    W_lo, W_hi = W * (1 - 2 * nu), W * (1 + 2 * nu)
+    B_hi = B * (1 + 2 * nu) + k * 2 ** (k + 2) * _U * W_hi
+    root = math.sqrt(q)
+
+    def ends(T: float) -> tuple[float, float]:
+        upper = (W_hi + T) * (1 + 64 * _U) / root
+        lower = (W_lo - T) * (1 - 64 * _U) / root if 3 * T <= W_lo else 0.0
+        return lower, upper
+
+    if settles is not None and q > 1:
+        d = 2.0 * math.sin(math.pi * 0.5 / q)           # i = 1 and q - 1
+        if not settles(*ends(B_hi * min(2, q - 1) / math.prod([d] * k))):
+            return None
+    bracket = ends(B_hi * _comb_sine_sum(q, k))
+    if settles is not None and not settles(*bracket):
+        return None
+    return bracket
+
+
 def _certify_distance(a: TimeSpec, b: TimeSpec, radius: Fraction) -> bool:
     """Exact certificate that |a - b| < radius.
 
@@ -483,25 +614,40 @@ def stability_ratio(time_a: TimeSpec, time_b: TimeSpec,
 def merged_block_sup(time: TimeSpec, weights: WeightVector, oversample: int = 8,
                      phases: PhaseVector | None = None
                      ) -> tuple[SupNormResult, ProbeResult | None]:
-    """sup_norm, with the exact comb-grid probe merged in for rational times.
+    """The block sup with the exact comb-grid probe merged in for rational times.
 
-    The FFT grid does not necessarily contain the points x = h/(2q); for
-    rational t those carry the Gauss-sum peaks, so the probe maximum is
-    taken into account (the reported value is the max of the two). The
-    probe samples S too, so it only raises value; the grid's upper end
-    still bounds the sup. ``phases`` is passed on to SumSpec, and the probe
-    reads that sum's coefficients. A block holding n = 0 (M = 0) is not
-    probed: no floor's window 1..N covers w_0.
+    A rational block with 1 <= M < N and q <= MAX_PROBE_Q is probed first:
+    the points x = h/(2q) carry its Gauss-sum peaks, and the probe samples
+    S, so it can only raise the reported value. A block holding n = 0
+    (M = 0) is not probed: no floor's window 1..N covers w_0.
+
+    Settle rule: the probed block then takes _comb_bracket's closed
+    [lower, upper], and skips sup_norm, when upper / max(probe, lower) is
+    within the grid's own a priori factor 1 / (1 - pi^2 N^2 / (2 K^2)),
+    K the grid sup_norm would use. It reports value = max(probe, lower),
+    that upper, the probe's argmax and grid_size = 2q. Every other block
+    takes sup_norm, with a larger probe value merged into its value and
+    argmax; the grid's upper end still bounds the sup. The grid refusals
+    (oversample < 2, K past MAX_GRID) hold on both routes. ``phases`` is
+    passed on to SumSpec, and the probe reads that sum's coefficients.
     """
     spec = SumSpec(time, weights, phases)
-    result = sup_norm(spec, oversample=oversample)
     probe: ProbeResult | None = None
     exact = time.exact_value()
     if exact is not None and exact.denominator <= MAX_PROBE_Q \
             and 1 <= weights.M < weights.N:
-        probe = rational_probe(exact.numerator, exact.denominator, spec)
-        if probe.max_abs > result.value:
-            result = replace(
-                result, value=probe.max_abs,
-                argmax_x=probe.argmax_h / (2.0 * exact.denominator))
+        q = exact.denominator
+        probe = rational_probe(exact.numerator, q, spec)
+        shrink = _grid_shrink(weights.N, _grid_size(weights.N, oversample))
+        bracket = _comb_bracket(
+            q, weights, lambda lo, hi: hi * shrink <= max(probe.max_abs, lo))
+        if bracket is not None:
+            return SupNormResult(value=max(probe.max_abs, bracket[0]),
+                                 upper=bracket[1],
+                                 argmax_x=probe.argmax_h / (2.0 * q),
+                                 grid_size=2 * q), probe
+    result = sup_norm(spec, oversample=oversample)
+    if probe is not None and probe.max_abs > result.value:
+        result = replace(result, value=probe.max_abs,
+                         argmax_x=probe.argmax_h / (2.0 * exact.denominator))
     return result, probe

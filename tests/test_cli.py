@@ -429,6 +429,21 @@ def test_scan_refuses_a_malformed_time_before_any_report(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_scan_refuses_an_unpinned_literal_before_any_report(tmp_path):
+    # dec:0.4142 parses, but its 1/10000 resolution cannot pin the phases at
+    # j_max = 11: the valid first time must not write its files either
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("j_min = 6\nj_max = 11\ntail_start = 6\n"
+                   "[times]\nrat:1/3\ndec:0.4142\n")
+    proc = _python("-m", "thetareg.cli", "scan", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("refused: literal resolution 1/10000")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def _main_in_process(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of main(argv); argparse exits with SystemExit."""
     out, err = io.StringIO(), io.StringIO()

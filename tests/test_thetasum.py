@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from oracles import brute_probe_max, brute_sum_at
@@ -15,7 +17,8 @@ from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
                              rough_weights, smooth_weights, unit_window)
 from thetareg.errors import BudgetError, DomainError, HypothesisError
-from thetareg.thetasum import (SumSpec, _coset_count, _fft_len,
+from thetareg.besov import block_spectrum
+from thetareg.thetasum import (SumSpec, _comb_bracket, _coset_count, _fft_len,
                                _rounding_term, eval_sum, grid_values,
                                mean_square_on_grid,
                                merged_block_sup, probe_floors, rational_probe,
@@ -410,6 +413,123 @@ def test_merged_block_sup_rational_merges_probe():
     count = 3 * 2**8
     assert res.value >= count / math.sqrt(3) - 1e-9
     assert res.value <= (count / math.sqrt(3)) * 1.001
+
+
+_COMB_TIMES = ("rat:1/3", "rat:2/11", "rat:5/97", "rat:1234/7919")
+_FAMILIES = {"rough": rough_weights, "smooth": smooth_weights}
+
+
+def _bracket_of(text: str, family: str, j: int) -> tuple[float, float]:
+    return _comb_bracket(parse_timespec(text).exact_value().denominator,
+                         _FAMILIES[family](j))
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("text", _COMB_TIMES)
+def test_comb_bracket_contains_refined_sup(text, family):
+    # the 256x grid at j <= 12 and the 32x grid at the 8-coset scales, called
+    # as the grid bracket's tests call them, so the cache serves 1234/7919
+    for j in (4, 8, 12, 13, 14):
+        lower, upper = _bracket_of(text, family, j)
+        oracle = (_oracle_sup(text, family, j) if j <= 12
+                  else _oracle_sup(text, family, j, grid=32))
+        assert lower <= oracle <= upper, (j, lower, oracle, upper)
+
+
+# (p, q, j) -> upper/lower - 1 of the rough and the smooth block, 4 digits;
+# None where 3T > W(0) leaves the lower end at 0
+_COMB_WIDTHS = {
+    (1, 3, 8): ("0.02105", "6.253e-05"),
+    (1, 3, 12): ("0.001303", "1.528e-08"),
+    (1, 3, 16): ("8.138e-05", "6.2e-11"),
+    (2, 11, 12): ("0.008625", "7.013e-07"),
+    (5, 97, 16): ("0.007656", "1.169e-07"),
+    (1234, 7919, 16): (None, "0.06563"),
+    (1234, 7919, 20): ("0.06958", "0.0007462"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMB_WIDTHS))
+def test_comb_bracket_widths_are_pinned(case):
+    p, q, j = case
+    for family, want in zip(("rough", "smooth"), _COMB_WIDTHS[case]):
+        lower, upper = _bracket_of(f"rat:{p}/{q}", family, j)
+        got = None if lower == 0.0 else f"{upper / lower - 1:.4g}"
+        assert got == want, (family, lower, upper)
+    # a sharp block: W(0) = 3 * 2^j and B_1 = 4 over q - 1 = 2 points at
+    # distance >= 1/6, so T = 8
+    if q == 3:
+        W = 3 * 2 ** j
+        lower, upper = _bracket_of("rat:1/3", "rough", j)
+        assert upper == pytest.approx((W + 8) / math.sqrt(3), rel=1e-9)
+        assert lower == pytest.approx((W - 8) / math.sqrt(3), rel=1e-9)
+
+
+def test_far_denominator_goes_to_the_grid(monkeypatch):
+    # q = 7919 against N <= 2^17: no block at j <= 16 settles, and the grid
+    # result takes the probe's value and argmax wherever the probe is larger
+    real, grids = thetasum.sup_norm, []
+
+    def counting(spec, oversample=8):
+        grids.append(real(spec, oversample))
+        return grids[-1]
+
+    monkeypatch.setattr(thetasum, "sup_norm", counting)
+    time, merged = Rational(1234, 7919), 0
+    for j in range(1, 17):
+        for make in (rough_weights, smooth_weights):
+            res, probe = merged_block_sup(time, make(j))
+            grid = grids[-1]
+            assert probe is not None and res.grid_size == grid.grid_size
+            assert res.upper == grid.upper, (j, make)
+            assert res.value == max(grid.value, probe.max_abs), (j, make)
+            if probe.max_abs > grid.value:
+                merged += 1
+                assert res.argmax_x == probe.argmax_h / (2 * 7919), (j, make)
+            else:
+                assert res.argmax_x == grid.argmax_x, (j, make)
+    assert len(grids) == 32
+    assert merged >= 8          # rough j = 3..10 at least: the probe wins by 1e-3..0.25
+
+
+def test_settled_blocks_run_only_the_probe_transform(monkeypatch):
+    # every block of rat:1/3 at j >= 8 settles: one 2q-point transform, the
+    # probe's, and no coset transform; the settle rule keeps the bracket
+    # within the grid's factor, below 1/(1 - pi^2/512) at oversample 8
+    calls = []
+    real = thetasum.grid_values
+
+    def counting(spec, K, twist=None):
+        calls.append((K, twist is None))
+        return real(spec, K, twist)
+
+    monkeypatch.setattr(thetasum, "grid_values", counting)
+    records = block_spectrum(Rational(1, 3), js=list(range(8, 17)))
+    assert calls == [(6, True)] * (2 * len(records))
+    for rec in records:
+        for value, upper in ((rec.rough_sup, rec.rough_sup_upper),
+                             (rec.smooth_sup, rec.smooth_sup_upper)):
+            assert value <= upper <= value / (1 - math.pi ** 2 / 512), rec.j
+
+
+@given(q=st.integers(1, 50), p=st.integers(0, 99), j=st.integers(1, 10),
+       family=st.sampled_from(sorted(_FAMILIES)))
+@settings(max_examples=150, deadline=None)
+def test_settled_bracket_meets_the_grid_bracket(q, p, j, family):
+    p %= 2 * q
+    if math.gcd(p, q) != 1:
+        p = 1
+    time = Rational(p, q)
+    weights = _FAMILIES[family](j)
+    res, probe = merged_block_sup(time, weights)
+    if res.grid_size != 2 * q:
+        return                               # the grid route
+    spec = SumSpec(time, weights)
+    grid = sup_norm(spec)
+    r = _rounding_term(spec, grid.grid_size)
+    assert max(res.value, grid.value - r) <= min(res.upper, grid.upper)
+    assert res.value >= probe.max_abs
+    assert res.argmax_x == probe.argmax_h / (2 * q)
 
 
 def test_merged_block_sup_irrational_has_no_probe(golden):
