@@ -82,7 +82,7 @@ class BlockRecord:
     # the certified upper ends are the x_sup_upper fields
     upper_envelope: float | None
     rough_floor: float | None      # strongest guaranteed comb floor (rational t)
-    probe_satisfied: bool | None
+    probe_satisfied: bool | None   # every probe that ran met its floors
 
     def exponent_sup(self) -> float | None:
         """The sup the exponent diagnostics read (smooth, else rough)."""
@@ -140,13 +140,13 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
         envelope = None
         if q_used:
             envelope = count / math.sqrt(q_used) + math.sqrt(q_used)
+        met = [p.satisfied for p in (probe, sprobe) if p is not None]
         records.append(BlockRecord(
             j=j, rough_sup=rough and rough.value, rough_sup_upper=rough and rough.upper,
             smooth_sup=smooth and smooth.value, smooth_sup_upper=smooth and smooth.upper,
             l2_exact=math.sqrt(count), q_used=q_used, upper_envelope=envelope,
             rough_floor=probe and max(v for _, v in probe.floors),
-            probe_satisfied=next(
-                (p.satisfied for p in (probe, sprobe) if p is not None), None)))
+            probe_satisfied=all(met) if met else None))
     return records
 
 

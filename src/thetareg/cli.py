@@ -499,9 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exponent)
 
     p = sub.add_parser("collapse", help="delta-comb identity at rational t")
-    p.add_argument("--t", default=None)
-    p.add_argument("--sweep", type=_positive(int), default=None,
-                   help="check every p/q with q <= SWEEP instead of one time")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--t", default=None)
+    what.add_argument("--sweep", type=_positive(int), default=None,
+                      help="check every p/q with q <= SWEEP instead of one time")
     p.add_argument("--tol", type=_positive(float), default=1e-7)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=_cmd_collapse)
@@ -533,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "collapse" and not args.sweep and not args.t:
-        parser.error("collapse needs --t or --sweep")
     try:
         return int(args.func(args) or 0)
     except VerificationError as exc:

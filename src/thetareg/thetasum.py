@@ -9,9 +9,9 @@ routes:
 * direct: term-by-term summation at a single x, correctly rounded by
   math.fsum (so results are reproducible bit for bit);
 * grid: the values of S on the K points x = k/K see only n mod K, so they
-  are one inverse FFT of the coefficients summed over residues mod K
-  (each c_n placed at n mod K once K >= 2N+1). That is exact evaluation,
-  not an approximation, for every K;
+  are one inverse FFT of the coefficients summed over residues mod K (rows
+  of c viewed K wide, the n < 0 side their mirror as c_{-n} = c_n): exact
+  evaluation, not an approximation, for every K;
 * probe: for rational t = p/q the grid of the 2q points x = h/(2q). This
   is the grid on which the quadratic Gauss sum lower bounds are
   guaranteed, and the probe records those floors next to the measured
@@ -193,28 +193,33 @@ def grid_values(spec: SumSpec, K: int,
     Without it d = 0.
 
     At x = k/K the term n reads e(n k/K), which depends on n mod K only, so
-    the transform takes the coefficients summed per residue mod K: each c_n
-    is placed at n mod K alone for K >= 2N+1, and for fewer points the
-    n >= 0 side is summed and the n < 0 side added to it. Only untwisted
-    coefficients fold. Placement is kept as the cheaper copy: an all-fold
-    route gave the same bits at 11% fewer spectrum_deep items/s (2 cores).
+    the transform takes the coefficients summed per residue mod K, for
+    every K >= 1. Untwisted, one route does it with no N-length temporary:
+    c_1..c_N are the whole rows of c[1:] viewed K wide, summed, plus one
+    partial row; row 0 starts at n = 1, so the sums sit in slots 1..K of
+    K + 1, slot K holding residue 0. As c_{-n} = c_n, the n < 0 side's sum
+    at residue r is the n > 0 side's at -r, so it is added as a mirror, and
+    residue 0 gets c_0 once. For K >= 2N+1 each residue holds one term
+    added to 0, the bits of plain placement. A twisted sum is not even,
+    has no mirror, and needs K >= 2N+1.
     """
     N = spec.weights.N
     if K < 1:
         raise DomainError(f"a grid needs K >= 1 points, not {K}")
     _check_grid(K)
     c = spec.coefficient_arrays()
-    if K < 2 * N + 1:
-        if twist is not None:
-            raise DomainError(f"a twist needs K >= 2N+1 = {2 * N + 1}, not {K}")
-        n = np.arange(N + 1)
-        buf = _residue_sum(n % K, c, K)
-        buf += _residue_sum(-n[1:] % K, c[1:], K)
-    elif twist is None:
-        buf = np.zeros(K, dtype=np.complex128)
-        buf[:N + 1] = c
-        if N >= 1:
-            buf[K - N:] = c[1:][::-1]
+    if twist is None:
+        rows = N // K
+        sums = np.empty(K + 1, dtype=np.complex128)
+        c[1:rows * K + 1].reshape(rows, K).sum(axis=0, out=sums[1:])
+        part = c[rows * K + 1:]             # residues 1..N - rows K
+        sums[1:part.size + 1] += part
+        buf = sums[:K]
+        R = min(N, K - 1)
+        buf[K - R:] += buf[R:0:-1]          # numpy reads the overlap before writing
+        buf[0] = c[0] + 2 * sums[K]
+    elif K < 2 * N + 1:
+        raise DomainError(f"a twist needs K >= 2N+1 = {2 * N + 1}, not {K}")
     else:
         if twist.shape != c.shape:
             raise DomainError(f"{twist.size} twist factors for {N + 1} coefficients")
@@ -227,12 +232,6 @@ def grid_values(spec: SumSpec, K: int,
     vals = np.fft.ifft(buf, out=buf)
     vals *= K
     return vals
-
-
-def _residue_sum(res: np.ndarray, c: np.ndarray, K: int) -> np.ndarray:
-    """The sum of c[i] over each residue res[i] = 0..K-1."""
-    return (np.bincount(res, weights=c.real, minlength=K)
-            + 1j * np.bincount(res, weights=c.imag, minlength=K))
 
 
 @dataclass(frozen=True)

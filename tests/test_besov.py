@@ -3,10 +3,11 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from thetareg import exactnum
+from thetareg import exactnum, thetasum
 from thetareg.besov import (BlockRecord, block_spectrum, burst_scales,
                             classify_regularity, fit_exponent,
                             predicted_exponent, records_to_csv,
@@ -112,6 +113,20 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
                                            fresh)
             assert rec.rough_floor == max(v for _, v in probe.floors)
             assert rec.probe_satisfied == probe.satisfied
+
+
+def test_probe_satisfied_reads_every_probe(monkeypatch, golden):
+    real = thetasum.rational_probe
+
+    def smooth_misses(p, q, spec, window=None):
+        probe = real(p, q, spec, window)
+        return replace(probe, satisfied=spec.weights.mode != "smooth")
+
+    monkeypatch.setattr(thetasum, "rational_probe", smooth_misses)
+    assert block_spectrum(Rational(1, 3), js=[8])[0].probe_satisfied is False
+    assert block_spectrum(Rational(1, 3), js=[8],
+                          mode="rough")[0].probe_satisfied is True
+    assert block_spectrum(golden, js=[8])[0].probe_satisfied is None
 
 
 def test_block_floors_hold_from_j0():

@@ -344,6 +344,7 @@ _GOLDEN = "quad:(-1+1*sqrt(5))/2"
     ["exponent", "--t", "rat:1/3", "--tolerance", "nan", "--check"],
     ["exponent", "--t", "rat:1/3", "--tolerance", "inf", "--check"],
     ["exponent", "--t", "rat:1/3", "--tolerance", "-5", "--check"],
+    ["collapse", "--t", "rat:1/3", "--sweep", "3"],     # one time or a sweep
 ])
 def test_bad_arguments_exit_2_without_traceback(argv):
     proc = _python("-m", "thetareg.cli", *argv)

@@ -62,9 +62,11 @@ def test_grid_values_match_pointwise_eval(golden):
 def test_grid_values_guards():
     spec = SumSpec(Rational(1, 3), rough_weights(4))  # N = 32
     # K < 2N+1 = 65 folds the coefficients onto n mod K: still the exact
-    # values at x = k/K, down to K = 7 (about nine terms per residue)
+    # values at x = k/K, down to K = 1 (the sum at x = 0) and across every
+    # shape of the fold: whole rows or none, a partial row or none, and a
+    # mirror that overlaps itself (K = 40); K >= 65 places each c_n alone
     w = spec.weights
-    for K in (64, 7):
+    for K in (1, 2, 7, 16, 31, 32, 33, 40, 64, 65):
         vals = grid_values(spec, K)
         assert vals.shape == (K,)
         for k in range(K):
@@ -78,6 +80,20 @@ def test_grid_values_guards():
         grid_values(spec, 1 << 27)
     with pytest.raises(DomainError):
         grid_values(spec, 65, twist=np.ones(spec.weights.N))
+
+
+def test_probe_makes_no_n_length_temporary():
+    # the fold sums rows of the coefficients where they lie: a probe of
+    # N = 2^17 coefficients allocates less than one N-length int64 array
+    spec = SumSpec(Rational(1, 3), rough_weights(16))
+    spec.coefficient_arrays()
+    tracemalloc.start()
+    try:
+        rational_probe(1, 3, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (spec.weights.N + 1), peak
 
 
 def _force_cosets(monkeypatch, m):
