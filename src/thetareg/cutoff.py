@@ -46,6 +46,10 @@ __all__ = [
 MAX_BLOCK_J = 20
 MAX_BLOCK_N = 2 ** (MAX_BLOCK_J + 1)
 
+# Elements per pass of smooth_weights: its temporaries (masks, copies and
+# quotients of _phi) stay at a few hundred kB whatever the block's size.
+_CHUNK = 1 << 12
+
 
 def _smooth_step(u: np.ndarray) -> np.ndarray:
     """g(u) = exp(-1/u) for u > 0, else 0; infinitely flat at 0."""
@@ -121,14 +125,20 @@ def block_bounds(j: int) -> tuple[int, int]:
 
 
 def smooth_weights(j: int) -> WeightVector:
-    """Smooth dyadic block: w_n = chi(2^-j n); the j = 0 block uses phi."""
+    """Smooth dyadic block: w_n = chi(2^-j n); the j = 0 block uses phi.
+
+    chi is formed elementwise, so building it over [M, N] in passes of
+    _CHUNK gives the bits of one pass over the window, and only the result
+    grows with N.
+    """
     M, N = block_bounds(j)
     if j == 0:
         w = _phi(np.arange(N + 1, dtype=np.float64))
     else:
         w = np.zeros(N + 1)
-        inner = np.arange(M, N + 1, dtype=np.float64)
-        w[M:] = _chi(inner * 2.0 ** -j)
+        for a in range(M, N + 1, _CHUNK):
+            n = np.arange(a, min(a + _CHUNK, N + 1), dtype=np.float64)
+            w[a:a + n.size] = _chi(n * 2.0 ** -j)
     return WeightVector(M=M, N=N, w=w, mode="smooth")
 
 

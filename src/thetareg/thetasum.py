@@ -24,7 +24,11 @@ routes:
 The sup norm over x is reported as a bracket [value, upper] of which
 upper is certified: value is the maximum over one dense grid (default 8x
 past the polynomial degree), as computed, and Bernstein's inequality plus
-a rounding term turn it into a closed-form upper end. A rational block
+a rounding term turn it into a closed-form upper end. The grid runs as
+cosets, each one shorter transform with twisted coefficients; from a
+window of N = 2^14 on (j >= 13) each coset is about N+1 points long, so
+two terms fold onto some residues, and the cosets run on two threads,
+two half-length transforms in the memory of one (sup_norm). A rational block
 whose closed comb bracket is at least as tight settles from it instead
 (merged_block_sup): its value is the larger of the probe maximum and the
 certified lower end.
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -68,6 +73,11 @@ __all__ = [
 
 MAX_PROBE_Q = 10_000
 MAX_GRID = 1 << 26           # points of one sup grid, however it is split
+
+# Windows reaching |n| >= _FOLD_N split their sup grid into folded cosets
+# of about N+1 points, on two threads (measured crossover, see sup_norm).
+_FOLD_N = 1 << 14
+_CHUNK = 1 << 14             # elements per pass where a temporary would grow with N
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
 _SCALE_MARGIN_BITS = 32
@@ -184,13 +194,24 @@ def _check_grid(K: int) -> None:
         raise BudgetError(f"grid of {K} points exceeds the {MAX_GRID} budget")
 
 
-def grid_values(spec: SumSpec, K: int,
-                twist: np.ndarray | None = None) -> np.ndarray:
-    """S(k/K + d) for k = 0..K-1, exactly, via one inverse FFT.
+def _twist_power(twist: np.ndarray, power: int) -> np.ndarray:
+    """twist**power by the recurrence tw_p = tw_(p-1) twist from tw_0 = 1,
+    the bits of a running twist (1 * z is exact); twist itself at power 1."""
+    if power == 1:
+        return twist
+    tw = np.ones_like(twist)
+    for _ in range(power):
+        tw *= twist
+    return tw
 
-    ``twist``, when given, is e(n d) for n = 0..N: c_n is multiplied by it
-    and c_{-n} by its conjugate, which shifts every grid point by d.
-    Without it d = 0.
+
+def grid_values(spec: SumSpec, K: int, twist: np.ndarray | None = None,
+                power: int = 1) -> np.ndarray:
+    """S(k/K + power d) for k = 0..K-1, exactly, via one inverse FFT.
+
+    ``twist``, when given, is e(n d) for n = 0..N: c_n is multiplied by
+    twist_n^power (_twist_power) and c_{-n} by its conjugate, which
+    shifts every grid point by power d. Without it d = 0.
 
     At x = k/K the term n reads e(n k/K), which depends on n mod K only, so
     the transform takes the coefficients summed per residue mod K, for
@@ -200,15 +221,22 @@ def grid_values(spec: SumSpec, K: int,
     K + 1, slot K holding residue 0. As c_{-n} = c_n, the n < 0 side's sum
     at residue r is the n > 0 side's at -r, so it is added as a mirror, and
     residue 0 gets c_0 once. For K >= 2N+1 each residue holds one term
-    added to 0, the bits of plain placement. A twisted sum is not even,
-    has no mirror, and needs K >= 2N+1.
+    added to 0, the bits of plain placement.
+
+    A twisted sum is not even and has no mirror, and needs K >= N+1: term
+    n >= 0 lands on residue n, term -n on K - n. For K >= 2N+1 each term
+    is placed alone, from the sum's coefficient arrays. Below that the two
+    sides meet on residues K-N..N, each of which adds two terms (the
+    fold), and the twisted coefficients are formed pass by pass from the
+    weights, the phases and the twist, so no N-length array is made: only
+    sup_norm's large grids fold.
     """
     N = spec.weights.N
     if K < 1:
         raise DomainError(f"a grid needs K >= 1 points, not {K}")
     _check_grid(K)
-    c = spec.coefficient_arrays()
     if twist is None:
+        c = spec.coefficient_arrays()
         rows = N // K
         sums = np.empty(K + 1, dtype=np.complex128)
         c[1:rows * K + 1].reshape(rows, K).sum(axis=0, out=sums[1:])
@@ -218,17 +246,32 @@ def grid_values(spec: SumSpec, K: int,
         R = min(N, K - 1)
         buf[K - R:] += buf[R:0:-1]          # numpy reads the overlap before writing
         buf[0] = c[0] + 2 * sums[K]
-    elif K < 2 * N + 1:
-        raise DomainError(f"a twist needs K >= 2N+1 = {2 * N + 1}, not {K}")
-    else:
-        if twist.shape != c.shape:
-            raise DomainError(f"{twist.size} twist factors for {N + 1} coefficients")
+    elif K < N + 1:
+        raise DomainError(f"a twist needs K >= N+1 = {N + 1}, not {K}")
+    elif twist.shape != (N + 1,):
+        raise DomainError(f"{twist.size} twist factors for {N + 1} coefficients")
+    elif K >= 2 * N + 1:
+        c = spec.coefficient_arrays()
+        tw = _twist_power(twist, power)
         buf = np.zeros(K, dtype=np.complex128)
-        np.multiply(c, twist, out=buf[:N + 1])
+        np.multiply(c, tw, out=buf[:N + 1])
         if N >= 1:
             tail = buf[K - N:]
-            np.conjugate(twist[:0:-1], out=tail)
+            np.conjugate(tw[:0:-1], out=tail)
             tail *= c[:0:-1]
+    else:
+        w, unit = spec.weights.w, spec.phases.unit
+        buf = np.zeros(K, dtype=np.complex128)
+        for a in range(0, N + 1, _CHUNK):
+            b = min(a + _CHUNK, N + 1)
+            tw = _twist_power(twist[a:b], power)
+            pos = w[a:b] * unit[a:b]
+            neg = np.conjugate(tw)
+            neg *= pos
+            pos *= tw
+            buf[a:b] += pos
+            lo = max(a, 1)
+            buf[K - b + 1:K - lo + 1] += neg[lo - a:][::-1]
     vals = np.fft.ifft(buf, out=buf)
     vals *= K
     return vals
@@ -270,13 +313,20 @@ def _grid_shrink(N: int, K: int) -> float:
 
 def _coset_count(K: int, N: int) -> int:
     """How many cosets sup_norm splits its K-point grid into: the largest
-    divisor m of K with K/m >= 2N+1, so that no coset transform folds, as
-    _rounding_term's ||y||_2 = sqrt(L) ||c||_2 assumes, and K/m >= m, so
-    that a huge oversample on a short window runs at most sqrt(K)
-    transforms, not K/(2N+1) of a few points each (1 when no split keeps
-    both). At oversample 8 that is m = 5 to 8 at every block scale.
+    divisor m of K with K/m >= m, so that a huge oversample on a short
+    window runs at most sqrt(K) transforms, not K/(2N+1) of a few points
+    each, and with K/m at least
+
+    * 2N+1 for a window reaching N < _FOLD_N: no coset transform folds;
+    * N+1 from _FOLD_N on: each residue mod K/m then takes at most two
+      terms, c_n and c_(n-K/m) (the fold), and a coset transform is about
+      half as long, so two run at once in the memory of one.
+
+    1 when no split keeps both. At oversample 8 that is m = 5 to 8 for
+    j <= 12 and 15 or 16 from j = 13 on.
     """
-    top = min(K // (2 * N + 1), math.isqrt(K))
+    width = N + 1 if N >= _FOLD_N else 2 * N + 1
+    top = min(K // width, math.isqrt(K))
     return max(d for d in range(1, max(top, 1) + 1) if K % d == 0)
 
 
@@ -293,7 +343,9 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     c = m//2 + 1 cosets run, s + 1 <= c steps of one exp or one product,
     each within the same 32u as a coefficient's own phase (|tw_s| stays
     within (1 + 32u)^c of 1), so the twist adds 32 c u per coefficient,
-    and nothing at m = 1. The input
+    and nothing at m = 1. A folded coset (N+1 <= L < 2N+1) adds the two
+    terms of a residue in one rounding, within u of their moduli's sum:
+    2u per coefficient covers it with their own errors. The input
     errors move every output by at most their l1 sum. Transform: an FFT of
     P passes, each of relative 2-norm error eta, errs by at most
     P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and Stability of
@@ -301,7 +353,8 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     11-smooth sizes L take P <= log2 L passes of radix r <= 11, each
     forming length-r sums after one twiddle product, so eta <=
     gamma_(r+3) (sqrt(r) + u) < 64u and P eta < 1/2. One entry is at most
-    the 2-norm, and ||y||_2 = sqrt(L) ||c||_2 <= sqrt(L) ||w||_1, as the
+    the 2-norm, and ||y||_2 = sqrt(L) ||b||_2 <= sqrt(L) ||b||_1 <=
+    sqrt(L) ||w||_1 for the transform's input b, folded or not, as the
     twist has modulus 1.
     """
     w = spec.weights
@@ -309,8 +362,46 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     L = K // m
     l1 = float(np.abs(w.w).sum() + np.abs(w.w[1:]).sum())
     twist = 0 if m == 1 else 32 * (m // 2 + 1)
-    ulps = 32 + twist + 2 * math.log2(L) * 64 * math.sqrt(L)
+    fold = 2 if L < 2 * w.N + 1 else 0
+    ulps = 32 + twist + fold + 2 * math.log2(L) * 64 * math.sqrt(L)
     return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
+
+
+def _unit_step(N: int, K: int) -> np.ndarray:
+    """e(n/K) for n = 0..N, exponentiated pass by pass: the bits of one
+    whole-array exp, with no N-length temporary."""
+    step = np.empty(N + 1, dtype=np.complex128)
+    for a in range(0, N + 1, _CHUNK):
+        n = np.arange(a, min(a + _CHUNK, N + 1))
+        np.exp((2j * np.pi) * (n / K), out=step[a:a + n.size])
+    return step
+
+
+def _peak(vals: np.ndarray) -> tuple[float, int]:
+    """(max |vals|, the smallest k attaining it), pass by pass, so no
+    array of |vals| is made."""
+    best, at = -1.0, 0
+    for a in range(0, vals.size, _CHUNK):
+        mags = np.abs(vals[a:a + _CHUNK])
+        k = int(np.argmax(mags))
+        if mags[k] > best:
+            best, at = float(mags[k]), a + k
+    return best, at
+
+
+def _map_cosets(fn, cosets: range) -> list:
+    """[fn(s) for s in cosets], on two threads where two cores are usable:
+    numpy's FFT and array loops release the GIL. The results come back in
+    coset order, so no outcome depends on which thread ran what."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call off Linux
+        cores = os.cpu_count() or 1
+    if cores < 2:
+        return [fn(s) for s in cosets]
+    from concurrent.futures import ThreadPoolExecutor   # loads logging
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(fn, cosets))
 
 
 def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
@@ -321,10 +412,9 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     _rounding_term.
 
     The grid is evaluated in m = _coset_count(K, N) cosets, each one
-    transform of K/m >= 2N+1 points, the fewest that need no fold: coset
-    s holds x = (s + m k)/K, the values of one transform of K/m points
-    whose coefficients are twisted by e(n s/K) (grid_values with a
-    twist). These are the same K points, and value and argmax_x are
+    transform of L = K/m points: coset s holds x = (s + m k)/K, the
+    values of one transform of L points whose coefficients are twisted by
+    e(n s/K). These are the same K points, and value and argmax_x are
     their maximum, ties going to the smallest k as one argmax over the
     whole grid would. S is even, S(-x) = S(x): the substitution n -> -n
     maps the sum at -x onto the sum at x, as w_n and e(n^2 t/2) are even
@@ -333,6 +423,17 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     point. Only they are transformed (all m while m <= 2), and argmax_x
     is folded into [0, 1/2], where the mirror point -x has the same exact
     value.
+
+    Two routes, by the window's size alone (_coset_count). Below N =
+    _FOLD_N (j <= 12) K/m >= 2N+1, and the cosets run one after another,
+    with one running twist. From it on K/m is about N+1: each coset folds
+    (grid_values), its twist is step^s for one shared step = e(n/K), and
+    the cosets run on two threads (_map_cosets), as two half-length
+    transforms in flight hold the memory of one whole-length one. Neither
+    route makes an array of |S|. The crossover was measured: one
+    golden-mean sup on two folded threads took 0.88-0.97 of the serial
+    route's time at j = 13, 0.67-0.68 at j = 14 and 0.51 at j = 16, and
+    1.22-1.45 at j = 12 (medians, two runs, 2-core host).
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
@@ -351,20 +452,23 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     N = max(spec.weights.N, 1)
     K = _grid_size(N, oversample)
     m = _coset_count(K, spec.weights.N)
-    best = (-1.0, 0)                    # (value, -k): ties go to the smallest k
-    twist = None
-    for s in range(m // 2 + 1):
-        if s == 1:
-            step = np.exp((2j * np.pi) * (np.arange(spec.weights.N + 1) / K))
-            twist = step.copy()
-        elif s > 1:
-            twist *= step
-        mags = np.abs(grid_values(spec, K // m, twist))
-        k = int(np.argmax(mags))
-        best = max(best, (float(mags[k]), -(s + m * k)))
-        del mags                        # freed before the next transform
-    value, k0 = best[0], -best[1]
-    k0 = min(k0, K - k0)                # S(-x) = S(x)
+    L = K // m
+    cosets = range(m // 2 + 1)
+    step = _unit_step(spec.weights.N, K) if m > 1 else None
+    if L >= 2 * spec.weights.N + 1:
+        peaks, twist = [], None
+        for s in cosets:
+            if s == 1:
+                twist = step.copy()
+            elif s > 1:
+                twist *= step
+            peaks.append(_peak(grid_values(spec, L, twist)))
+    else:
+        peaks = _map_cosets(
+            lambda s: _peak(grid_values(spec, L, step, s)), cosets)
+    # (value, -k) over the cosets: ties go to the smallest k
+    value, k0 = max((v, -(s + m * k)) for s, (v, k) in zip(cosets, peaks))
+    k0 = min(-k0, K + k0)               # S(-x) = S(x)
     upper = (value + _rounding_term(spec, K)) / _grid_shrink(N, K)
     return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 

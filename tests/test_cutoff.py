@@ -1,6 +1,7 @@
 """The smooth bump, its exact constants, and the block weight vectors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import count_nonzero, total_variation
-from thetareg.cutoff import (WeightVector, _chi, _phi, rough_weights,
-                             smooth_weights, unit_window)
+from thetareg.cutoff import (WeightVector, _chi, _phi, block_bounds,
+                             rough_weights, smooth_weights, unit_window)
 from thetareg.errors import DomainError
 
 
@@ -121,6 +122,25 @@ def test_smooth_block_mass_riemann():
         one_sided = float(w.w.sum())
         assert abs(one_sided - 0.75 * 2**j) <= 2.0
         assert abs(w.window_mass() - 1.5 * 2**j) <= 4.0
+
+
+def test_smooth_block_is_one_pass_of_chi_in_few_bytes():
+    # built in passes of 4,096, from j = 12 on in more than one: the bits of
+    # chi over the whole window at once
+    for j in range(1, 13):
+        M, N = block_bounds(j)
+        want = np.zeros(N + 1)
+        want[M:] = _chi(np.arange(M, N + 1, dtype=np.float64) * 2.0 ** -j)
+        assert smooth_weights(j).w.tobytes() == want.tobytes(), j
+    # its temporaries stay small next to the 1 MiB result at j = 16 (one
+    # pass over the window peaked at 6.1 MiB)
+    tracemalloc.start()
+    try:
+        w = smooth_weights(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.w.nbytes + (1 << 19), peak
 
 
 def test_smooth_block_zero_uses_plateau():

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import os
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -72,8 +74,19 @@ def test_grid_values_guards():
         for k in range(K):
             assert abs(vals[k] - eval_sum(spec, k / K)) < 1e-9
             assert abs(vals[k] - brute_sum_at(1, 3, w, k, K)) < 1e-9
-    with pytest.raises(DomainError):     # only untwisted sums fold
-        grid_values(spec, 64, twist=np.ones(spec.weights.N + 1))
+    # twisted, K >= N+1 = 33: term -n lands on K - n, two terms on the
+    # residues K-N..N below K = 65, each alone from there on; the values
+    # are S at k/K + power d
+    n = np.arange(w.N + 1)
+    for K in (33, 40, 64, 65):
+        for power in (0, 1, 3):
+            d = 0.3 / K
+            vals = grid_values(spec, K, np.exp(2j * np.pi * n * d), power)
+            for k in range(K):
+                want = eval_sum(spec, k / K + power * d)
+                assert abs(vals[k] - want) < 1e-9, (K, power, k)
+    with pytest.raises(DomainError):     # below N+1 only untwisted sums fold
+        grid_values(spec, 32, twist=np.ones(spec.weights.N + 1))
     with pytest.raises(DomainError):
         grid_values(spec, 0)
     with pytest.raises(BudgetError):
@@ -109,16 +122,19 @@ def _whole_grid_term(spec, K):
 
 
 def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
-    # every split of the grid that keeps K/m >= 2N+1: the twisted transforms,
-    # interleaved, are the one big transform's values within both bounds
+    # every split of the grid that keeps K/m >= N+1: the twisted transforms,
+    # interleaved, are the one big transform's values within both bounds;
+    # past K/(2N+1) = 8 the cosets fold, two terms on some residues
     spec = SumSpec(golden, unit_window(3, 40))            # 2N+1 = 81
-    n = np.arange(spec.weights.N + 1)
+    N = spec.weights.N
+    n = np.arange(N + 1)
     K = 720
     full = grid_values(spec, K)
     r1 = _whole_grid_term(spec, K)
-    splits = [m for m in range(2, K // 81 + 1) if K % m == 0]
-    assert splits == [2, 3, 4, 5, 6, 8]
-    assert _coset_count(K, spec.weights.N) == 8           # the largest
+    splits = [m for m in range(2, K // (N + 1) + 1) if K % m == 0]
+    assert splits == [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16]
+    assert _coset_count(K, N) == 8                        # the largest unfolded
+    step = np.exp(2j * np.pi * n / K)
     for m in splits:
         _force_cosets(monkeypatch, m)
         r = _rounding_term(spec, K)
@@ -126,13 +142,18 @@ def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
         for s in range(m):
             got[s::m] = grid_values(spec, K // m, np.exp(2j * np.pi * n * s / K))
         assert np.max(np.abs(got - full)) <= r + r1, m
-    # sup_norm's own split (twists by recurrence) finds the same maximum
+        # and with the twist as a power of one step, as sup_norm forms it
+        got = np.concatenate([grid_values(spec, K // m, step, s)
+                              for s in range(m)])
+        assert np.max(np.abs(got.reshape(m, -1).T.ravel() - full)) <= r + r1, m
+    # sup_norm's own split (twists by recurrence) finds the same maximum,
+    # folded (m = 9, 12) or not
     _force_cosets(monkeypatch, 1)
     base = sup_norm(spec)
     K = base.grid_size
-    assert K == 648 and _coset_count(K, spec.weights.N) == 8
+    assert K == 648 and _coset_count(K, N) == 8
     r1 = _rounding_term(spec, K)
-    for m in (2, 3, 4, 6, 8):
+    for m in (2, 3, 4, 6, 8, 9, 12):
         _force_cosets(monkeypatch, m)
         res = sup_norm(spec)
         assert (res.grid_size, res.argmax_x) == (K, base.argmax_x), m
@@ -141,18 +162,22 @@ def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
 
 def test_coset_count_rule():
     # grids of block j = 6..20: the largest divisor m of K that keeps
-    # K/m >= 2N+1 (at most the oversample)
-    want = {2: [1, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2],
-            4: [3, 3, 4, 4, 4, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4],
-            8: [7, 7, 8, 8, 5, 6, 6, 8, 8, 8, 8, 8, 8, 8, 8]}
+    # K/m >= 2N+1 below N = 2^14 (j <= 12), at most the oversample, and
+    # K/m >= N+1 from it on, the folded cosets
+    want = {2: [1, 1, 2, 2, 2, 2, 1, 3, 4, 4, 4, 4, 4, 4, 4],
+            4: [3, 3, 4, 4, 4, 3, 3, 6, 8, 8, 8, 8, 8, 8, 8],
+            8: [7, 7, 8, 8, 5, 6, 6, 15, 16, 16, 16, 16, 16, 16, 16]}
     for oversample, ms in want.items():
         for j, m in zip(range(6, 21), ms):
             N = rough_weights(j).N
             K = _fft_len(oversample * (2 * N + 1))
+            width = 2 * N + 1 if j <= 12 else N + 1
             assert _coset_count(K, N) == m, (oversample, j)
-            assert K % m == 0 and K // m >= 2 * N + 1
-            assert not any(K % d == 0
-                           for d in range(m + 1, K // (2 * N + 1) + 1))
+            assert K % m == 0 and K // m >= width
+            assert not any(K % d == 0 for d in range(m + 1, K // width + 1))
+    # the crossover reads the window alone: one grid, N either side of 2^14
+    assert (_coset_count(393_660, 2 ** 14 - 1),
+            _coset_count(393_660, 2 ** 14)) == (12, 20)
     assert _coset_count(100, 60) == 1            # aliasing grid: no split
     # oversample 10^6 on N = 2: 2,000 cosets of 2,500 points, not 10^6 of 5
     assert _coset_count(5_000_000, 2) == 2000
@@ -380,14 +405,16 @@ def test_sup_bracket_contains_refined_sup(kind, oversample):
 @pytest.mark.parametrize("j", [13, 14])
 @pytest.mark.parametrize("kind", ["quad", "rat"])
 def test_sup_bracket_holds_across_cosets(kind, j):
-    # j = 13 and 14 split the oversample-8 grid into 8 cosets
+    # j = 13 and 14 split the oversample-8 grid into 15 and 16 folded cosets
     text = _BRACKET_TIMES[kind]
     factor = 1.0 / (1.0 - math.pi ** 2 / (8 * 8 ** 2))
     for family in ("rough", "smooth"):
         weights = rough_weights(j) if family == "rough" else smooth_weights(j)
         spec = SumSpec(parse_timespec(text), weights)
         res = sup_norm(spec)
-        assert _coset_count(res.grid_size, weights.N) == 8
+        m = _coset_count(res.grid_size, weights.N)
+        assert m == (15 if j == 13 else 16)
+        assert res.grid_size // m < 2 * weights.N + 1
         r = _rounding_term(spec, res.grid_size)
         oracle = _oracle_sup(text, family, j, grid=32)
         where = (family, res.value, oracle, res.upper)
@@ -414,13 +441,70 @@ def test_split_sup_matches_one_whole_grid_transform(text):
 
 
 def test_sup_norm_deterministic(golden):
-    for j in (7, 14):                   # seven cosets, then eight
+    for j in (7, 14):                   # seven cosets, then sixteen folded
         spec = SumSpec(golden, rough_weights(j))
         a = sup_norm(spec)
-        b = sup_norm(spec)              # the cached coefficients are untouched
+        b = sup_norm(spec)              # the sum's arrays are untouched
         c = sup_norm(SumSpec(golden, rough_weights(j)))
         key = lambda res: (res.value, res.argmax_x, res.grid_size)
         assert key(a) == key(b) == key(c)
+
+
+def _serial_map(fn, cosets):
+    return [fn(s) for s in cosets]
+
+
+@pytest.mark.parametrize("j", [13, 14])
+def test_threaded_cosets_match_a_serial_map(golden, monkeypatch, j):
+    # the folded cosets of j = 13, 14 run on a pool of two threads wherever
+    # two cores are usable; the result is the same with a serial map, and
+    # on every call
+    threads = []                        # per call: the threads that ran cosets
+    real = thetasum.grid_values
+
+    def tracking(*args):
+        threads[-1].add(threading.get_ident())
+        return real(*args)
+
+    def traced_sup(spec):
+        threads.append(set())
+        return sup_norm(spec)
+
+    monkeypatch.setattr(thetasum, "grid_values", tracking)
+    for make in (rough_weights, smooth_weights):
+        spec = SumSpec(golden, make(j))
+        pooled = [traced_sup(spec) for _ in range(3)]
+        with monkeypatch.context() as mp:
+            mp.setattr(thetasum, "_map_cosets", _serial_map)
+            serial = traced_sup(spec)
+        assert pooled == [serial] * 3, make.__name__
+        assert threads[-1] == {threading.get_ident()}
+        if len(os.sched_getaffinity(0)) >= 2:
+            for ran in threads[-4:-1]:
+                assert threading.get_ident() not in ran and 1 <= len(ran) <= 2
+
+
+@pytest.mark.parametrize("mapper", [thetasum._map_cosets, _serial_map],
+                         ids=["pool", "serial"])
+def test_exact_tie_across_cosets_goes_to_the_smallest_k(
+        golden, monkeypatch, mapper):
+    # every coset peaks at 1.0; the peak at k = 1 of coset s sits at grid
+    # index s + m, and coset 0's own peak (k = 3) at 3m: the smallest grid
+    # index, s = 1 + m, wins, whichever thread finished first
+    spec = SumSpec(golden, rough_weights(13))
+    K = sup_norm(spec).grid_size
+    m = _coset_count(K, spec.weights.N)
+
+    def flat(spec, L, step, s):
+        vals = np.full(L, 0.5, dtype=np.complex128)
+        vals[3 if s == 0 else 1] = 1.0
+        vals[L - 1] = 1.0
+        return vals
+
+    monkeypatch.setattr(thetasum, "grid_values", flat)
+    monkeypatch.setattr(thetasum, "_map_cosets", mapper)
+    res = sup_norm(spec)
+    assert res.value == 1.0 and res.argmax_x == (1 + m) / K
 
 
 def test_merged_block_sup_rational_merges_probe():
