@@ -195,13 +195,13 @@ def _check_grid(K: int) -> None:
 
 
 def _twist_power(twist: np.ndarray, power: int) -> np.ndarray:
-    """twist**power by the recurrence tw_p = tw_(p-1) twist from tw_0 = 1,
-    the bits of a running twist (1 * z is exact); twist itself at power 1."""
-    if power == 1:
-        return twist
-    tw = np.ones_like(twist)
-    for _ in range(power):
-        tw *= twist
+    """twist**power by the recurrence tw_p = tw_(p-1) twist from tw_1 =
+    twist, the bits of a running twist; ones at power 0."""
+    if power == 0:
+        return np.ones_like(twist)
+    tw = twist
+    for _ in range(power - 1):
+        tw = tw * twist
     return tw
 
 
@@ -225,7 +225,9 @@ def grid_values(spec: SumSpec, K: int, twist: np.ndarray | None = None,
 
     A twisted sum is not even and has no mirror, and needs K >= N+1: term
     n >= 0 lands on residue n, term -n on K - n. For K >= 2N+1 each term
-    is placed alone, from the sum's coefficient arrays. Below that the two
+    is placed alone, from the sum's coefficient arrays (the pass-by-pass
+    route below gives the same bits there, 0 + x being exact, but made a
+    sup at j <= 12 take 3-37% longer). Below that the two
     sides meet on residues K-N..N, each of which adds two terms (the
     fold), and the twisted coefficients are formed pass by pass from the
     weights, the phases and the twist, so no N-length array is made: only
@@ -379,13 +381,16 @@ def _unit_step(N: int, K: int) -> np.ndarray:
 
 def _peak(vals: np.ndarray) -> tuple[float, int]:
     """(max |vals|, the smallest k attaining it), pass by pass, so no
-    array of |vals| is made."""
+    array of |vals| is made. The array method and a float comparison keep
+    a small grid's cost at one pass's: np.argmax and numpy-scalar
+    comparisons made a sup at j = 6..9 take about 4% longer."""
     best, at = -1.0, 0
     for a in range(0, vals.size, _CHUNK):
         mags = np.abs(vals[a:a + _CHUNK])
-        k = int(np.argmax(mags))
-        if mags[k] > best:
-            best, at = float(mags[k]), a + k
+        k = int(mags.argmax())
+        v = float(mags[k])
+        if v > best:
+            best, at = v, a + k
     return best, at
 
 
@@ -424,16 +429,18 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     is folded into [0, 1/2], where the mirror point -x has the same exact
     value.
 
-    Two routes, by the window's size alone (_coset_count). Below N =
-    _FOLD_N (j <= 12) K/m >= 2N+1, and the cosets run one after another,
-    with one running twist. From it on K/m is about N+1: each coset folds
-    (grid_values), its twist is step^s for one shared step = e(n/K), and
-    the cosets run on two threads (_map_cosets), as two half-length
-    transforms in flight hold the memory of one whole-length one. Neither
-    route makes an array of |S|. The crossover was measured: one
-    golden-mean sup on two folded threads took 0.88-0.97 of the serial
-    route's time at j = 13, 0.67-0.68 at j = 14 and 0.51 at j = 16, and
-    1.22-1.45 at j = 12 (medians, two runs, 2-core host).
+    Coset s takes the twist step^s for one shared step = e(n/K), by the
+    recurrence of _twist_power: the bits of a twist carried from coset to
+    coset as tw_s = tw_(s-1) step, though each coset forms its own.
+    Below N = _FOLD_N (j <= 12) K/m >= 2N+1 and the cosets run one after
+    another. From it on K/m is about N+1: each coset folds (grid_values)
+    and the cosets run on two threads (_map_cosets), as two half-length
+    transforms in flight hold the memory of one whole-length one. The
+    window's size alone picks the route (_coset_count), and no route
+    makes an array of |S|. The crossover was measured: one golden-mean
+    sup on two folded threads took 0.88-0.97 of the serial route's time
+    at j = 13, 0.67-0.68 at j = 14 and 0.51 at j = 16, and 1.22-1.45 at
+    j = 12 (medians, two runs, 2-core host).
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
@@ -455,17 +462,14 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     L = K // m
     cosets = range(m // 2 + 1)
     step = _unit_step(spec.weights.N, K) if m > 1 else None
-    if L >= 2 * spec.weights.N + 1:
-        peaks, twist = [], None
-        for s in cosets:
-            if s == 1:
-                twist = step.copy()
-            elif s > 1:
-                twist *= step
-            peaks.append(_peak(grid_values(spec, L, twist)))
+
+    def peak(s: int) -> tuple[float, int]:
+        return _peak(grid_values(spec, L, step, s))
+
+    if L < 2 * spec.weights.N + 1:
+        peaks = _map_cosets(peak, cosets)
     else:
-        peaks = _map_cosets(
-            lambda s: _peak(grid_values(spec, L, step, s)), cosets)
+        peaks = [peak(s) for s in cosets]
     # (value, -k) over the cosets: ties go to the smallest k
     value, k0 = max((v, -(s + m * k)) for s, (v, k) in zip(cosets, peaks))
     k0 = min(-k0, K + k0)               # S(-x) = S(x)

@@ -237,11 +237,17 @@ def test_report_json_schema(third):
 
 
 def test_block_spectrum_memory_peak(golden):
-    # j = 16 evaluates its 2.1M-point grids as 9 folded cosets of 2.1 MB,
-    # two at a time, with no N-length temporary: 11.3-12.1 MiB, against
-    # 15.0-15.2 MiB for 5 unfolded cosets of 4.2 MB one at a time, and about
-    # 58 MB for one transform of the whole grid. tracemalloc sees numpy's
-    # buffers, not the FFT library's scratch.
+    # j = 16 evaluates its 2.1M-point grids as 9 folded cosets of L =
+    # 131,220 points on two threads, with no N-length temporary. The worst
+    # case is both threads in their coefficient passes at once, and a third
+    # coset cannot be in flight: 3.0 MiB of weights and phases, the shared
+    # 2.0 MiB step, and per thread an L-point buffer (2.0 MiB) and its pass
+    # temporaries (1.1 MiB), 11.3 MiB. 19 runs in one process read 11.0-11.3
+    # MiB, idle or beside two busy processes (a serial map: 8.1 MiB). The
+    # first pool of a process imports concurrent.futures inside the trace,
+    # 0.8 MiB more: 12.1 MiB. One transform of the whole grid would take
+    # about 58 MB. tracemalloc sees numpy's buffers, not the FFT library's
+    # scratch.
     tracemalloc.start()
     try:
         block_spectrum(golden, js=[16], mode="both")

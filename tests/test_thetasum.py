@@ -76,15 +76,21 @@ def test_grid_values_guards():
             assert abs(vals[k] - brute_sum_at(1, 3, w, k, K)) < 1e-9
     # twisted, K >= N+1 = 33: term -n lands on K - n, two terms on the
     # residues K-N..N below K = 65, each alone from there on; the values
-    # are S at k/K + power d
+    # are S at k/K + power d, with the bits of a twist carried by products
+    # tw_p = tw_(p-1) twist (at power 0, of no twist)
     n = np.arange(w.N + 1)
     for K in (33, 40, 64, 65):
-        for power in (0, 1, 3):
-            d = 0.3 / K
-            vals = grid_values(spec, K, np.exp(2j * np.pi * n * d), power)
-            for k in range(K):
-                want = eval_sum(spec, k / K + power * d)
-                assert abs(vals[k] - want) < 1e-9, (K, power, k)
+        d = 0.3 / K
+        twist = np.exp(2j * np.pi * n * d)
+        carried = None
+        for power in range(5):
+            vals = grid_values(spec, K, twist, power)
+            assert np.array_equal(vals, grid_values(spec, K, carried)), (K, power)
+            carried = twist.copy() if carried is None else carried * twist
+            if power in (0, 1, 4):
+                for k in range(K):
+                    want = eval_sum(spec, k / K + power * d)
+                    assert abs(vals[k] - want) < 1e-9, (K, power, k)
     with pytest.raises(DomainError):     # below N+1 only untwisted sums fold
         grid_values(spec, 32, twist=np.ones(spec.weights.N + 1))
     with pytest.raises(DomainError):
