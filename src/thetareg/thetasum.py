@@ -25,10 +25,11 @@ The sup norm over x is reported as a bracket [value, upper] of which
 upper is certified: value is the maximum over one dense grid (default 8x
 past the polynomial degree), as computed, and Bernstein's inequality plus
 a rounding term turn it into a closed-form upper end. The grid runs as
-cosets, each one shorter transform with twisted coefficients; from a
-window of N = 2^14 on (j >= 13) each coset is about N+1 points long, so
-two terms fold onto some residues, and the cosets run on two threads,
-two half-length transforms in the memory of one (sup_norm). A rational block
+cosets, each one shorter transform of the coefficients twisted from two
+small tables (grid_values); from a window of N = 2^13 on (j >= 12) each
+coset is about N+1 points long, so two terms fold onto some residues,
+and the cosets run in two lanes, two half-length transforms in the
+memory of one (sup_norm). A rational block
 whose closed comb bracket is at least as tight settles from it instead
 (merged_block_sup): its value is the larger of the probe maximum and the
 certified lower end.
@@ -43,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -75,8 +77,8 @@ MAX_PROBE_Q = 10_000
 MAX_GRID = 1 << 26           # points of one sup grid, however it is split
 
 # Windows reaching |n| >= _FOLD_N split their sup grid into folded cosets
-# of about N+1 points, on two threads (measured crossover, see sup_norm).
-_FOLD_N = 1 << 14
+# of about N+1 points, in two lanes (measured crossover, see sup_norm).
+_FOLD_N = 1 << 13
 _CHUNK = 1 << 14             # elements per pass where a temporary would grow with N
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
@@ -194,89 +196,82 @@ def _check_grid(K: int) -> None:
         raise BudgetError(f"grid of {K} points exceeds the {MAX_GRID} budget")
 
 
-def _twist_power(twist: np.ndarray, power: int) -> np.ndarray:
-    """twist**power by the recurrence tw_p = tw_(p-1) twist from tw_1 =
-    twist, the bits of a running twist; ones at power 0."""
-    if power == 0:
-        return np.ones_like(twist)
-    tw = twist
-    for _ in range(power - 1):
-        tw = tw * twist
-    return tw
+@functools.lru_cache(maxsize=256)
+def _coset_twist(L: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray, complex]:
+    """(rows, cols, omega) for coset s of an m L-point grid, K = m L:
+    e(r s/K) = rows[r // C] cols[r % C] for r = 0..L-1, C the divisor of L
+    nearest sqrt(L) from below, and omega = e(-s/m). Each entry e(n/K) is
+    one exp of n reduced mod K exactly in int64 and divided by K once.
+    Cached read-only: both families of a scale, every time at that scale
+    and every scan item share them."""
+    K, C = m * L, next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
+    rows, cols, omega = (np.exp((2j * np.pi) * (n % K / K)) for n in (
+        np.arange(0, L, C) * s, np.arange(C) * s, np.array(-s * L)))
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols, complex(omega)
 
 
-def grid_values(spec: SumSpec, K: int, twist: np.ndarray | None = None,
-                power: int = 1) -> np.ndarray:
-    """S(k/K + power d) for k = 0..K-1, exactly, via one inverse FFT.
-
-    ``twist``, when given, is e(n d) for n = 0..N: c_n is multiplied by
-    twist_n^power (_twist_power) and c_{-n} by its conjugate, which
-    shifts every grid point by power d. Without it d = 0.
+def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """S((s + m k)/(m K)) for k = 0..K-1, exactly, via one inverse FFT: the
+    K-point grid x = k/K at m = 1, else coset s of the m K-point grid.
 
     At x = k/K the term n reads e(n k/K), which depends on n mod K only, so
-    the transform takes the coefficients summed per residue mod K, for
-    every K >= 1. Untwisted, one route does it with no N-length temporary:
-    c_1..c_N are the whole rows of c[1:] viewed K wide, summed, plus one
-    partial row; row 0 starts at n = 1, so the sums sit in slots 1..K of
-    K + 1, slot K holding residue 0. As c_{-n} = c_n, the n < 0 side's sum
-    at residue r is the n > 0 side's at -r, so it is added as a mirror, and
-    residue 0 gets c_0 once. For K >= 2N+1 each residue holds one term
-    added to 0, the bits of plain placement.
+    the transform takes the coefficients summed per residue mod K. Below
+    K = N+1 (the comb probe's short grids) only m = 1 is served, with no
+    N-length temporary: c_1..c_N are the whole rows of c[1:] viewed K wide,
+    summed, plus one partial row; row 0 starts at n = 1, so the sums sit in
+    slots 1..K of K + 1, slot K holding residue 0. As c_{-n} = c_n, the
+    n < 0 side's sum at residue r is the n > 0 side's at -r, so it is added
+    as a mirror, and residue 0 gets c_0 once.
 
-    A twisted sum is not even and has no mirror, and needs K >= N+1: term
-    n >= 0 lands on residue n, term -n on K - n. For K >= 2N+1 each term
-    is placed alone, from the sum's coefficient arrays (the pass-by-pass
-    route below gives the same bits there, 0 + x being exact, but made a
-    sup at j <= 12 take 3-37% longer). Below that the two
-    sides meet on residues K-N..N, each of which adds two terms (the
-    fold), and the twisted coefficients are formed pass by pass from the
-    weights, the phases and the twist, so no N-length array is made: only
-    sup_norm's large grids fold.
+    From K = N+1 on, term n >= 0 lands on residue r = n and term -n on
+    r = K - n, so the transform's input is (four-step factorisation; D. H.
+    Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
+    1990)
+
+        b[r] = e(r s/(m K)) (c_r [r <= N] + e(-s/m) c_(K-r) [r >= K-N]),
+
+    for K >= 2N+1, where each term sits alone, and for the fold N+1 <= K <
+    2N+1, where residues K-N..N add two. The n < 0 side is written first,
+    times omega = e(-s/m); the n >= 0 side is added to it; then the twist is
+    two broadcast products of b viewed (K/C, C) by _coset_twist's tables.
+    Coset 0 takes neither product. ``out``, when given, is a K-point
+    complex buffer that receives the values (K >= N+1 only), so a caller
+    running many cosets reuses one.
     """
     N = spec.weights.N
     if K < 1:
         raise DomainError(f"a grid needs K >= 1 points, not {K}")
     _check_grid(K)
-    if twist is None:
-        c = spec.coefficient_arrays()
+    if not 0 <= s < m:
+        raise DomainError(f"no coset {s} of {m}")
+    if K <= N and (m > 1 or out is not None):
+        raise DomainError(f"a coset or an out buffer needs K >= N+1 = {N + 1}, not {K}")
+    c = spec.coefficient_arrays()
+    if K <= N:
         rows = N // K
         sums = np.empty(K + 1, dtype=np.complex128)
         c[1:rows * K + 1].reshape(rows, K).sum(axis=0, out=sums[1:])
         part = c[rows * K + 1:]             # residues 1..N - rows K
         sums[1:part.size + 1] += part
         buf = sums[:K]
-        R = min(N, K - 1)
-        buf[K - R:] += buf[R:0:-1]          # numpy reads the overlap before writing
+        buf[1:] += buf[K - 1:0:-1]          # numpy reads the overlap before writing
         buf[0] = c[0] + 2 * sums[K]
-    elif K < N + 1:
-        raise DomainError(f"a twist needs K >= N+1 = {N + 1}, not {K}")
-    elif twist.shape != (N + 1,):
-        raise DomainError(f"{twist.size} twist factors for {N + 1} coefficients")
-    elif K >= 2 * N + 1:
-        c = spec.coefficient_arrays()
-        tw = _twist_power(twist, power)
-        buf = np.zeros(K, dtype=np.complex128)
-        np.multiply(c, tw, out=buf[:N + 1])
-        if N >= 1:
-            tail = buf[K - N:]
-            np.conjugate(tw[:0:-1], out=tail)
-            tail *= c[:0:-1]
     else:
-        w, unit = spec.weights.w, spec.phases.unit
-        buf = np.zeros(K, dtype=np.complex128)
-        for a in range(0, N + 1, _CHUNK):
-            b = min(a + _CHUNK, N + 1)
-            tw = _twist_power(twist[a:b], power)
-            pos = w[a:b] * unit[a:b]
-            neg = np.conjugate(tw)
-            neg *= pos
-            pos *= tw
-            buf[a:b] += pos
-            lo = max(a, 1)
-            buf[K - b + 1:K - lo + 1] += neg[lo - a:][::-1]
-    vals = np.fft.ifft(buf, out=buf)
-    vals *= K
-    return vals
+        buf = np.empty(K, dtype=np.complex128) if out is None else out
+        if s:
+            tw_rows, tw_cols, omega = _coset_twist(K, m, s)
+            np.multiply(c[N:0:-1], omega, out=buf[K - N:])
+        else:
+            buf[K - N:] = c[N:0:-1]
+        buf[:K - N] = 0
+        buf[:N + 1] += c
+        if s:
+            view = buf.reshape(-1, tw_cols.size)
+            view *= tw_rows[:, None]
+            view *= tw_cols
+    return np.fft.ifft(buf, out=buf, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -325,7 +320,7 @@ def _coset_count(K: int, N: int) -> int:
       half as long, so two run at once in the memory of one.
 
     1 when no split keeps both. At oversample 8 that is m = 5 to 8 for
-    j <= 12 and 15 or 16 from j = 13 on.
+    j <= 11 and 15 or 16 from j = 12 on.
     """
     width = N + 1 if N >= _FOLD_N else 2 * N + 1
     top = min(K // width, math.isqrt(K))
@@ -339,15 +334,16 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
 
     Input: each c_n is off by at most |w_n| (2 pi phase_error_bound() +
     32u), the phase error times 2 pi plus a few ulps u for the argument,
-    exp, product, 1/L normalisation, rescale and abs. For m > 1 coset s
-    multiplies c_n by a twist built as e(n/K)^s by the recurrence
-    tw_s = tw_(s-1) e(n/K), and then by one product with c_n: for the
-    c = m//2 + 1 cosets run, s + 1 <= c steps of one exp or one product,
-    each within the same 32u as a coefficient's own phase (|tw_s| stays
-    within (1 + 32u)^c of 1), so the twist adds 32 c u per coefficient,
-    and nothing at m = 1. A folded coset (N+1 <= L < 2N+1) adds the two
-    terms of a residue in one rounding, within u of their moduli's sum:
-    2u per coefficient covers it with their own errors. The input
+    exp, product and abs. For m > 1 coset s multiplies the n < 0 side by
+    omega = e(-s/m) and its whole buffer by the table entries rows[r // C]
+    and cols[r % C] (_coset_twist). Each of these three factors is one exp
+    of an argument below 2 pi formed in three roundings, so within 24u of
+    exact, and each product adds at most sqrt(5) u < 3u (Brent, Percival
+    and Zimmermann, Math. Comp. 76, 2007): 81u, and 96u per coefficient
+    covers the second-order terms for any m. Nothing at m = 1, where omega
+    = 1 and no twist is applied. A folded coset (N+1 <= L < 2N+1) adds the
+    two terms of a residue in one rounding, within u of their moduli's
+    sum: 2u per coefficient covers it with their own errors. The input
     errors move every output by at most their l1 sum. Transform: an FFT of
     P passes, each of relative 2-norm error eta, errs by at most
     P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and Stability of
@@ -363,20 +359,10 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     m = _coset_count(K, w.N)
     L = K // m
     l1 = float(np.abs(w.w).sum() + np.abs(w.w[1:]).sum())
-    twist = 0 if m == 1 else 32 * (m // 2 + 1)
+    twist = 0 if m == 1 else 96
     fold = 2 if L < 2 * w.N + 1 else 0
     ulps = 32 + twist + fold + 2 * math.log2(L) * 64 * math.sqrt(L)
     return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
-
-
-def _unit_step(N: int, K: int) -> np.ndarray:
-    """e(n/K) for n = 0..N, exponentiated pass by pass: the bits of one
-    whole-array exp, with no N-length temporary."""
-    step = np.empty(N + 1, dtype=np.complex128)
-    for a in range(0, N + 1, _CHUNK):
-        n = np.arange(a, min(a + _CHUNK, N + 1))
-        np.exp((2j * np.pi) * (n / K), out=step[a:a + n.size])
-    return step
 
 
 def _peak(vals: np.ndarray) -> tuple[float, int]:
@@ -394,19 +380,37 @@ def _peak(vals: np.ndarray) -> tuple[float, int]:
     return best, at
 
 
-def _map_cosets(fn, cosets: range) -> list:
-    """[fn(s) for s in cosets], on two threads where two cores are usable:
-    numpy's FFT and array loops release the GIL. The results come back in
-    coset order, so no outcome depends on which thread ran what."""
+def _map_cosets(fn, cosets: range, L: int, threaded: bool) -> list:
+    """[fn(s, out) for s in cosets], in coset order, each lane reusing one
+    L-point buffer out. Threaded, and where two cores are usable (numpy's
+    FFT and array loops release the GIL), lane 1 takes every other coset
+    on a second thread and lane 0 the rest on the calling thread; an
+    exception of either lane is raised here once both have stopped."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:              # no affinity call off Linux
         cores = os.cpu_count() or 1
-    if cores < 2:
-        return [fn(s) for s in cosets]
-    from concurrent.futures import ThreadPoolExecutor   # loads logging
-    with ThreadPoolExecutor(2) as pool:
-        return list(pool.map(fn, cosets))
+    lanes = 2 if threaded and cores >= 2 else 1
+    results: list = [None] * len(cosets)
+    failed: list[BaseException] = []
+
+    def lane(i: int) -> None:
+        out = np.empty(L, dtype=np.complex128)
+        try:
+            for k in range(i, len(cosets), lanes):
+                results[k] = fn(cosets[k], out)
+        except BaseException as exc:    # raised again in the caller
+            failed.append(exc)
+
+    if lanes == 2:
+        worker = threading.Thread(target=lane, args=(1,))
+        worker.start()
+    lane(0)
+    if lanes == 2:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
@@ -417,30 +421,28 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     _rounding_term.
 
     The grid is evaluated in m = _coset_count(K, N) cosets, each one
-    transform of L = K/m points: coset s holds x = (s + m k)/K, the
-    values of one transform of L points whose coefficients are twisted by
-    e(n s/K). These are the same K points, and value and argmax_x are
-    their maximum, ties going to the smallest k as one argmax over the
-    whole grid would. S is even, S(-x) = S(x): the substitution n -> -n
-    maps the sum at -x onto the sum at x, as w_n and e(n^2 t/2) are even
-    in n. The mirror of x = (s + m k)/K is (K - s - m k)/K mod 1, a point
-    of coset (m - s) mod m, so cosets 0..m//2 hold a mirror of every grid
-    point. Only they are transformed (all m while m <= 2), and argmax_x
-    is folded into [0, 1/2], where the mirror point -x has the same exact
-    value.
+    transform of L = K/m points: coset s holds x = (s + m k)/K,
+    grid_values(spec, L, s, m). These are the same K points, and value and
+    argmax_x are their maximum, ties going to the smallest k as one argmax
+    over the whole grid would. S is even, S(-x) = S(x): the substitution
+    n -> -n maps the sum at -x onto the sum at x, as w_n and e(n^2 t/2) are
+    even in n. The mirror of x = (s + m k)/K is (K - s - m k)/K mod 1, a
+    point of coset (m - s) mod m, so cosets 0..m//2 hold a mirror of every
+    grid point. Only they are transformed (all m while m <= 2), and
+    argmax_x is folded into [0, 1/2], where the mirror point -x has the
+    same exact value.
 
-    Coset s takes the twist step^s for one shared step = e(n/K), by the
-    recurrence of _twist_power: the bits of a twist carried from coset to
-    coset as tw_s = tw_(s-1) step, though each coset forms its own.
-    Below N = _FOLD_N (j <= 12) K/m >= 2N+1 and the cosets run one after
-    another. From it on K/m is about N+1: each coset folds (grid_values)
-    and the cosets run on two threads (_map_cosets), as two half-length
-    transforms in flight hold the memory of one whole-length one. The
-    window's size alone picks the route (_coset_count), and no route
-    makes an array of |S|. The crossover was measured: one golden-mean
-    sup on two folded threads took 0.88-0.97 of the serial route's time
-    at j = 13, 0.67-0.68 at j = 14 and 0.51 at j = 16, and 1.22-1.45 at
-    j = 12 (medians, two runs, 2-core host).
+    The coefficients are built once, before any coset runs. Below N =
+    _FOLD_N (j <= 11) K/m >= 2N+1 and the cosets run one after another
+    through one L-point buffer. From it on K/m is about N+1: each coset
+    folds (grid_values) and the cosets run in two lanes, one of them on a
+    second thread (_map_cosets), as two half-length transforms in flight
+    hold the memory of one whole-length one. The window's size alone picks
+    the route (_coset_count), and no route makes an array of |S|. The
+    crossover was measured: one golden-mean sup in two folded lanes took
+    0.47-0.55 of the unfolded serial route's time at j = 12, 0.39-0.63 at
+    j = 13 and 0.40 at j = 14, against 0.70-1.16 at j = 11 and 1.66-2.04 at
+    j = 10 (medians of interleaved pairs, two to five runs, 2-core host).
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
@@ -461,15 +463,12 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     m = _coset_count(K, spec.weights.N)
     L = K // m
     cosets = range(m // 2 + 1)
-    step = _unit_step(spec.weights.N, K) if m > 1 else None
+    spec.coefficient_arrays()           # once, before the lanes start
 
-    def peak(s: int) -> tuple[float, int]:
-        return _peak(grid_values(spec, L, step, s))
+    def peak(s: int, out: np.ndarray) -> tuple[float, int]:
+        return _peak(grid_values(spec, L, s, m, out))
 
-    if L < 2 * spec.weights.N + 1:
-        peaks = _map_cosets(peak, cosets)
-    else:
-        peaks = [peak(s) for s in cosets]
+    peaks = _map_cosets(peak, cosets, L, threaded=L < 2 * spec.weights.N + 1)
     # (value, -k) over the cosets: ties go to the smallest k
     value, k0 = max((v, -(s + m * k)) for s, (v, k) in zip(cosets, peaks))
     k0 = min(-k0, K + k0)               # S(-x) = S(x)

@@ -238,20 +238,18 @@ def test_report_json_schema(third):
 
 def test_block_spectrum_memory_peak(golden):
     # j = 16 evaluates its 2.1M-point grids as 9 folded cosets of L =
-    # 131,220 points on two threads, with no N-length temporary. The worst
-    # case is both threads in their coefficient passes at once, and a third
-    # coset cannot be in flight: 3.0 MiB of weights and phases, the shared
-    # 2.0 MiB step, and per thread an L-point buffer (2.0 MiB) and its pass
-    # temporaries (1.1 MiB), 11.3 MiB. 19 runs in one process read 11.0-11.3
-    # MiB, idle or beside two busy processes (a serial map: 8.1 MiB). The
-    # first pool of a process imports concurrent.futures inside the trace,
-    # 0.8 MiB more: 12.1 MiB. One transform of the whole grid would take
-    # about 58 MB. tracemalloc sees numpy's buffers, not the FFT library's
-    # scratch.
+    # 131,220 points in two lanes, one buffer each. The worst case holds
+    # one family's arrays: 1.0 MiB of weights, 2.0 MiB of phases, 2.0 MiB of
+    # coefficients, two L-point buffers (4.0 MiB), the twist tables (0.1
+    # MiB) and both lanes' _peak passes (0.25 MiB), 9.35 MiB; the first sup
+    # of a process adds the grid-size and twist caches and numpy.fft's
+    # import, up to 0.5 MiB. 42 runs, idle or beside two busy processes,
+    # read 9.26-9.83 MiB. One transform of the whole grid would take about 58
+    # MB. tracemalloc sees numpy's buffers, not the FFT library's scratch.
     tracemalloc.start()
     try:
         block_spectrum(golden, js=[16], mode="both")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13 << 20, peak
+    assert peak <= 10 << 20, peak

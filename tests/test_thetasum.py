@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -74,31 +75,33 @@ def test_grid_values_guards():
         for k in range(K):
             assert abs(vals[k] - eval_sum(spec, k / K)) < 1e-9
             assert abs(vals[k] - brute_sum_at(1, 3, w, k, K)) < 1e-9
-    # twisted, K >= N+1 = 33: term -n lands on K - n, two terms on the
-    # residues K-N..N below K = 65, each alone from there on; the values
-    # are S at k/K + power d, with the bits of a twist carried by products
-    # tw_p = tw_(p-1) twist (at power 0, of no twist)
-    n = np.arange(w.N + 1)
-    for K in (33, 40, 64, 65):
-        d = 0.3 / K
-        twist = np.exp(2j * np.pi * n * d)
-        carried = None
-        for power in range(5):
-            vals = grid_values(spec, K, twist, power)
-            assert np.array_equal(vals, grid_values(spec, K, carried)), (K, power)
-            carried = twist.copy() if carried is None else carried * twist
-            if power in (0, 1, 4):
-                for k in range(K):
-                    want = eval_sum(spec, k / K + power * d)
-                    assert abs(vals[k] - want) < 1e-9, (K, power, k)
-    with pytest.raises(DomainError):     # below N+1 only untwisted sums fold
-        grid_values(spec, 32, twist=np.ones(spec.weights.N + 1))
+    # coset s of an m L-point grid, L >= N+1 = 33: term -n lands on L - n,
+    # two terms on the residues L-N..N below L = 65, each alone from there
+    # on; the values are S at (s + m k)/(m L), for every coset of m, and
+    # an out buffer receives them
+    for L in (33, 40, 64, 65, 80):
+        for m in (2, 3, 5):
+            out = np.empty(L, dtype=np.complex128)
+            for s in range(m):
+                vals = grid_values(spec, L, s, m, out)
+                assert vals is out
+                for k in range(L):
+                    want = eval_sum(spec, (s + m * k) / (m * L))
+                    assert abs(vals[k] - want) < 1e-9, (L, m, s, k)
+                    if m == 3:
+                        want = brute_sum_at(1, 3, w, s + m * k, m * L)
+                        assert abs(vals[k] - want) < 1e-9, (L, m, s, k)
+    with pytest.raises(DomainError):     # below N+1 only whole grids fold
+        grid_values(spec, 32, 1, 2)
+    with pytest.raises(DomainError):
+        grid_values(spec, 32, out=np.empty(32, dtype=np.complex128))
+    for s, m in ((2, 2), (-1, 3), (0, 0)):
+        with pytest.raises(DomainError):
+            grid_values(spec, 65, s, m)
     with pytest.raises(DomainError):
         grid_values(spec, 0)
     with pytest.raises(BudgetError):
         grid_values(spec, 1 << 27)
-    with pytest.raises(DomainError):
-        grid_values(spec, 65, twist=np.ones(spec.weights.N))
 
 
 def test_probe_makes_no_n_length_temporary():
@@ -133,27 +136,20 @@ def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
     # past K/(2N+1) = 8 the cosets fold, two terms on some residues
     spec = SumSpec(golden, unit_window(3, 40))            # 2N+1 = 81
     N = spec.weights.N
-    n = np.arange(N + 1)
     K = 720
     full = grid_values(spec, K)
     r1 = _whole_grid_term(spec, K)
     splits = [m for m in range(2, K // (N + 1) + 1) if K % m == 0]
     assert splits == [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16]
     assert _coset_count(K, N) == 8                        # the largest unfolded
-    step = np.exp(2j * np.pi * n / K)
     for m in splits:
         _force_cosets(monkeypatch, m)
         r = _rounding_term(spec, K)
         got = np.empty(K, dtype=np.complex128)
         for s in range(m):
-            got[s::m] = grid_values(spec, K // m, np.exp(2j * np.pi * n * s / K))
+            got[s::m] = grid_values(spec, K // m, s, m)
         assert np.max(np.abs(got - full)) <= r + r1, m
-        # and with the twist as a power of one step, as sup_norm forms it
-        got = np.concatenate([grid_values(spec, K // m, step, s)
-                              for s in range(m)])
-        assert np.max(np.abs(got.reshape(m, -1).T.ravel() - full)) <= r + r1, m
-    # sup_norm's own split (twists by recurrence) finds the same maximum,
-    # folded (m = 9, 12) or not
+    # sup_norm's own split finds the same maximum, folded (m = 9, 12) or not
     _force_cosets(monkeypatch, 1)
     base = sup_norm(spec)
     K = base.grid_size
@@ -168,22 +164,22 @@ def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
 
 def test_coset_count_rule():
     # grids of block j = 6..20: the largest divisor m of K that keeps
-    # K/m >= 2N+1 below N = 2^14 (j <= 12), at most the oversample, and
+    # K/m >= 2N+1 below N = 2^13 (j <= 11), at most the oversample, and
     # K/m >= N+1 from it on, the folded cosets
-    want = {2: [1, 1, 2, 2, 2, 2, 1, 3, 4, 4, 4, 4, 4, 4, 4],
-            4: [3, 3, 4, 4, 4, 3, 3, 6, 8, 8, 8, 8, 8, 8, 8],
-            8: [7, 7, 8, 8, 5, 6, 6, 15, 16, 16, 16, 16, 16, 16, 16]}
+    want = {2: [1, 1, 2, 2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4],
+            4: [3, 3, 4, 4, 4, 3, 6, 6, 8, 8, 8, 8, 8, 8, 8],
+            8: [7, 7, 8, 8, 5, 6, 15, 15, 16, 16, 16, 16, 16, 16, 16]}
     for oversample, ms in want.items():
         for j, m in zip(range(6, 21), ms):
             N = rough_weights(j).N
             K = _fft_len(oversample * (2 * N + 1))
-            width = 2 * N + 1 if j <= 12 else N + 1
+            width = 2 * N + 1 if j <= 11 else N + 1
             assert _coset_count(K, N) == m, (oversample, j)
             assert K % m == 0 and K // m >= width
             assert not any(K % d == 0 for d in range(m + 1, K // width + 1))
-    # the crossover reads the window alone: one grid, N either side of 2^14
-    assert (_coset_count(393_660, 2 ** 14 - 1),
-            _coset_count(393_660, 2 ** 14)) == (12, 20)
+    # the crossover reads the window alone: one grid, N either side of 2^13
+    assert (_coset_count(131_220, 2 ** 13 - 1),
+            _coset_count(131_220, 2 ** 13)) == (6, 15)
     assert _coset_count(100, 60) == 1            # aliasing grid: no split
     # oversample 10^6 on N = 2: 2,000 cosets of 2,500 points, not 10^6 of 5
     assert _coset_count(5_000_000, 2) == 2000
@@ -430,9 +426,10 @@ def test_sup_bracket_holds_across_cosets(kind, j):
 
 @pytest.mark.parametrize("text", ["rat:1234/7919", "quad:(-1+1*sqrt(5))/2"])
 def test_split_sup_matches_one_whole_grid_transform(text):
-    # j = 6..13 split the oversample-8 grid into 5 to 8 cosets, an even sum
-    # transforming about half of them: the maximum is the one transform's,
-    # within both rounding terms, at its argmax folded into [0, 1/2]
+    # j = 6..11 split the oversample-8 grid into 5 to 8 cosets and j = 12,
+    # 13 into 15 folded ones, an even sum transforming about half of them:
+    # the maximum is the one transform's, within both rounding terms, at
+    # its argmax folded into [0, 1/2]
     for family in (rough_weights, smooth_weights):
         for j in range(6, 14):
             spec = SumSpec(parse_timespec(text), family(j))
@@ -446,6 +443,56 @@ def test_split_sup_matches_one_whole_grid_transform(text):
             assert res.argmax_x == min(g, K - g) / K, (family.__name__, j)
 
 
+_SMALL_WINDOWS = st.one_of(
+    st.integers(1, 6).map(rough_weights),
+    st.integers(1, 6).map(smooth_weights),
+    st.tuples(st.integers(1, 30), st.integers(1, 34)).map(
+        lambda mn: unit_window(mn[0], mn[0] + mn[1])),
+)
+_SMALL_TIMES = st.one_of(
+    st.tuples(st.integers(0, 99), st.integers(1, 50)).map(
+        lambda pq: "rat:{}/{}".format(*(v // math.gcd(*pq) for v in pq))),
+    st.tuples(st.integers(-5, 5), st.sampled_from([-2, -1, 1, 2]),
+              st.integers(2, 99), st.integers(1, 9))
+    .filter(lambda t: math.isqrt(t[2]) ** 2 != t[2])
+    .map(lambda t: f"quad:({t[0]}{t[1]:+d}*sqrt({t[2]}))/{t[3]}"),
+)
+
+
+@given(text=_SMALL_TIMES, weights=_SMALL_WINDOWS,
+       oversample=st.sampled_from([2, 4, 8]))
+@settings(max_examples=80, deadline=None)
+def test_every_coset_split_matches_one_whole_grid_transform(
+        text, weights, oversample):
+    # every divisor m of the grid with K/m >= N+1, folded or not, forced
+    # through _coset_count: sup_norm's maximum is the one whole-grid
+    # transform's within both rounding terms, at its argmax folded into
+    # [0, 1/2]. Comb peaks of a rational time can tie exactly (rat:5/3
+    # peaks at x = 1/6 and 1/2 alike), and then rounding picks the point:
+    # the split's argmax must hold the maximum, and be the one point that
+    # does where no other grid point comes within the terms of it
+    spec = SumSpec(parse_timespec(text), weights)
+    N = weights.N
+    with pytest.MonkeyPatch.context() as mp:
+        _force_cosets(mp, 1)
+        K = sup_norm(spec, oversample).grid_size
+        r1 = _rounding_term(spec, K)
+        full = np.abs(grid_values(spec, K))
+        g = int(np.argmax(full))
+        for m in range(2, K // (N + 1) + 1):
+            if K % m:
+                continue
+            _force_cosets(mp, m)
+            res = sup_norm(spec, oversample)
+            r = _rounding_term(spec, K)
+            assert abs(res.value - full[g]) <= r + r1, (m, res.value, full[g])
+            k = round(res.argmax_x * K)
+            assert full[k] >= full[g] - 2 * (r + r1), (m, k, g)
+            near = np.flatnonzero(full >= full[g] - 2 * (r + r1))
+            if {min(i, K - i) for i in near.tolist()} == {min(g, K - g)}:
+                assert res.argmax_x == min(g, K - g) / K, m
+
+
 def test_sup_norm_deterministic(golden):
     for j in (7, 14):                   # seven cosets, then sixteen folded
         spec = SumSpec(golden, rough_weights(j))
@@ -456,15 +503,16 @@ def test_sup_norm_deterministic(golden):
         assert key(a) == key(b) == key(c)
 
 
-def _serial_map(fn, cosets):
-    return [fn(s) for s in cosets]
+def _serial_map(fn, cosets, L, threaded):
+    out = np.empty(L, dtype=np.complex128)
+    return [fn(s, out) for s in cosets]
 
 
 @pytest.mark.parametrize("j", [13, 14])
 def test_threaded_cosets_match_a_serial_map(golden, monkeypatch, j):
-    # the folded cosets of j = 13, 14 run on a pool of two threads wherever
-    # two cores are usable; the result is the same with a serial map, and
-    # on every call
+    # the folded cosets of j = 13, 14 run in two lanes wherever two cores
+    # are usable, one on the calling thread and one on a second thread; the
+    # result is the same with a serial map, and on every call
     threads = []                        # per call: the threads that ran cosets
     real = thetasum.grid_values
 
@@ -487,11 +535,58 @@ def test_threaded_cosets_match_a_serial_map(golden, monkeypatch, j):
         assert threads[-1] == {threading.get_ident()}
         if len(os.sched_getaffinity(0)) >= 2:
             for ran in threads[-4:-1]:
-                assert threading.get_ident() not in ran and 1 <= len(ran) <= 2
+                assert threading.get_ident() in ran and len(ran) == 2
+
+
+def test_concurrent_sups_agree_under_fast_switching(golden):
+    # four sups at once, each running its two lanes over one shared sum,
+    # with the interpreter switching threads every microsecond and the
+    # twist tables built while they race: every result is the one computed
+    # alone (the lanes write disjoint slots, the tables are read-only)
+    alone = sup_norm(SumSpec(golden, rough_weights(12)))
+    spec = SumSpec(golden, rough_weights(12))
+    thetasum._coset_twist.cache_clear()
+    got = []
+
+    def run():
+        for _ in range(3):
+            got.append(sup_norm(spec))
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [alone] * 12
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["calling_lane", "worker_lane"])
+def test_a_failing_coset_reaches_the_caller(golden, monkeypatch, bad):
+    # lane 0 runs the even cosets on the calling thread and lane 1 the odd
+    # ones on a second thread: a coset that raises in either surfaces from
+    # sup_norm, and no lane is left running
+    real = thetasum.grid_values
+
+    def failing(spec, L, s, m, out):
+        if s == bad:
+            raise DomainError(f"coset {s} failed")
+        return real(spec, L, s, m, out)
+
+    monkeypatch.setattr(thetasum, "grid_values", failing)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match=f"coset {bad} failed"):
+        sup_norm(SumSpec(golden, rough_weights(13)))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("mapper", [thetasum._map_cosets, _serial_map],
-                         ids=["pool", "serial"])
+                         ids=["lanes", "serial"])
 def test_exact_tie_across_cosets_goes_to_the_smallest_k(
         golden, monkeypatch, mapper):
     # every coset peaks at 1.0; the peak at k = 1 of coset s sits at grid
@@ -501,7 +596,7 @@ def test_exact_tie_across_cosets_goes_to_the_smallest_k(
     K = sup_norm(spec).grid_size
     m = _coset_count(K, spec.weights.N)
 
-    def flat(spec, L, step, s):
+    def flat(spec, L, s, m, out):
         vals = np.full(L, 0.5, dtype=np.complex128)
         vals[3 if s == 0 else 1] = 1.0
         vals[L - 1] = 1.0
@@ -605,13 +700,13 @@ def test_settled_blocks_run_only_the_probe_transform(monkeypatch):
     calls = []
     real = thetasum.grid_values
 
-    def counting(spec, K, twist=None):
-        calls.append((K, twist is None))
-        return real(spec, K, twist)
+    def counting(spec, K, s=0, m=1, out=None):
+        calls.append((K, m))
+        return real(spec, K, s, m, out)
 
     monkeypatch.setattr(thetasum, "grid_values", counting)
     records = block_spectrum(Rational(1, 3), js=list(range(8, 17)))
-    assert calls == [(6, True)] * (2 * len(records))
+    assert calls == [(6, 1)] * (2 * len(records))
     for rec in records:
         for value, upper in ((rec.rough_sup, rec.rough_sup_upper),
                              (rec.smooth_sup, rec.smooth_sup_upper)):
