@@ -28,7 +28,7 @@ from .exactnum import (FixedReal, fixed_of_time, irrational_phase,
                        linear_phase_array, quadratic_phase_array,
                        rational_phase, rational_phase_array)
 from .thetasum import (ProbeResult, StabilityResult, SumSpec, SupNormResult,
-                       eval_sum, grid_values, mean_square_on_grid,
-                       rational_probe, stability_ratio, sup_norm)
+                       eval_sum, grid_values, rational_probe,
+                       stability_ratio, sup_norm)
 
 __version__ = "0.1.0"

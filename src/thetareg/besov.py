@@ -109,9 +109,8 @@ def _scale_matched_q(time: TimeSpec, j: int) -> int | None:
 
 
 def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
-                   mode: str = "both", oversample: int = 8,
-                   js: list[int] | None = None) -> list[BlockRecord]:
-    """Measure block sups for j in [j_min, j_max] (or an explicit list).
+                   mode: str = "both", oversample: int = 8) -> list[BlockRecord]:
+    """Measure block sups for j in [j_min, j_max].
 
     mode selects which families to evaluate ("rough", "smooth", "both").
     Rational times get the exact comb probe merged into each sup and the
@@ -120,7 +119,7 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     """
     if mode not in ("rough", "smooth", "both"):
         raise DomainError(f"unknown mode {mode!r}")
-    scales = sorted(set(js)) if js is not None else list(range(j_min, j_max + 1))
+    scales = range(j_min, j_max + 1)
     if not scales:
         raise DomainError("no scales requested")
     for j in (scales[0], scales[-1]):

@@ -27,7 +27,7 @@ from .besov import (block_spectrum, classify_regularity, fit_exponent,
 from .collapse import verify_collapse
 from .contfrac import (KHINCHIN_LEVY, classify_sigma, khinchin_levy_diagnostic,
                        parse_timespec)
-from .cutoff import rough_weights, smooth_weights, unit_window
+from .cutoff import block_bounds, rough_weights, smooth_weights, unit_window
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
@@ -401,11 +401,13 @@ def _cmd_scan(args) -> int:
     if fmt not in ("csv", "json", "both"):
         raise DomainError(f"config format must be csv/json/both, got {fmt!r}")
     # every time is parsed, and its phases checked at the top scale, before
-    # the first report, so a refused time leaves no files behind
+    # the first report, so a refused time leaves no files behind; a j_max
+    # past the block budget is refused first, whatever the time
     specs = [parse_timespec(text) for text in times]
     if 0 <= j_min <= j_max:
+        top = block_bounds(j_max)[1]
         for spec in specs:
-            check_phase_resolution(spec, 2 ** (j_max + 1))
+            check_phase_resolution(spec, top)
     summary = []
     for spec in specs:
         report = classify_regularity(spec, j_min=j_min, j_max=j_max, mode=mode,

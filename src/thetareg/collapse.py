@@ -175,12 +175,12 @@ def lhs_pairing(p: int, q: int, phi) -> complex:
     return complex(np.sum(coeffs * phi.fourier(-n)))
 
 
-def rhs_pairing(comb: CombFormula, phi, kappa: complex = 1.0 + 0.0j) -> complex:
-    """<comb form, phi> = (kappa/sqrt(q)) sum_k weight(x_k) phi(x_k)."""
+def rhs_pairing(comb: CombFormula, phi) -> complex:
+    """The kappa-free <comb form, phi> = (1/sqrt(q)) sum_k weight(x_k) phi(x_k)."""
     total = 0.0 + 0.0j
     for x in comb.points():
         total += comb.weight_phase(x) * complex(phi(float(x)))
-    return kappa / math.sqrt(comb.q) * total
+    return 1 / math.sqrt(comb.q) * total
 
 
 def default_test_functions(comb: CombFormula) -> list[PeriodizedGaussian]:

@@ -61,6 +61,9 @@ __all__ = [
 # Almost-sure limit of (ln q_n)/n for a random real (Khinchin-Levy).
 KHINCHIN_LEVY = math.pi ** 2 / (12.0 * math.log(2.0))
 
+# TimeSpec.expansion stops at the first convergent denominator past this
+MAX_Q_BITS = 100_000
+
 
 def iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for integers x >= 0, k >= 1, by Newton + correction."""
@@ -231,8 +234,9 @@ class TimeSpec:
         """Successive (p_k, q_k); finite for rationals."""
         return convergents(self.partial_quotients())
 
-    def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
-        """Quotients up to the given budgets; truncated=True when cut off."""
+    def expansion(self, max_terms: int = 64) -> CFExpansion:
+        """Quotients up to max_terms, and up to the first denominator past
+        MAX_Q_BITS bits; truncated=True when cut off."""
         quots: list[int] = []
         pairs = self.convergent_pairs()
         truncated = False
@@ -241,7 +245,7 @@ class TimeSpec:
                 truncated = True        # the source has a quotient past the budget
                 break
             quots.append(a)
-            if next(pairs)[1].bit_length() > max_q_bits:
+            if next(pairs)[1].bit_length() > MAX_Q_BITS:
                 truncated = True
                 break
         if not quots:
@@ -433,7 +437,7 @@ class DecimalLiteral(TimeSpec):
     def _quotients(self) -> Iterator[int]:
         yield from expand_rational(self.value.numerator, self.value.denominator)
 
-    def expansion(self, max_terms: int = 64, max_q_bits: int = 100_000) -> CFExpansion:
+    def expansion(self, max_terms: int = 64) -> CFExpansion:
         """The certified expansion (see cf_of_real), not the literal's own."""
         certified, _center = cf_of_real(self.text, max_terms=max_terms)
         return certified

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -70,7 +69,6 @@ __all__ = [
     "probe_floors",
     "stability_ratio",
     "StabilityResult",
-    "mean_square_on_grid",
 ]
 
 MAX_PROBE_Q = 10_000
@@ -203,7 +201,9 @@ def _coset_twist(L: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray, comple
     nearest sqrt(L) from below, and omega = e(-s/m). Each entry e(n/K) is
     one exp of n reduced mod K exactly in int64 and divided by K once.
     Cached read-only: both families of a scale, every time at that scale
-    and every scan item share them."""
+    and every scan item share them. At oversample 8 the blocks j = 0..20
+    ask for 108 keys (L, m, s), one per coset s = 1..m//2 of a scale: at
+    most 8 per scale, 7 or 8 per folded one (j >= 12)."""
     K, C = m * L, next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
     rows, cols, omega = (np.exp((2j * np.pi) * (n % K / K)) for n in (
         np.arange(0, L, C) * s, np.arange(C) * s, np.array(-s * L)))
@@ -382,15 +382,12 @@ def _peak(vals: np.ndarray) -> tuple[float, int]:
 
 def _map_cosets(fn, cosets: range, L: int, threaded: bool) -> list:
     """[fn(s, out) for s in cosets], in coset order, each lane reusing one
-    L-point buffer out. Threaded, and where two cores are usable (numpy's
-    FFT and array loops release the GIL), lane 1 takes every other coset
-    on a second thread and lane 0 the rest on the calling thread; an
-    exception of either lane is raised here once both have stopped."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:              # no affinity call off Linux
-        cores = os.cpu_count() or 1
-    lanes = 2 if threaded and cores >= 2 else 1
+    L-point buffer out. Threaded, lane 1 takes every other coset on a
+    second thread (numpy's FFT and array loops release the GIL) and lane 0
+    the rest on the calling thread; each writes its results by coset index,
+    so the list is the same on one core. An exception of either lane is
+    raised here once both have stopped."""
+    lanes = 2 if threaded else 1
     results: list = [None] * len(cosets)
     failed: list[BaseException] = []
 
@@ -476,20 +473,6 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     return SupNormResult(value=value, upper=upper, argmax_x=k0 / K, grid_size=K)
 
 
-def mean_square_on_grid(spec: SumSpec) -> tuple[float, float]:
-    """(grid mean of |S|^2, exact sum of |w_n|^2 over both sides).
-
-    On any grid of K >= 2N+1 points the mean of |S|^2 equals the
-    coefficient power exactly (discrete Parseval), so the pair should agree
-    to rounding; the Parseval tests (criterion 5) check it.
-    """
-    N = max(spec.weights.N, 1)
-    K = _fft_len(4 * (2 * N + 1))
-    vals = grid_values(spec, K)
-    mean = float(np.mean(np.abs(vals) ** 2))
-    return mean, spec.weights.l2_squared()
-
-
 def probe_floors(weights: WeightVector, q: int,
                  window: tuple[int, int]) -> dict[str, float]:
     """Guaranteed lower bounds for max_h |S(h/(2q))| at t = p/q.
@@ -553,9 +536,7 @@ def rational_probe(p: int, q: int, spec: SumSpec,
     if q > MAX_PROBE_Q:
         raise BudgetError(f"q = {q} exceeds probe budget {MAX_PROBE_Q}")
     weights = spec.weights
-    mags = np.abs(grid_values(spec, 2 * q))     # |S(h / (2q))|
-    h = int(np.argmax(mags))
-    max_abs = float(mags[h])
+    max_abs, h = _peak(grid_values(spec, 2 * q))    # |S(h / (2q))|
     win = window if window is not None else (weights.M, weights.N)
     floors = probe_floors(weights, q, win)
     ok = all(max_abs >= f * (1.0 - 1e-12) for f in floors.values())

@@ -28,8 +28,7 @@ from thetareg.contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
                                Rational, TimeSpec, expand_rational)
 from thetareg.cutoff import rough_weights, smooth_weights, unit_window
 from thetareg.thetasum import (SumSpec, _fft_len, eval_sum, grid_values,
-                               mean_square_on_grid, phase_vector,
-                               rational_probe, stability_ratio)
+                               phase_vector, rational_probe, stability_ratio)
 
 import numpy as np
 
@@ -90,7 +89,7 @@ def burst_case():
     """Liouville-leaning class member: smooth sups at its burst scales."""
     t = QuotientRule(Fraction(1), (0, 2))
     js = burst_scales(t, 1.0, j_lo=6, j_hi=20)
-    records = block_spectrum(t, mode="smooth", js=js)
+    records = [r for j in js for r in block_spectrum(t, j, j, mode="smooth")]
     return t, js, records
 
 
@@ -178,7 +177,8 @@ def test_c05_parseval_identity(golden, third):
     for t in (third, golden):
         for j in (6, 9):
             for w in (rough_weights(j), smooth_weights(j)):
-                mean, l2sq = mean_square_on_grid(SumSpec(t, w))
+                vals = grid_values(SumSpec(t, w), _fft_len(4 * (2 * w.N + 1)))
+                mean, l2sq = float(np.mean(np.abs(vals) ** 2)), w.l2_squared()
                 worst_grid = max(worst_grid, abs(mean - l2sq) / l2sq)
     ok = worst_weights < 1e-10 and worst_grid < 1e-10
     detail = (f"l2^2 vs nonzero count, j<=20: rel err {worst_weights:.2e}; "

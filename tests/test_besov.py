@@ -76,7 +76,7 @@ def test_scale_matched_q_golden(golden):
 
 
 def test_block_spectrum_explicit_scales(third):
-    recs = block_spectrum(third, js=[5, 9], mode="both")
+    recs = [r for j in (5, 9) for r in block_spectrum(third, j, j, mode="both")]
     assert [r.j for r in recs] == [5, 9]
     for r in recs:
         assert r.rough_sup is not None and r.smooth_sup is not None
@@ -95,7 +95,7 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
             built.append(_name)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(exactnum, name, counted)
-    recs = block_spectrum(time, js=js, mode="both")
+    recs = [r for j in js for r in block_spectrum(time, j, j, mode="both")]
     assert len(built) == len(js)
     # the same numbers as one SumSpec per family, and as a probe of a
     # freshly built sum
@@ -123,10 +123,10 @@ def test_probe_satisfied_reads_every_probe(monkeypatch, golden):
         return replace(probe, satisfied=spec.weights.mode != "smooth")
 
     monkeypatch.setattr(thetasum, "rational_probe", smooth_misses)
-    assert block_spectrum(Rational(1, 3), js=[8])[0].probe_satisfied is False
-    assert block_spectrum(Rational(1, 3), js=[8],
+    assert block_spectrum(Rational(1, 3), 8, 8)[0].probe_satisfied is False
+    assert block_spectrum(Rational(1, 3), 8, 8,
                           mode="rough")[0].probe_satisfied is True
-    assert block_spectrum(golden, js=[8])[0].probe_satisfied is None
+    assert block_spectrum(golden, 8, 8)[0].probe_satisfied is None
 
 
 def test_block_floors_hold_from_j0():
@@ -248,7 +248,7 @@ def test_block_spectrum_memory_peak(golden):
     # MB. tracemalloc sees numpy's buffers, not the FFT library's scratch.
     tracemalloc.start()
     try:
-        block_spectrum(golden, js=[16], mode="both")
+        block_spectrum(golden, 16, 16, mode="both")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

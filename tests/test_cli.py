@@ -406,13 +406,21 @@ def test_bad_scan_setting_exits_2_without_traceback(line, message, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_scan_past_block_budget_is_refused_before_mkdir(tmp_path):
+@pytest.mark.parametrize("j_max", [21, 100000])
+@pytest.mark.parametrize("time", ["rat:1/3", "quad:(-1+1*sqrt(5))/2",
+                                  "class:sigma=1,seed=0,1",
+                                  "dec:0.4142135623730950488"])
+def test_scan_past_block_budget_is_refused_before_mkdir(tmp_path, time, j_max):
+    # the block budget is checked before the precision guard, so a dec:
+    # time gets the same refusal, with no 30,000-digit N to print
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text("j_max = 21\n[times]\nrat:1/3\n")
+    cfg.write_text(f"j_max = {j_max}\n[times]\n{time}\n")
     proc = _python("-m", "thetareg.cli", "scan", "--config", str(cfg),
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("refused:")
+    assert proc.stderr.startswith(
+        f"refused: block scale j = {j_max} exceeds the budget j <= 20")
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -197,7 +197,7 @@ def test_rhs_pairing_is_comb_side():
     kappa = extract_kappa(1, 3)
     phi = PeriodizedGaussian(center=float(c.points()[0]), width=0.05)
     lhs = lhs_pairing(1, 3, phi)
-    rhs = rhs_pairing(c, phi, kappa)
+    rhs = kappa * rhs_pairing(c, phi)
     assert _eq(lhs, rhs, 1e-12)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import determinant_alternates, frac_le_sqrt, mp_value
+from thetareg import contfrac
 from thetareg.contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                                QuadraticIrrational, QuotientRule, Rational,
                                canonical_quotients, cf_of_real, classify_sigma,
@@ -202,11 +203,12 @@ def test_quotient_rule_frozen_sigma_one():
     assert qs == [1, 2, 5, 27, 734, 538783, 538783**2 + 734]
 
 
-def test_expansion_budgets(golden):
+def test_expansion_budgets(golden, monkeypatch):
     exp = golden.expansion(5)
     assert exp.quotients == (0, 1, 1, 1, 1) and exp.truncated
     # sigma = 1 squares q each step: 27 -> 734 -> 538783, the first q past 16 bits
-    rule = QuotientRule(Fraction(1), (0, 2)).expansion(64, max_q_bits=16)
+    monkeypatch.setattr(contfrac, "MAX_Q_BITS", 16)
+    rule = QuotientRule(Fraction(1), (0, 2)).expansion(64)
     assert rule.quotients == (0, 2, 2, 5, 27, 734)
     assert rule.truncated and not rule.exact_terminates
     for budget in (0, -1):

@@ -7,6 +7,13 @@ only tests hold up. It belongs in ``tests/oracles.py`` or nowhere, unless
 KEPT names a reason to keep it. Methods are keyed ``Class.name``; a use is
 any load of the name or attribute read of it, so a call through any object
 counts.
+
+Options are held to the same rule: a parameter with a default, on an
+exported function or on a public method or constructor of an exported
+class, must be passed by keyword or by position from some call in the
+package, or sit in KEPT as ``name.param`` with its reason. A call is
+matched by the name it calls through (the function, the method, or the
+class for its constructor), so ``name`` is that name.
 """
 
 import ast
@@ -24,9 +31,14 @@ KEPT = {
     "rational_phase": "counted by perfbench/spans.py; the reference of the "
                       "phase-array tests",
     "irrational_phase": "the reference of the phase-array tests",
-    "mean_square_on_grid": "becomes the p = 2 case of the block L^p spectra "
-                           "or goes (ROADMAP item 3)",
     "SupNormResult.refinement_gain": "read per sup_norm by perfbench/spans.py",
+    "WeightVector.l2_squared": "read by perfbench/workloads.py for the smooth "
+                               "blocks' l2 floor",
+    "verify_collapse.phis": "passed by perfbench's corrupted-residual test; "
+                            "goes once that test is mended (ROADMAP item 1)",
+    "extract_kappa.phis": "goes with extract_kappa (ROADMAP item 4)",
+    "main.argv": "perfbench's scan items and the CLI tests enter the "
+                 "program through it",
 }
 
 
@@ -62,6 +74,11 @@ def _uses(node: ast.AST) -> Counter:
         elif isinstance(sub, ast.Attribute):
             used[sub.attr] += 1
     return used
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def _public_methods(tree: ast.Module):
@@ -102,9 +119,89 @@ def test_every_export_has_a_caller_in_the_package():
     assert not stray, (f"public but unused in src/thetareg: {stray}; "
                        "delete them, move them to tests/oracles.py, "
                        "or give a reason in KEPT")
+
+
+def _defaulted(tree: ast.Module):
+    """(name.param, def node) for each parameter with a default of the
+    module's exported functions and of its exported classes' public methods
+    and constructors (__init__, or a dataclass's fields)."""
+    exported = set(_exports(tree))
+    for top in tree.body:
+        if getattr(top, "name", None) not in exported:
+            continue
+        if isinstance(top, ast.FunctionDef):
+            yield from ((f"{top.name}.{p}", top) for p in _params(top))
+            continue
+        for node in top.body:
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name == "__init__" or not node.name.startswith("_")):
+                name = top.name if node.name == "__init__" else node.name
+                yield from ((f"{name}.{p}", node) for p in _params(node))
+            elif (isinstance(node, ast.AnnAssign) and node.value is not None
+                  and _is_dataclass(top)):
+                yield f"{top.name}.{node.target.id}", top
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+
+
+def _params(fn: ast.FunctionDef) -> list[str]:
+    """The parameters of fn that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    return ([a.arg for a in positional[len(positional) - len(args.defaults):]]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call: ast.Call, fn: ast.AST, param: str) -> bool:
+    """Whether call passes param of fn (a def, or a dataclass for its
+    fields), by keyword or by position. A method's or constructor's first
+    parameter is bound before the call's arguments."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if isinstance(fn, ast.ClassDef):
+        names = [n.target.id for n in fn.body if isinstance(n, ast.AnnAssign)]
+    else:
+        names = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        if names[:1] in (["self"], ["cls"]):
+            names = names[1:]
+    if param not in names:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or len(call.args) > names.index(param))
+
+
+def _unpassed_options() -> dict[str, str]:
+    """name.param -> its module, for defaulted parameters that no call in
+    the package outside their own definition passes."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = {}
+    for module, tree in trees.items():
+        for key, fn in _defaulted(tree):
+            name, param = key.rsplit(".", 1)
+            own = {id(n) for n in ast.walk(fn)}
+            if not any(_called_name(c) == name and id(c) not in own
+                       and _passes(c, fn, param) for c in calls):
+                unpassed[key] = module
+    return unpassed
+
+
+def test_every_option_is_passed_in_the_package():
+    unpassed = _unpassed_options()
+    stray = {key: module for key, module in unpassed.items() if key not in KEPT}
+    assert not stray, (f"options no call in src/thetareg passes: {stray}; "
+                       "delete them, or give a reason in KEPT")
+
+
+def test_every_kept_entry_is_still_needed():
     # a kept name that gained a caller, or left the surface, leaves KEPT too
-    stale = sorted(set(KEPT) - set(unused))
-    assert not stale, f"KEPT names that no longer need keeping: {stale}"
+    stale = sorted(set(KEPT) - set(_unused_surface()) - set(_unpassed_options()))
+    assert not stale, f"KEPT entries that no longer need keeping: {stale}"
 
 
 # name -> the one function of src/thetareg that may use it
@@ -112,25 +209,28 @@ ONE_ROUTE = {
     "np.fft": "grid_values",
     "rational_phase_array": "phase_vector",
     "quadratic_phase_array": "phase_vector",
+    "threading": "_map_cosets",
 }
 
 
 def _route_uses(tree: ast.Module):
-    """(name, top-level function) for each reference to np.fft and each
-    call of a phase-array builder in the module."""
+    """(name, top-level function) for each reference to np.fft, each
+    attribute of threading or import from it, and each call of a
+    phase-array builder in the module."""
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
             else None
         for node in ast.walk(top):
-            if (isinstance(node, ast.Attribute) and node.attr == "fft"
-                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
-                yield "np.fft", owner
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else \
-                    getattr(func, "id", None)
-                if name in ONE_ROUTE:
-                    yield name, owner
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                dotted = f"{node.value.id}.{node.attr}"
+                if dotted == "np.fft":
+                    yield dotted, owner
+                elif node.value.id == "threading":
+                    yield "threading", owner
+            elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+                yield "threading", owner
+            elif isinstance(node, ast.Call) and _called_name(node) in ONE_ROUTE:
+                yield _called_name(node), owner
 
 
 def test_one_transform_and_one_phase_builder():
