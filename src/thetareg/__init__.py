@@ -17,7 +17,7 @@ from .collapse import (CollapseCheck, CombFormula, PeriodizedGaussian,
                        comb_of, extract_kappa, verify_collapse)
 from .contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                        QuadraticIrrational, QuotientRule, Rational,
-                       SigmaEstimate, TimeSpec, cf_of_real, classify_sigma,
+                       SigmaEstimate, TimeSpec, classify_sigma,
                        expand_rational, khinchin_levy_diagnostic,
                        parse_timespec)
 from .cutoff import WeightVector, rough_weights, smooth_weights, unit_window

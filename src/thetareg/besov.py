@@ -95,11 +95,15 @@ def _scale_matched_q(time: TimeSpec, j: int) -> int | None:
     The minimiser of the envelope over real q is q = 2^j; among the
     available denominators the best one is found by scanning until they
     pass 8 * 2^j (beyond that the sqrt(q) term alone exceeds the best seen
-    candidate's envelope growth).
+    candidate's envelope growth). No q past (2^j + 1)^2 can win, since
+    q_0 = 1 scores 2^j + 1, so the scan ends there before sqrt(q) could
+    overflow a float.
     """
     target = 2.0 ** j
     best_q, best_val = None, math.inf
     for _, qk in time.convergent_pairs():
+        if qk > (2 ** j + 1) ** 2:
+            break
         val = target / math.sqrt(qk) + math.sqrt(qk)
         if val < best_val:
             best_q, best_val = qk, val

@@ -25,8 +25,8 @@ from pathlib import Path
 from .besov import (block_spectrum, classify_regularity, fit_exponent,
                     records_to_csv, report_to_json)
 from .collapse import verify_collapse
-from .contfrac import (KHINCHIN_LEVY, classify_sigma, khinchin_levy_diagnostic,
-                       parse_timespec)
+from .contfrac import (KHINCHIN_LEVY, DecimalLiteral, classify_sigma,
+                       khinchin_levy_diagnostic, parse_timespec)
 from .cutoff import block_bounds, rough_weights, smooth_weights, unit_window
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
@@ -192,7 +192,7 @@ def _cmd_cf(args) -> int:
             "per_n": [[n, v] for n, v in khinchin_levy_diagnostic(exp)],
         },
     }
-    if getattr(spec, "center_expansion", None) is not None:
+    if isinstance(spec, DecimalLiteral):
         doc["center_quotients"] = list(spec.center_expansion().quotients)
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))

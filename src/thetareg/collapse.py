@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contfrac import CFExpansion, Rational, expand_rational
+from .contfrac import Rational, convergents, expand_rational
 from .errors import BudgetError, DomainError, VerificationError
 from .thetasum import MAX_PROBE_Q, phase_vector
 
@@ -96,12 +96,11 @@ def comb_of(p: int, q: int) -> CombFormula:
     g = math.gcd(p, q)
     p, q = p // g, q // g
     p %= 2 * q
-    exp = CFExpansion(tuple(expand_rational(p, q)))
-    last = len(exp) - 1
-    if (exp.p(last), exp.q(last)) != (p, q):
+    # the seed (1, 0) stands in for the previous convergent when the
+    # expansion is the single a_0
+    (p_prev, q_prev), last = [(1, 0), *convergents(expand_rational(p, q))][-2:]
+    if last != (p, q):
         raise VerificationError("convergent recursion lost the value")
-    # k = -1 is the seed (1, 0) when the expansion is the single a_0
-    p_prev, q_prev = exp.p(last - 1), exp.q(last - 1)
     det = q * p_prev - p * q_prev
     if det != 1:
         raise VerificationError(

@@ -28,11 +28,10 @@ The Khinchin-Levy constant pi^2 / (12 ln 2) is the almost-sure limit of
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -51,7 +50,6 @@ __all__ = [
     "QuadraticIrrational",
     "QuotientRule",
     "DecimalLiteral",
-    "cf_of_real",
     "SigmaEstimate",
     "classify_sigma",
     "khinchin_levy_diagnostic",
@@ -75,6 +73,8 @@ def iroot(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
+    if x.bit_length() <= k:
+        return 1                # 1 <= x < 2^k, so 1 <= x^(1/k) < 2
     r = 1 << (x.bit_length() // k + 1)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
@@ -155,15 +155,13 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
 class CFExpansion:
     """Partial quotients a_0, a_1, ... with their convergents p_k/q_k.
 
-    The convergents come from ``convergents``, with the seed p_{-1} = 1,
-    q_{-1} = 0 kept as index -1. ``exact_terminates`` marks the complete
-    expansion of a rational; ``truncated`` marks a quotient or digit source
-    that was cut off before it was done.
+    ``exact_terminates`` marks the complete expansion of a rational;
+    ``truncated`` is its negation: a quotient or digit source that was cut
+    off before it was done.
     """
 
     quotients: tuple[int, ...]
     exact_terminates: bool = False
-    truncated: bool = False
 
     def __post_init__(self) -> None:
         if not self.quotients:
@@ -173,24 +171,12 @@ class CFExpansion:
         if any(a < 1 for a in self.quotients[1:]):
             raise DomainError("a_k must be >= 1 for k >= 1")
 
-    def __len__(self) -> int:
-        return len(self.quotients)
-
-    @functools.cached_property
-    def _pq(self) -> list[tuple[int, int]]:
-        """(p_k, q_k) at position k + 1, behind the seed (1, 0) at position 0."""
-        return [(1, 0), *convergents(self.quotients)]
-
-    def p(self, k: int) -> int:
-        """Numerator p_k; k = -1 is the seed value 1."""
-        return self._pq[k + 1][0]
-
-    def q(self, k: int) -> int:
-        """Denominator q_k; k = -1 is the seed value 0."""
-        return self._pq[k + 1][1]
+    @property
+    def truncated(self) -> bool:
+        return not self.exact_terminates
 
     def convergents(self) -> list[tuple[int, int]]:
-        return self._pq[1:]
+        return list(convergents(self.quotients))
 
 
 class TimeSpec:
@@ -199,7 +185,8 @@ class TimeSpec:
     A subclass supplies its partial quotients as the generator
     ``_quotients()``; ``partial_quotients()`` draws each one once and keeps
     it, so every reader of the stream (expansion, convergents, brackets,
-    scale matching) shares one memo.
+    scale matching) shares one memo. A decimal literal has no stream: its
+    ``expansion()`` walks the interval its digits pin instead.
     """
 
     _memo: tuple[list[int], Iterator[int]] | None = None
@@ -250,8 +237,7 @@ class TimeSpec:
                 break
         if not quots:
             raise PrecisionExhaustedError("no quotients could be produced")
-        return CFExpansion(tuple(quots), exact_terminates=not truncated,
-                           truncated=truncated)
+        return CFExpansion(tuple(quots), exact_terminates=not truncated)
 
     def value_bracket(self, eps: Fraction
                       ) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -434,60 +420,41 @@ class DecimalLiteral(TimeSpec):
     def resolution(self) -> Fraction | None:
         return Fraction(1, 10 ** self.digits)
 
-    def _quotients(self) -> Iterator[int]:
-        yield from expand_rational(self.value.numerator, self.value.denominator)
-
     def expansion(self, max_terms: int = 64) -> CFExpansion:
-        """The certified expansion (see cf_of_real), not the literal's own."""
-        certified, _center = cf_of_real(self.text, max_terms=max_terms)
-        return certified
+        """The quotients shared by every real within one last-digit unit of
+        the literal, not the literal's own.
+
+        The expansion is complete only when those certified quotients are
+        the centre's whole expansion; otherwise it is truncated, since more
+        digits would be needed to see deeper. When not even a_0 is shared it
+        is the literal's a_0 alone, truncated.
+        """
+        ulp = self.resolution()
+        lo, hi = max(self.value - ulp, Fraction(0)), self.value + ulp
+        quots: list[int] = []
+        while len(quots) < max_terms:
+            flo = lo.numerator // lo.denominator
+            if flo != hi.numerator // hi.denominator:
+                break
+            quots.append(flo)
+            lo -= flo
+            hi -= flo
+            if lo == 0 or hi == 0:
+                break
+            lo, hi = 1 / hi, 1 / lo
+        if not quots:
+            return CFExpansion((self.value.numerator // self.value.denominator,))
+        return CFExpansion(tuple(quots), exact_terminates=(
+            tuple(quots) == self.center_expansion().quotients))
 
     def center_expansion(self) -> CFExpansion:
         """Complete canonical expansion of the literal value taken as exact."""
         return CFExpansion(
             tuple(canonical_quotients(self.value.numerator, self.value.denominator)),
-            exact_terminates=True, truncated=False)
+            exact_terminates=True)
 
     def describe(self) -> str:
         return f"dec:{self.text}"
-
-
-def cf_of_real(text: str, max_terms: int = 64) -> tuple[CFExpansion, CFExpansion]:
-    """(certified expansion of text +- 1 ulp, exact expansion of the centre).
-
-    The certified part contains exactly those leading quotients shared by
-    every real within one last-digit unit of the literal; it is flagged
-    truncated whenever certification stopped before the centre's expansion
-    ended (more digits would be needed to see deeper).
-    """
-    lit = DecimalLiteral(text)
-    ulp = Fraction(1, 10 ** lit.digits)
-    lo, hi = lit.value - ulp, lit.value + ulp
-    if lo < 0:
-        lo = Fraction(0)
-    quots: list[int] = []
-    certified_all = False
-    while len(quots) < max_terms:
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo != fhi:
-            break
-        quots.append(flo)
-        lo -= flo
-        hi -= flo
-        if lo == 0 or hi == 0:
-            break
-        lo, hi = 1 / hi, 1 / lo
-    center = lit.center_expansion()
-    if quots and quots == list(center.quotients):
-        certified_all = True
-    if not quots:
-        quots = [lit.value.numerator // lit.value.denominator]
-        certified = CFExpansion(tuple(quots), truncated=True)
-    else:
-        certified = CFExpansion(tuple(quots), exact_terminates=certified_all,
-                                truncated=not certified_all)
-    return certified, center
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,9 @@ def slow_comb_masses(p: int, q: int) -> list[complex]:
 def determinant_alternates(exp) -> bool:
     """p_k q_{k-1} - p_{k-1} q_k == (-1)^(k+1) for every k >= 0 of a
     CFExpansion, k = -1 being the seed (1, 0)."""
-    for k in range(len(exp)):
-        det = exp.p(k) * exp.q(k - 1) - exp.p(k - 1) * exp.q(k)
-        if det != (-1) ** (k + 1):
-            return False
-    return True
+    pairs = [(1, 0), *exp.convergents()]
+    return all(p * q_prev - p_prev * q == (-1) ** (k + 1)
+               for k, ((p_prev, q_prev), (p, q)) in enumerate(zip(pairs, pairs[1:])))
 
 
 def total_variation(weights) -> float:

@@ -325,10 +325,10 @@ def test_c10_exact_arithmetic_invariants(golden, sqrt2m1):
         det_pairs.append((p // g, q // g))
     for p, q in det_pairs:
         exp = CFExpansion(tuple(expand_rational(p, q)), exact_terminates=True)
-        k = len(exp) - 1
+        (p_prev, q_prev), (pk, qk) = [(1, 0), *exp.convergents()][-2:]
         if not determinant_alternates(exp):
             failures.append(f"determinant alternation broke at {p}/{q}")
-        if exp.q(k) * exp.p(k - 1) - exp.p(k) * exp.q(k - 1) != 1:
+        if qk * p_prev - pk * q_prev != 1:
             failures.append(f"odd-length orientation broke at {p}/{q}")
     for t in (golden, sqrt2m1, QuotientRule(Fraction(1), (0, 2))):
         if not determinant_alternates(t.expansion(max_terms=40)):

@@ -23,13 +23,14 @@ from thetareg.errors import DomainError
 SRC = str(Path(thetareg.__file__).resolve().parents[1])
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, timeout: float | None = None
+            ) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this checkout's thetareg."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, timeout=timeout)
 
 
 def test_cf_text_output(capsys):
@@ -374,6 +375,23 @@ def test_cf_past_int_print_limit_is_refused(fmt, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # q_3 = 2^100001 + 1 is past what a float holds; the scale matching
+    # stops before it takes sqrt(q_3)
+    ["exponent", "--t", "class:sigma=100000,seed=0,1", "--jmin", "6",
+     "--jmax", "10", "--tail-start", "6"],
+    # every quotient is floor(q^(1/10^10)) = 1, an integer root that must not
+    # start its Newton steps at 2^(10^10 - 1)
+    ["cf", "--t", "class:sigma=1/10000000000,seed=0,1"],
+    ["exponent", "--t", "class:sigma=1e-30,seed=0,1", "--jmin", "6",
+     "--jmax", "10", "--tail-start", "6"],
+])
+def test_extreme_class_sigma_finishes(argv):
+    proc = _python("-m", "thetareg.cli", *argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["blocks", "--t", "rat:1/3", "--jmax", "21"],
     ["stability", "--t", _GOLDEN, "--t1", "rat:144/233", "--j", "21"],
 ])
@@ -483,7 +501,8 @@ _QUAD = st.builds("quad:({}{:+d}*sqrt({}))/{}".format, st.integers(-9, 9),
                   st.sampled_from([1, -1, 2]), st.integers(2, 30),
                   st.integers(1, 9))
 _CLASS = st.builds("class:sigma={},seed={},{}".format,
-                   st.sampled_from(["0", "1/2", "1", "2", "0.5"]),
+                   st.sampled_from(["0", "1/2", "1", "2", "0.5", "100000",
+                                    "1/10000000000"]),
                    st.integers(0, 1), st.integers(1, 5))
 _DEC = st.builds("dec:{}.{}".format, st.integers(0, 2),
                  st.text("0123456789", min_size=1, max_size=30))

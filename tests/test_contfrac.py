@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from oracles import determinant_alternates, frac_le_sqrt, mp_value
 from thetareg import contfrac
 from thetareg.contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                                QuadraticIrrational, QuotientRule, Rational,
-                               canonical_quotients, cf_of_real, classify_sigma,
+                               canonical_quotients, classify_sigma,
                                convergents, expand_rational,
                                floor_quadratic, iroot,
                                khinchin_levy_diagnostic, parse_timespec)
@@ -25,6 +26,14 @@ from thetareg.errors import DomainError, PrecisionExhaustedError
 def test_iroot_bracket(x, k):
     r = iroot(x, k)
     assert r ** k <= x < (r + 1) ** k
+
+
+def test_iroot_of_a_huge_index_returns_at_once():
+    # 1 <= x < 2^k has root 1; a Newton start at 2 would form 2^(k-1)
+    start = time.perf_counter()
+    assert iroot(3, 10**10) == 1
+    assert iroot(2**64 - 1, 64) == 1 and iroot(2**64, 64) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def _at_most(k: int, a: int, b: int, c: int, d: int) -> bool:
@@ -80,8 +89,8 @@ def test_expand_rational_roundtrip_odd_and_unimodular(p, q):
     assert Fraction(*exp.convergents()[-1]) == Fraction(p, q)
     assert determinant_alternates(exp)
     # odd length = even top index k: q_k p_{k-1} - p_k q_{k-1} = +1
-    k = len(quots) - 1
-    assert exp.q(k) * exp.p(k - 1) - exp.p(k) * exp.q(k - 1) == 1
+    (p_prev, q_prev), (pk, qk) = [(1, 0), *exp.convergents()][-2:]
+    assert qk * p_prev - pk * q_prev == 1
 
 
 def test_cfexpansion_validation():
@@ -95,7 +104,6 @@ def test_cfexpansion_validation():
 
 def test_convergents_seed_indexing():
     exp = CFExpansion((1, 2, 2))  # 1 + 1/(2 + 1/2) = 7/5
-    assert (exp.p(-1), exp.q(-1)) == (1, 0)
     assert exp.convergents() == [(1, 1), (3, 2), (7, 5)]
     assert Fraction(*exp.convergents()[-1]) == Fraction(7, 5)
 
@@ -287,25 +295,27 @@ def test_khinchin_levy_diagnostic(golden):
 
 # ---------------------------------------------------------- decimal honesty
 
-def test_cf_of_real_half():
-    certified, center = cf_of_real("0.5")
+def test_decimal_half():
+    lit = DecimalLiteral("0.5")
+    certified, center = lit.expansion(), lit.center_expansion()
     assert certified.quotients == (0,)
     assert certified.truncated
     assert center.quotients == (0, 2)
     assert center.exact_terminates
 
 
-def test_cf_of_real_third_is_not_certifiable_deep():
+def test_decimal_third_is_not_certifiable_deep():
     # 0.33333333 +- 1e-8 straddles 1/3, where a_1 flips between 2 and 3,
     # so only a_0 = 0 is shared by the whole interval
-    certified, center = cf_of_real("0.33333333")
+    lit = DecimalLiteral("0.33333333")
+    certified, center = lit.expansion(), lit.center_expansion()
     assert certified.quotients == (0,)
     assert certified.truncated
     assert center.quotients[:2] == (0, 3)
 
 
-def test_cf_of_real_golden_prefix(golden):
-    certified, _ = cf_of_real("0.6180339887498948482")
+def test_decimal_golden_prefix(golden):
+    certified = DecimalLiteral("0.6180339887498948482").expansion()
     want = golden.expansion(20).quotients
     assert len(certified.quotients) >= 20
     assert certified.quotients[:20] == want

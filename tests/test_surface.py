@@ -14,6 +14,9 @@ class, must be passed by keyword or by position from some call in the
 package, or sit in KEPT as ``name.param`` with its reason. A call is
 matched by the name it calls through (the function, the method, or the
 class for its constructor), so ``name`` is that name.
+
+Imports are held to it too: a module-level import that nothing in its
+module reads is dead weight, the re-exports of ``__init__`` aside.
 """
 
 import ast
@@ -196,6 +199,32 @@ def test_every_option_is_passed_in_the_package():
     stray = {key: module for key, module in unpassed.items() if key not in KEPT}
     assert not stray, (f"options no call in src/thetareg passes: {stray}; "
                        "delete them, or give a reason in KEPT")
+
+
+def _unused_imports() -> dict[str, list[str]]:
+    """module -> the names its module-level imports bind and nothing in it
+    reads. ``from __future__`` imports and ``__init__``'s re-exports are
+    exempt."""
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _uses(tree)
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        stray = [name for name in bound if not used[name]]
+        if stray:
+            unused[path.stem] = stray
+    return unused
+
+
+def test_every_import_is_read():
+    unused = _unused_imports()
+    assert not unused, f"imported but never read: {unused}"
 
 
 def test_every_kept_entry_is_still_needed():
