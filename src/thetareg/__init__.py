@@ -24,9 +24,9 @@ from .cutoff import WeightVector, rough_weights, smooth_weights, unit_window
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
-from .exactnum import (FixedReal, fixed_of_time, irrational_phase,
-                       linear_phase_array, quadratic_phase_array,
-                       rational_phase, rational_phase_array)
+from .exactnum import (FixedReal, fixed_of_time, linear_phase_array,
+                       quadratic_phase_array, rational_phase,
+                       rational_phase_array)
 from .thetasum import (ProbeResult, StabilityResult, SumSpec, SupNormResult,
                        eval_sum, grid_values, rational_probe,
                        stability_ratio, sup_norm)

@@ -210,6 +210,13 @@ class Prediction:
         return f"alpha in [{self.alpha_lo:.4f}, {self.alpha_hi:.4f}] ({self.source})"
 
 
+def _rule_sigma(time: QuotientRule) -> float:
+    """A quotient rule's sigma as a float, capped at 2^60: from there on
+    (1 + s)/(2 + s) rounds to 1 and every burst scale lies past j = 20,
+    and float(sigma) would overflow from about 1.8e308 on."""
+    return float(min(time.sigma, 1 << 60))
+
+
 def predicted_exponent(time: TimeSpec,
                        sigma_est: SigmaEstimate | None = None) -> Prediction:
     """Predicted block growth exponent from the arithmetic of the time.
@@ -230,7 +237,7 @@ def predicted_exponent(time: TimeSpec,
         return Prediction(0.5, 0.5,
                           "periodic quotients: square-root cancellation floor")
     else:                               # a QuotientRule: its sigma is given
-        s = float(time.sigma)
+        s = _rule_sigma(time)
         source = f"quotient rule with sigma = {time.sigma}"
     a = (1.0 + s) / (2.0 + s)
     return Prediction(a, a, source)
@@ -296,7 +303,7 @@ def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     bursts: list[int] = []
     sigma_for_bursts: float | None = None
     if isinstance(time, QuotientRule):
-        sigma_for_bursts = float(time.sigma)
+        sigma_for_bursts = _rule_sigma(time)
     elif sigma_est.sigma is not None and sigma_est.sigma > 0.2:
         sigma_for_bursts = sigma_est.sigma
     if time.exact_value() is None and sigma_for_bursts is not None:

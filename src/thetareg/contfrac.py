@@ -61,6 +61,9 @@ KHINCHIN_LEVY = math.pi ** 2 / (12.0 * math.log(2.0))
 
 # TimeSpec.expansion stops at the first convergent denominator past this
 MAX_Q_BITS = 100_000
+# QuotientRule ends its quotient stream where q_k^num would pass this many
+# bits: 2 MAX_Q_BITS cuts no sigma of numerator 1 or 2 short of MAX_Q_BITS
+MAX_POWER_BITS = 2 * MAX_Q_BITS
 
 
 def iroot(x: int, k: int) -> int:
@@ -203,7 +206,10 @@ class TimeSpec:
         raise NotImplementedError
 
     def partial_quotients(self) -> Iterator[int]:
-        """a_0, a_1, ...; finite for rationals, drawn from _quotients() once."""
+        """a_0, a_1, ...; finite for rationals, drawn from _quotients() once.
+        A time with no exact value whose source ends was cut off by a
+        budget: reading past its last quotient raises
+        PrecisionExhaustedError."""
         if self._memo is None:
             self._memo = ([], self._quotients())
         quots, source = self._memo
@@ -212,6 +218,10 @@ class TimeSpec:
             if k == len(quots):
                 a = next(source, None)
                 if a is None:
+                    if self.exact_value() is None:
+                        raise PrecisionExhaustedError(
+                            f"the quotients of {self.describe()} end after "
+                            f"{k} terms: their next one would pass the budget")
                     return
                 quots.append(a)
             yield quots[k]
@@ -222,19 +232,23 @@ class TimeSpec:
         return convergents(self.partial_quotients())
 
     def expansion(self, max_terms: int = 64) -> CFExpansion:
-        """Quotients up to max_terms, and up to the first denominator past
-        MAX_Q_BITS bits; truncated=True when cut off."""
+        """Quotients up to max_terms, up to the first denominator past
+        MAX_Q_BITS bits, and up to where a budget ends the source;
+        truncated=True when cut off."""
         quots: list[int] = []
         pairs = self.convergent_pairs()
         truncated = False
-        for a in self.partial_quotients():
-            if len(quots) >= max_terms:
-                truncated = True        # the source has a quotient past the budget
-                break
-            quots.append(a)
-            if next(pairs)[1].bit_length() > MAX_Q_BITS:
-                truncated = True
-                break
+        try:
+            for a in self.partial_quotients():
+                if len(quots) >= max_terms:
+                    truncated = True    # the source has a quotient past the budget
+                    break
+                quots.append(a)
+                if next(pairs)[1].bit_length() > MAX_Q_BITS:
+                    truncated = True
+                    break
+        except PrecisionExhaustedError:
+            truncated = True            # a budget ended the source
         if not quots:
             raise PrecisionExhaustedError("no quotients could be produced")
         return CFExpansion(tuple(quots), exact_terminates=not truncated)
@@ -385,11 +399,16 @@ class QuotientRule(TimeSpec):
         """The seed, then a_{k+1} = max(1, floor(q_k^sigma)).
 
         q_k comes from this time's own convergent stream, which by then
-        only needs the quotients a_0..a_k already drawn.
+        only needs the quotients a_0..a_k already drawn. The stream ends
+        where num * bits(q_k) passes MAX_POWER_BITS: forming q_k^num and
+        its den-th root there takes from seconds to hours as sigma's
+        numerator and denominator grow.
         """
         yield from self.seed
         num, den = self.sigma.numerator, self.sigma.denominator
         for _, q in itertools.islice(self.convergent_pairs(), len(self.seed) - 1, None):
+            if num * q.bit_length() > MAX_POWER_BITS:
+                return
             yield max(1, iroot(q ** num, den)) if num else 1
 
     def describe(self) -> str:

@@ -39,7 +39,6 @@ __all__ = [
     "rational_phase",
     "rational_phase_array",
     "fixed_of_time",
-    "irrational_phase",
     "quadratic_phase_array",
     "linear_phase_array",
 ]
@@ -144,20 +143,6 @@ def _check_guard(n_max: int, t: FixedReal) -> None:
         raise InsufficientPrecisionError(
             f"scale_bits = {t.scale_bits} leaves less than {GUARD_BITS} guard "
             f"bits at |n| = {n_max}; re-derive the time with more bits")
-
-
-def irrational_phase(n: int, t: FixedReal) -> tuple[float, float]:
-    """((n^2 t / 2) mod 1, certified absolute error bound).
-
-    Exact integer arithmetic on the mantissa; the only contributions to the
-    bound are the input's err_ulp budget and one final binary64 rounding.
-    """
-    _check_guard(abs(n), t)
-    modulus = 1 << (t.scale_bits + 1)
-    rem = (n * n * t.mantissa) % modulus
-    value = float(rem) / float(modulus)
-    err = n * n * t.err_ulp / float(modulus) + 2.0 ** -52
-    return value, err
 
 
 def _two_prod(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ routes:
   math.fsum (so results are reproducible bit for bit);
 * grid: the values of S on the K points x = k/K see only n mod K, so they
   are one inverse FFT of the coefficients summed over residues mod K (rows
-  of c viewed K wide, the n < 0 side their mirror as c_{-n} = c_n): exact
+  of c viewed K wide, each row of a coset with its factor): exact
   evaluation, not an approximation, for every K;
 * probe: for rational t = p/q the grid of the 2q points x = h/(2q). This
   is the grid on which the quadratic Gauss sum lower bounds are
@@ -28,8 +28,9 @@ a rounding term turn it into a closed-form upper end. The grid runs as
 cosets, each one shorter transform of the coefficients twisted from two
 small tables (grid_values); from a window of N = 2^13 on (j >= 12) each
 coset is about N+1 points long, so two terms fold onto some residues,
-and the cosets run in two lanes, two half-length transforms in the
-memory of one (sup_norm). A rational block
+and from N = 2^15 on (j >= 14) about N/2, so up to four do. The folded
+cosets run in two lanes, two short transforms in at most the memory of
+one whole-length one (sup_norm). A rational block
 whose closed comb bracket is at least as tight settles from it instead
 (merged_block_sup): its value is the larger of the probe maximum and the
 certified lower end.
@@ -75,8 +76,10 @@ MAX_PROBE_Q = 10_000
 MAX_GRID = 1 << 26           # points of one sup grid, however it is split
 
 # Windows reaching |n| >= _FOLD_N split their sup grid into folded cosets
-# of about N+1 points, in two lanes (measured crossover, see sup_norm).
+# of about N+1 points, and from _FOLD4_N on of about N/2, in two lanes
+# (measured crossovers, see sup_norm).
 _FOLD_N = 1 << 13
+_FOLD4_N = 1 << 15
 _CHUNK = 1 << 14             # elements per pass where a temporary would grow with N
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
@@ -195,20 +198,35 @@ def _check_grid(K: int) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _coset_twist(L: int, m: int, s: int) -> tuple[np.ndarray, np.ndarray, complex]:
-    """(rows, cols, omega) for coset s of an m L-point grid, K = m L:
+def _coset_twist(L: int, m: int, s: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, turns) for coset s of an m L-point grid, K = m L:
     e(r s/K) = rows[r // C] cols[r % C] for r = 0..L-1, C the divisor of L
-    nearest sqrt(L) from below, and omega = e(-s/m). Each entry e(n/K) is
-    one exp of n reduced mod K exactly in int64 and divided by K once.
-    Cached read-only: both families of a scale, every time at that scale
-    and every scan item share them. At oversample 8 the blocks j = 0..20
-    ask for 108 keys (L, m, s), one per coset s = 1..m//2 of a scale: at
-    most 8 per scale, 7 or 8 per folded one (j >= 12)."""
+    nearest sqrt(L) from below, and turns[g] = e(g s/m) for g = 0..m-1, so
+    that row j of the coefficients takes turns[j % m] = e(j s/m). Each
+    entry e(n/M) is one exp of n reduced mod M exactly in int64 and divided
+    by M once (M = K or m). Cached read-only: both families of a scale,
+    every time at that scale and every scan item share them. At oversample
+    8 the blocks j = 0..20 ask for 163 keys (L, m, s), one per coset
+    s = 1..m//2 of a scale: at most 8 per scale for j <= 11, 7 for j = 12
+    and 13, and 15 or 16 from j = 14 on."""
     K, C = m * L, next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
-    rows, cols, omega = (np.exp((2j * np.pi) * (n % K / K)) for n in (
-        np.arange(0, L, C) * s, np.arange(C) * s, np.array(-s * L)))
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols, complex(omega)
+    rows, cols, turns = (np.exp((2j * np.pi) * (n % M / M)) for n, M in (
+        (np.arange(0, L, C) * s, K), (np.arange(C) * s, K),
+        (np.arange(m) * s, m)))
+    for table in (rows, cols, turns):
+        table.flags.writeable = False
+    return rows, cols, turns
+
+
+def _add_row(dst: np.ndarray, src: np.ndarray, turn: complex) -> None:
+    """dst += turn * src, in passes of _CHUNK where turn != 1, so the
+    product's temporary stays _CHUNK long."""
+    if turn == 1:
+        dst += src
+        return
+    for a in range(0, dst.size, _CHUNK):
+        dst[a:a + _CHUNK] += turn * src[a:a + _CHUNK]
 
 
 def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
@@ -217,28 +235,33 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
     K-point grid x = k/K at m = 1, else coset s of the m K-point grid.
 
     At x = k/K the term n reads e(n k/K), which depends on n mod K only, so
-    the transform takes the coefficients summed per residue mod K. Below
-    K = N+1 (the comb probe's short grids) only m = 1 is served, with no
-    N-length temporary: c_1..c_N are the whole rows of c[1:] viewed K wide,
-    summed, plus one partial row; row 0 starts at n = 1, so the sums sit in
-    slots 1..K of K + 1, slot K holding residue 0. As c_{-n} = c_n, the
-    n < 0 side's sum at residue r is the n > 0 side's at -r, so it is added
-    as a mirror, and residue 0 gets c_0 once.
+    the transform takes the coefficients summed per residue mod K. A whole
+    grid below K = N+1 (m = 1: the comb probe's short grids, of up to
+    millions of rows) is summed with no N-length temporary: c_1..c_N are
+    the whole rows of c[1:] viewed K wide, summed, plus one partial row;
+    row 0 starts at n = 1, so the sums sit in slots 1..K of K + 1, slot K
+    holding residue 0. As c_{-n} = c_n, the n < 0 side's sum at residue r
+    is the n > 0 side's at -r, so it is added as a mirror, and residue 0
+    gets c_0 once.
 
-    From K = N+1 on, term n >= 0 lands on residue r = n and term -n on
-    r = K - n, so the transform's input is (four-step factorisation; D. H.
-    Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
-    1990)
+    Every other grid, a coset of any length K included, is the four-step
+    factorisation (D. H. Bailey, "FFTs in external or hierarchical memory",
+    J. Supercomputing 4, 1990): the term n = r + j K, 0 <= r < K, |n| <= N,
+    reads e(n (s + m k)/(m K)) = e(r s/(m K)) e(j s/m) e(r k/K), so the
+    transform's input is
 
-        b[r] = e(r s/(m K)) (c_r [r <= N] + e(-s/m) c_(K-r) [r >= K-N]),
+        b[r] = e(r s/(m K)) sum_j e(j s/m) c_(r + j K),
 
-    for K >= 2N+1, where each term sits alone, and for the fold N+1 <= K <
-    2N+1, where residues K-N..N add two. The n < 0 side is written first,
-    times omega = e(-s/m); the n >= 0 side is added to it; then the twist is
-    two broadcast products of b viewed (K/C, C) by _coset_twist's tables.
-    Coset 0 takes neither product. ``out``, when given, is a K-point
-    complex buffer that receives the values (K >= N+1 only), so a caller
-    running many cosets reuses one.
+    each row j of the coefficients, of either sign, added whole with its
+    row factor turns[j % m] (_coset_twist). For K >= 2N+1 each term sits
+    alone (rows 0 and -1); below it residues fold up to ceil((2N+1)/K)
+    terms. The n < 0 rows go first, row -1 written and the rest added, the
+    residues they leave are zeroed, and the n >= 0 rows are added; rows
+    whose factor is not 1 are added in passes of _CHUNK, so no temporary
+    grows with N. Then the twist e(r s/(m K)) is two broadcast products of
+    b viewed (K/C, C) by _coset_twist's tables. Coset 0 takes no product.
+    ``out``, when given, is a K-point complex buffer that receives the
+    values, so a caller running many cosets reuses one.
     """
     N = spec.weights.N
     if K < 1:
@@ -246,10 +269,8 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
     _check_grid(K)
     if not 0 <= s < m:
         raise DomainError(f"no coset {s} of {m}")
-    if K <= N and (m > 1 or out is not None):
-        raise DomainError(f"a coset or an out buffer needs K >= N+1 = {N + 1}, not {K}")
     c = spec.coefficient_arrays()
-    if K <= N:
+    if K <= N and m == 1:
         rows = N // K
         sums = np.empty(K + 1, dtype=np.complex128)
         c[1:rows * K + 1].reshape(rows, K).sum(axis=0, out=sums[1:])
@@ -258,15 +279,28 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
         buf = sums[:K]
         buf[1:] += buf[K - 1:0:-1]          # numpy reads the overlap before writing
         buf[0] = c[0] + 2 * sums[K]
+        if out is not None:
+            out[:] = buf
+            buf = out
     else:
         buf = np.empty(K, dtype=np.complex128) if out is None else out
+        tw_rows, tw_cols, turns = _coset_twist(K, m, s) if s else (None,) * 3
+
+        def turn(j: int) -> complex:
+            return turns[j % m] if s else 1
+
+        # row -j holds -n for n = (j-1)K+1 .. min(jK, N), at r = jK - n
+        top = min(K, N)
         if s:
-            tw_rows, tw_cols, omega = _coset_twist(K, m, s)
-            np.multiply(c[N:0:-1], omega, out=buf[K - N:])
+            np.multiply(c[top:0:-1], turns[-1], out=buf[K - top:])
         else:
-            buf[K - N:] = c[N:0:-1]
-        buf[:K - N] = 0
-        buf[:N + 1] += c
+            buf[K - top:] = c[top:0:-1]
+        for j in range(2, -(-N // K) + 1):
+            top = min(j * K, N)
+            _add_row(buf[j * K - top:], c[top:(j - 1) * K:-1], turn(-j))
+        buf[:K - min(K, N)] = 0
+        for j in range(N // K + 1):         # row j holds n = jK .. jK + K - 1
+            _add_row(buf[:min(K, N + 1 - j * K)], c[j * K:(j + 1) * K], turn(j))
         if s:
             view = buf.reshape(-1, tw_cols.size)
             view *= tw_rows[:, None]
@@ -315,14 +349,18 @@ def _coset_count(K: int, N: int) -> int:
     each, and with K/m at least
 
     * 2N+1 for a window reaching N < _FOLD_N: no coset transform folds;
-    * N+1 from _FOLD_N on: each residue mod K/m then takes at most two
-      terms, c_n and c_(n-K/m) (the fold), and a coset transform is about
-      half as long, so two run at once in the memory of one.
+    * N+1 for _FOLD_N <= N < _FOLD4_N: each residue mod K/m takes at most
+      two of the 2N+1 terms (the fold), and a coset transform is about
+      half as long, so two run at once in the memory of one;
+    * ceil((2N+1)/4), N/2 + 1 for even N, from _FOLD4_N on: at most four
+      terms on a residue, and two transforms about a quarter as long run
+      at once in half the memory of one.
 
     1 when no split keeps both. At oversample 8 that is m = 5 to 8 for
-    j <= 11 and 15 or 16 from j = 12 on.
+    j <= 11, 15 for j = 12 and 13, 30 for j = 14 and 32 from j = 15 on.
     """
-    width = N + 1 if N >= _FOLD_N else 2 * N + 1
+    terms = 1 if N < _FOLD_N else 2 if N < _FOLD4_N else 4
+    width = -(-(2 * N + 1) // terms)
     top = min(K // width, math.isqrt(K))
     return max(d for d in range(1, max(top, 1) + 1) if K % d == 0)
 
@@ -334,20 +372,23 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
 
     Input: each c_n is off by at most |w_n| (2 pi phase_error_bound() +
     32u), the phase error times 2 pi plus a few ulps u for the argument,
-    exp, product and abs. For m > 1 coset s multiplies the n < 0 side by
-    omega = e(-s/m) and its whole buffer by the table entries rows[r // C]
-    and cols[r % C] (_coset_twist). Each of these three factors is one exp
-    of an argument below 2 pi formed in three roundings, so within 24u of
-    exact, and each product adds at most sqrt(5) u < 3u (Brent, Percival
-    and Zimmermann, Math. Comp. 76, 2007): 81u, and 96u per coefficient
-    covers the second-order terms for any m. Nothing at m = 1, where omega
-    = 1 and no twist is applied. A folded coset (N+1 <= L < 2N+1) adds the
-    two terms of a residue in one rounding, within u of their moduli's
-    sum: 2u per coefficient covers it with their own errors. The input
-    errors move every output by at most their l1 sum. Transform: an FFT of
-    P passes, each of relative 2-norm error eta, errs by at most
-    P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Thm 24.2, argued pass by pass).
+    exp, product and abs. For m > 1 coset s multiplies each coefficient by
+    its row's factor turns[j % m] = e(j s/m) and its residue's sum by the
+    table entries rows[r // C] and cols[r % C] (_coset_twist): exactly
+    three unit factors, whatever the number of rows. Each is one exp of an
+    argument below 2 pi formed in three roundings, so within 24u of exact,
+    and each product adds at most sqrt(5) u < 3u (Brent, Percival and
+    Zimmermann, Math. Comp. 76, 2007): 81u, and 96u per coefficient covers
+    the second-order terms for any m. Nothing at m = 1, where every factor
+    is 1 and no twist is applied. A folded coset (L < 2N+1) adds the f =
+    ceil((2N+1)/L) or fewer terms of a residue in f - 1 roundings, within
+    (f - 1)u of their moduli's sum to first order: f u per coefficient
+    covers it with their own errors (f <= 4 on sup_norm's split, where
+    L >= (2N+1)/4). The input errors move every output by at most their
+    l1 sum. Transform: an FFT of P passes, each of relative 2-norm error
+    eta, errs by at most P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 24.2, argued pass by
+    pass).
     11-smooth sizes L take P <= log2 L passes of radix r <= 11, each
     forming length-r sums after one twiddle product, so eta <=
     gamma_(r+3) (sqrt(r) + u) < 64u and P eta < 1/2. One entry is at most
@@ -360,7 +401,8 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     L = K // m
     l1 = float(np.abs(w.w).sum() + np.abs(w.w[1:]).sum())
     twist = 0 if m == 1 else 96
-    fold = 2 if L < 2 * w.N + 1 else 0
+    terms = -(-(2 * w.N + 1) // L)
+    fold = terms if terms > 1 else 0
     ulps = 32 + twist + fold + 2 * math.log2(L) * 64 * math.sqrt(L)
     return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
 
@@ -431,15 +473,21 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
 
     The coefficients are built once, before any coset runs. Below N =
     _FOLD_N (j <= 11) K/m >= 2N+1 and the cosets run one after another
-    through one L-point buffer. From it on K/m is about N+1: each coset
-    folds (grid_values) and the cosets run in two lanes, one of them on a
-    second thread (_map_cosets), as two half-length transforms in flight
-    hold the memory of one whole-length one. The window's size alone picks
-    the route (_coset_count), and no route makes an array of |S|. The
-    crossover was measured: one golden-mean sup in two folded lanes took
-    0.47-0.55 of the unfolded serial route's time at j = 12, 0.39-0.63 at
-    j = 13 and 0.40 at j = 14, against 0.70-1.16 at j = 11 and 1.66-2.04 at
-    j = 10 (medians of interleaved pairs, two to five runs, 2-core host).
+    through one L-point buffer. From it on each coset folds (grid_values)
+    and the cosets run in two lanes, one of them on a second thread
+    (_map_cosets): K/m is about N+1 below N = _FOLD4_N (j = 12, 13), so
+    two transforms in flight hold the memory of one whole-length one, and
+    about N/2 from it on (j >= 14), half that. The window's size alone
+    picks the route (_coset_count), and no route makes an array of |S|.
+    Both crossovers were measured on one golden-mean sup (medians of
+    interleaved pairs, 2-core host). Two folded lanes of about N+1 points
+    took 0.47-0.55 of the unfolded serial route's time at j = 12 and
+    0.39-0.63 at j = 13, against 0.70-1.16 at j = 11 and 1.66-2.04 at
+    j = 10. Cosets of about N/2 took 1.62 (quartiles 1.54-1.67) of the
+    N+1 split's time at j = 12 and 1.09 (1.03-1.15) at j = 13, where the
+    work of folding all 2N+1 terms into twice as many cosets outweighs the
+    shorter transforms, against 0.74 (0.72-0.75) at j = 14, 0.70 at j = 15
+    and 0.67 at j = 16 (30 pairs each).
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N

@@ -40,6 +40,16 @@ def brute_sum_at(p: int, q: int, weights, num: int, den: int) -> complex:
     return total
 
 
+def irrational_phase(n: int, t) -> tuple[float, float]:
+    """((n^2 t/2) mod 1, an absolute error bound) for a fixed-point time
+    t = mantissa * 2^-scale_bits, by exact integer arithmetic on the
+    mantissa: the bound is the input's err_ulp budget at n plus one final
+    rounding of the integer quotient."""
+    modulus = 1 << (t.scale_bits + 1)
+    rem = (n * n * t.mantissa) % modulus
+    return rem / modulus, n * n * t.err_ulp / modulus + 2.0 ** -52
+
+
 def brute_probe_max(p: int, q: int, weights) -> float:
     """max over h of |S(h/(2q))| by direct evaluation."""
     return max(abs(brute_sum_at(p, q, weights, h, 2 * q))

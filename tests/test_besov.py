@@ -237,19 +237,20 @@ def test_report_json_schema(third):
 
 
 def test_block_spectrum_memory_peak(golden):
-    # j = 16 evaluates its 2.1M-point grids as 9 folded cosets of L =
-    # 131,220 points in two lanes, one buffer each. The worst case holds
+    # j = 16 evaluates its 2.1M-point grids as 17 of 32 folded cosets of
+    # L = 65,610 points in two lanes, one buffer each. The worst case holds
     # one family's arrays: 1.0 MiB of weights, 2.0 MiB of phases, 2.0 MiB of
-    # coefficients, two L-point buffers (4.0 MiB), the twist tables (0.1
-    # MiB) and both lanes' _peak passes (0.25 MiB), 9.35 MiB; the first sup
-    # of a process adds the grid-size and twist caches and numpy.fft's
-    # import, up to 0.5 MiB. 42 runs, idle or beside two busy processes,
-    # read 9.26-9.83 MiB. One transform of the whole grid would take about 58
-    # MB. tracemalloc sees numpy's buffers, not the FFT library's scratch.
+    # coefficients, two L-point buffers (2.0 MiB), the 16 twist tables
+    # (0.13 MiB) and, per lane, one fold row's product or one _peak pass
+    # (at most 0.25 MiB each, 0.5 MiB), 7.63 MiB; the first sup of a
+    # process adds the grid-size cache and numpy.fft's import, up to 0.5
+    # MiB. Runs read 7.51-7.87 MiB. One transform of the whole grid would
+    # take about 58 MB. tracemalloc sees numpy's buffers, not the FFT
+    # library's scratch.
     tracemalloc.start()
     try:
         block_spectrum(golden, 16, 16, mode="both")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 << 20, peak
+    assert peak <= 33 << 18, peak               # 8.25 MiB

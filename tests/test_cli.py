@@ -392,6 +392,21 @@ def test_extreme_class_sigma_finishes(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    *(["cf", "--t", f"class:sigma={sigma},seed=0,1", "--terms", "24"]
+      for sigma in ("0.99", "0.9999", "1e400")),
+    *(["exponent", "--t", f"class:sigma={sigma},seed=0,1", "--jmin", "6",
+       "--jmax", "10", "--tail-start", "6"] for sigma in ("0.12345", "1e400")),
+])
+def test_quotient_power_budget_ends_slow_class_times(argv):
+    # a_(k+1) = floor(q_k^sigma) forms q_k^num: for a sigma of large
+    # numerator the stream ends at MAX_POWER_BITS, so these take seconds,
+    # not minutes, and a block that needs more quotients is refused
+    proc = _python("-m", "thetareg.cli", *argv, timeout=30)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["blocks", "--t", "rat:1/3", "--jmax", "21"],
     ["stability", "--t", _GOLDEN, "--t1", "rat:144/233", "--j", "21"],
 ])

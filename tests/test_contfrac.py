@@ -255,6 +255,28 @@ def test_quotient_rule_fractional_sigma_growth():
         assert abs(ratio - 1.5) < 0.1
 
 
+def test_quotient_rule_stream_ends_at_the_power_budget():
+    # sigma = 99/100 forms q_k^99 for each quotient: the stream ends once
+    # 99 bits(q_k) passes MAX_POWER_BITS, the expansion reads as cut off,
+    # not finished, and a reader past its end is refused
+    t = QuotientRule(Fraction(99, 100), (0, 1))
+    exp = t.expansion(64)
+    assert exp.truncated and len(exp.quotients) < 64
+    q_last = exp.convergents()[-1][1]
+    assert 99 * q_last.bit_length() > contfrac.MAX_POWER_BITS
+    assert q_last.bit_length() < contfrac.MAX_Q_BITS
+    with pytest.raises(PrecisionExhaustedError):
+        t.value_bracket(Fraction(1, q_last ** 3))
+    with pytest.raises(PrecisionExhaustedError):
+        list(t.convergent_pairs())
+    # numerators 1 and 2 are never cut short of MAX_Q_BITS
+    for sigma in (Fraction(1), Fraction(2), Fraction(1, 2)):
+        exp = QuotientRule(sigma, (0, 1)).expansion(64)
+        assert exp.truncated
+        q_last = exp.convergents()[-1][1]
+        assert q_last.bit_length() > contfrac.MAX_Q_BITS or len(exp.quotients) == 64
+
+
 # -------------------------------------------------------------- classifier
 
 def test_classify_sigma_golden(golden):

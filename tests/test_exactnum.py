@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import circ_dist, mp_half_phase, mp_value
+from oracles import circ_dist, irrational_phase, mp_half_phase, mp_value
 from thetareg.contfrac import DecimalLiteral, Rational
 from thetareg.errors import DomainError, InsufficientPrecisionError
 from thetareg.exactnum import (GUARD_BITS, FixedReal, fixed_of_time,
-                               half_phase_splits, irrational_phase,
-                               linear_phase_array, quadratic_phase_array,
-                               rational_phase, rational_phase_array)
+                               half_phase_splits, linear_phase_array,
+                               quadratic_phase_array, rational_phase,
+                               rational_phase_array)
 
 
 # ---------------------------------------------------------------- rational
@@ -163,16 +163,17 @@ def test_irrational_phase_guard_refusal(golden):
     t = fixed_of_time(golden, 40)
     n = 2 ** 17            # n^2 = 2^34 > 2^(40-30)
     with pytest.raises(InsufficientPrecisionError):
-        irrational_phase(n, t)
+        quadratic_phase_array(np.array([n]), t)
     # the guard admits exactly n^2 <= 2^(40 - GUARD_BITS)
     assert GUARD_BITS == 30
-    ph, err = irrational_phase(2 ** 5, t)
-    assert 0.0 <= ph < 1.0 and err < 2.0 ** -20
+    ph, err = quadratic_phase_array(np.array([2 ** 5]), t)
+    assert 0.0 <= ph[0] < 1.0 and err < 2.0 ** -20
     with pytest.raises(InsufficientPrecisionError):
-        irrational_phase(2 ** 5 + 1, t)
+        quadratic_phase_array(np.array([2 ** 5 + 1]), t)
 
 
 def test_irrational_phase_vs_mpmath(golden):
+    # the bigint reference of the phase-array tests, against mpmath
     t = fixed_of_time(golden, 64)
     exact = mp_value(golden, dps=60)
     for n in (1, 517, 9001, 100003):

@@ -33,7 +33,6 @@ KEPT = {
     "extract_kappa": "wrapped by perfbench/spans.py (collapse.extract_kappa)",
     "rational_phase": "counted by perfbench/spans.py; the reference of the "
                       "phase-array tests",
-    "irrational_phase": "the reference of the phase-array tests",
     "SupNormResult.refinement_gain": "read per sup_norm by perfbench/spans.py",
     "WeightVector.l2_squared": "read by perfbench/workloads.py for the smooth "
                                "blocks' l2 floor",

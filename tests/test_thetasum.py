@@ -73,11 +73,13 @@ def test_grid_values_guards():
         for k in range(K):
             assert abs(vals[k] - eval_sum(spec, k / K)) < 1e-9
             assert abs(vals[k] - brute_sum_at(1, 3, w, k, K)) < 1e-9
-    # coset s of an m L-point grid, L >= N+1 = 33: term -n lands on L - n,
-    # two terms on the residues L-N..N below L = 65, each alone from there
-    # on; the values are S at (s + m k)/(m L), for every coset of m, and
-    # an out buffer receives them
-    for L in (33, 40, 64, 65, 80):
+    # coset s of an m L-point grid, any L: term n = r + jL lands on
+    # residue r with its row factor e(j s/m). L = 7..32 folds 1 to 5 rows
+    # of each sign onto every residue, L = 33..64 two terms onto the
+    # residues L-N..N, and from L = 65 on each term sits alone; the values
+    # are S at (s + m k)/(m L), for every coset of m, and an out buffer
+    # receives them
+    for L in (*range(7, 33), 33, 40, 64, 65, 80):
         for m in (2, 3, 5):
             out = np.empty(L, dtype=np.complex128)
             for s in range(m):
@@ -86,13 +88,12 @@ def test_grid_values_guards():
                 for k in range(L):
                     want = eval_sum(spec, (s + m * k) / (m * L))
                     assert abs(vals[k] - want) < 1e-9, (L, m, s, k)
-                    if m == 3:
-                        want = brute_sum_at(1, 3, w, s + m * k, m * L)
-                        assert abs(vals[k] - want) < 1e-9, (L, m, s, k)
-    with pytest.raises(DomainError):     # below N+1 only whole grids fold
-        grid_values(spec, 32, 1, 2)
-    with pytest.raises(DomainError):
-        grid_values(spec, 32, out=np.empty(32, dtype=np.complex128))
+                    want = brute_sum_at(1, 3, w, s + m * k, m * L)
+                    assert abs(vals[k] - want) < 1e-9, (L, m, s, k)
+    # a whole grid below N+1 fills an out buffer too
+    out = np.empty(32, dtype=np.complex128)
+    assert grid_values(spec, 32, out=out) is out
+    assert np.array_equal(out, grid_values(spec, 32))
     for s, m in ((2, 2), (-1, 3), (0, 0)):
         with pytest.raises(DomainError):
             grid_values(spec, 65, s, m)
@@ -162,22 +163,27 @@ def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
 
 def test_coset_count_rule():
     # grids of block j = 6..20: the largest divisor m of K that keeps
-    # K/m >= 2N+1 below N = 2^13 (j <= 11), at most the oversample, and
-    # K/m >= N+1 from it on, the folded cosets
-    want = {2: [1, 1, 2, 2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4],
-            4: [3, 3, 4, 4, 4, 3, 6, 6, 8, 8, 8, 8, 8, 8, 8],
-            8: [7, 7, 8, 8, 5, 6, 15, 15, 16, 16, 16, 16, 16, 16, 16]}
+    # K/m >= 2N+1 below N = 2^13 (j <= 11), at most the oversample,
+    # K/m >= N+1 below N = 2^15 (j = 12, 13), at most two terms on a
+    # residue, and K/m >= N/2 + 1 from it on, at most four
+    want = {2: [1, 1, 2, 2, 2, 2, 3, 3, 6, 8, 8, 8, 8, 8, 8],
+            4: [3, 3, 4, 4, 4, 3, 6, 6, 15, 16, 16, 16, 16, 16, 16],
+            8: [7, 7, 8, 8, 5, 6, 15, 15, 30, 32, 32, 32, 32, 32, 32]}
     for oversample, ms in want.items():
         for j, m in zip(range(6, 21), ms):
             N = rough_weights(j).N
             K = _fft_len(oversample * (2 * N + 1))
-            width = 2 * N + 1 if j <= 11 else N + 1
+            width = 2 * N + 1 if j <= 11 else N + 1 if j <= 13 else N // 2 + 1
             assert _coset_count(K, N) == m, (oversample, j)
             assert K % m == 0 and K // m >= width
             assert not any(K % d == 0 for d in range(m + 1, K // width + 1))
-    # the crossover reads the window alone: one grid, N either side of 2^13
+            assert -(-(2 * N + 1) // (K // m)) <= (1 if j <= 11 else 2 if j <= 13 else 4)
+    # the crossovers read the window alone: one grid, N either side of 2^13
+    # and of 2^15
     assert (_coset_count(131_220, 2 ** 13 - 1),
             _coset_count(131_220, 2 ** 13)) == (6, 15)
+    assert (_coset_count(524_880, 2 ** 15 - 1),
+            _coset_count(524_880, 2 ** 15)) == (16, 30)
     assert _coset_count(100, 60) == 1            # aliasing grid: no split
     # oversample 10^6 on N = 2: 2,000 cosets of 2,500 points, not 10^6 of 5
     assert _coset_count(5_000_000, 2) == 2000
@@ -406,7 +412,8 @@ def test_sup_bracket_contains_refined_sup(kind, oversample):
 @pytest.mark.parametrize("j", [13, 14])
 @pytest.mark.parametrize("kind", ["quad", "rat"])
 def test_sup_bracket_holds_across_cosets(kind, j):
-    # j = 13 and 14 split the oversample-8 grid into 15 and 16 folded cosets
+    # j = 13 splits the oversample-8 grid into 15 cosets folding two terms
+    # onto a residue, and j = 14 into 30 folding four
     text = _BRACKET_TIMES[kind]
     factor = 1.0 / (1.0 - math.pi ** 2 / (8 * 8 ** 2))
     for family in ("rough", "smooth"):
@@ -414,8 +421,9 @@ def test_sup_bracket_holds_across_cosets(kind, j):
         spec = SumSpec(parse_timespec(text), weights)
         res = sup_norm(spec)
         m = _coset_count(res.grid_size, weights.N)
-        assert m == (15 if j == 13 else 16)
-        assert res.grid_size // m < 2 * weights.N + 1
+        assert m == (15 if j == 13 else 30)
+        L = res.grid_size // m
+        assert -(-(2 * weights.N + 1) // L) == (2 if j == 13 else 4)
         r = _rounding_term(spec, res.grid_size)
         oracle = _oracle_sup(text, family, j, grid=32)
         where = (family, res.value, oracle, res.upper)
@@ -425,12 +433,13 @@ def test_sup_bracket_holds_across_cosets(kind, j):
 
 @pytest.mark.parametrize("text", ["rat:1234/7919", "quad:(-1+1*sqrt(5))/2"])
 def test_split_sup_matches_one_whole_grid_transform(text):
-    # j = 6..11 split the oversample-8 grid into 5 to 8 cosets and j = 12,
-    # 13 into 15 folded ones, an even sum transforming about half of them:
-    # the maximum is the one transform's, within both rounding terms, at
-    # its argmax folded into [0, 1/2]
+    # j = 6..11 split the oversample-8 grid into 5 to 8 cosets, j = 12, 13
+    # into 15 folding two terms and j = 14 into 30 folding four, an even
+    # sum transforming about half of them: the maximum is the one
+    # transform's, within both rounding terms, at its argmax folded into
+    # [0, 1/2]
     for family in (rough_weights, smooth_weights):
-        for j in range(6, 14):
+        for j in range(6, 15):
             spec = SumSpec(parse_timespec(text), family(j))
             res = sup_norm(spec)
             K = res.grid_size
@@ -463,8 +472,8 @@ _SMALL_TIMES = st.one_of(
 @settings(max_examples=80, deadline=None)
 def test_every_coset_split_matches_one_whole_grid_transform(
         text, weights, oversample):
-    # every divisor m of the grid with K/m >= N+1, folded or not, forced
-    # through _coset_count: sup_norm's maximum is the one whole-grid
+    # every divisor m of the grid with K/m >= (2N+1)/4, folding up to four
+    # terms onto a residue or none, forced through _coset_count: sup_norm's maximum is the one whole-grid
     # transform's within both rounding terms, at its argmax folded into
     # [0, 1/2]. Comb peaks of a rational time can tie exactly (rat:5/3
     # peaks at x = 1/6 and 1/2 alike), and then rounding picks the point:
@@ -478,7 +487,7 @@ def test_every_coset_split_matches_one_whole_grid_transform(
         r1 = _rounding_term(spec, K)
         full = np.abs(grid_values(spec, K))
         g = int(np.argmax(full))
-        for m in range(2, K // (N + 1) + 1):
+        for m in range(2, K // -(-(2 * N + 1) // 4) + 1):
             if K % m:
                 continue
             _force_cosets(mp, m)
@@ -493,7 +502,7 @@ def test_every_coset_split_matches_one_whole_grid_transform(
 
 
 def test_sup_norm_deterministic(golden):
-    for j in (7, 14):                   # seven cosets, then sixteen folded
+    for j in (7, 14):                   # seven cosets, then thirty folded
         spec = SumSpec(golden, rough_weights(j))
         a = sup_norm(spec)
         b = sup_norm(spec)              # the sum's arrays are untouched
