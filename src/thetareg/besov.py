@@ -47,7 +47,7 @@ from .contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
                        Rational, SigmaEstimate, TimeSpec, classify_sigma)
 from .cutoff import MAX_BLOCK_J, block_bounds, rough_weights, smooth_weights
 from .errors import DomainError
-from .thetasum import merged_block_sup, phase_vector
+from .thetasum import SumSpec, merged_block_sup, phase_vector
 
 __all__ = [
     "BlockRecord",
@@ -118,8 +118,11 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
 
     mode selects which families to evaluate ("rough", "smooth", "both").
     Rational times get the exact comb probe merged into each sup and the
-    guaranteed floor recorded next to it. Both families of a scale reach
-    the same N, so one phase vector per scale serves both sums and probes.
+    guaranteed floor recorded next to it. Both families of a scale share
+    one window, so one phase vector per scale serves both sums and probes:
+    the rough sum takes it as its coefficients, and the smooth sum
+    multiplies it into an array of its own, after which the vector is
+    dropped, so each sup holds one window-length array.
     """
     if mode not in ("rough", "smooth", "both"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -131,12 +134,17 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     records: list[BlockRecord] = []
     for j in scales:
         rough = smooth = probe = sprobe = None
-        phases = phase_vector(time, block_bounds(j)[1])
+        M, N = block_bounds(j)
+        phases = phase_vector(time, N, M)
         if mode in ("rough", "both"):
-            rough, probe = merged_block_sup(time, rough_weights(j), oversample, phases)
-        if mode in ("smooth", "both"):
-            smooth, sprobe = merged_block_sup(time, smooth_weights(j), oversample,
-                                              phases)
+            rough, probe = merged_block_sup(
+                SumSpec(time, rough_weights(j), phases), oversample)
+        spec = (SumSpec(time, smooth_weights(j), phases)
+                if mode in ("smooth", "both") else None)
+        del phases
+        if spec is not None:
+            smooth, sprobe = merged_block_sup(spec, oversample)
+        del spec
         count = 3 * 2 ** j if j >= 1 else 5
         exact = time.exact_value()
         q_used = exact.denominator if exact is not None else _scale_matched_q(time, j)

@@ -168,7 +168,7 @@ def lhs_pairing(p: int, q: int, phi) -> complex:
     coefficients are unimodular, and even in n, so n < 0 mirrors n > 0).
     """
     n_max = phi.coeff_count()
-    unit = phase_vector(Rational(p, q), n_max).unit
+    unit = phase_vector(Rational(p, q), n_max, 0).unit
     coeffs = np.concatenate((unit[:0:-1], unit))
     n = np.arange(-n_max, n_max + 1)
     return complex(np.sum(coeffs * phi.fourier(-n)))

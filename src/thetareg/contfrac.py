@@ -67,7 +67,17 @@ MAX_POWER_BITS = 2 * MAX_Q_BITS
 
 
 def iroot(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for integers x >= 0, k >= 1, by Newton + correction."""
+    """floor(x ** (1/k)) for integers x >= 0, k >= 1, by Newton + correction.
+
+    Newton starts just above the root: x's top 64 bits give log2 of
+    x^(1/k) to about 1e-10 for any x of fewer than 2^30 bits, and the start
+    is 2 to that plus 2^-30, doubled until its k-th power passes x should
+    the estimate fall short. From above, the integer iteration falls
+    monotonically onto the floor, in a few steps of quadratic convergence.
+    Far above the root a step shrinks r by only about 1 - 1/k, so the
+    former start 2^(bits/k + 1), up to twice the root, took about k ln 2
+    steps, each forming a (k-1)-th power of x's size.
+    """
     if x < 0 or k <= 0:
         raise DomainError("iroot needs x >= 0 and k >= 1")
     if x == 0:
@@ -78,7 +88,13 @@ def iroot(x: int, k: int) -> int:
         return math.isqrt(x)
     if x.bit_length() <= k:
         return 1                # 1 <= x < 2^k, so 1 <= x^(1/k) < 2
-    r = 1 << (x.bit_length() // k + 1)
+    shift = max(x.bit_length() - 64, 0)
+    lg = (math.log2(x >> shift) + shift) / k + 2.0 ** -30
+    whole = int(lg)
+    r = int(2.0 ** (lg - whole) * (1 << 53)) + 1   # 2^lg, scaled by 2^53
+    r = r << (whole - 53) if whole >= 53 else (r >> (53 - whole)) + 1
+    while r ** k <= x:
+        r *= 2
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:

@@ -21,6 +21,10 @@ routes:
   1/sqrt(q), so [(W(0) - T)/sqrt(q), (W(0) + T)/sqrt(q)] brackets its sup
   with no grid at all, T a summation-by-parts tail (_comb_bracket).
 
+A sum holds one complex array, its coefficients over the window M <= |n|
+<= N of its weights (SumSpec); a dyadic block has M = N/4 + 1. The terms
+with |n| < M are exact zeros, so no route forms or reads them.
+
 The sup norm over x is reported as a bracket [value, upper] of which
 upper is certified: value is the maximum over one dense grid (default 8x
 past the polynomial degree), as computed, and Bernstein's inequality plus
@@ -28,9 +32,10 @@ a rounding term turn it into a closed-form upper end. The grid runs as
 cosets, each one shorter transform of the coefficients twisted from two
 small tables (grid_values); from a window of N = 2^13 on (j >= 12) each
 coset is about N+1 points long, so two terms fold onto some residues,
-and from N = 2^15 on (j >= 14) about N/2, so up to four do. The folded
-cosets run in two lanes, two short transforms in at most the memory of
-one whole-length one (sup_norm). A rational block
+from N = 2^15 on (j >= 14) about N/2, so up to four do, and from N = 2^17
+on (j >= 16) about N/4, up to eight. The folded cosets run in two lanes,
+two short transforms in at most the memory of one whole-length one
+(sup_norm). A rational block
 whose closed comb bracket is at least as tight settles from it instead
 (merged_block_sup): its value is the larger of the probe maximum and the
 certified lower end.
@@ -76,10 +81,11 @@ MAX_PROBE_Q = 10_000
 MAX_GRID = 1 << 26           # points of one sup grid, however it is split
 
 # Windows reaching |n| >= _FOLD_N split their sup grid into folded cosets
-# of about N+1 points, and from _FOLD4_N on of about N/2, in two lanes
-# (measured crossovers, see sup_norm).
+# of about N+1 points, from _FOLD4_N on of about N/2 and from _FOLD8_N on
+# of about N/4, in two lanes (measured crossovers, see sup_norm).
 _FOLD_N = 1 << 13
 _FOLD4_N = 1 << 15
+_FOLD8_N = 1 << 17
 _CHUNK = 1 << 14             # elements per pass where a temporary would grow with N
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
@@ -108,10 +114,11 @@ def scale_bits_for(n_max: int) -> int:
 
 @dataclass(frozen=True)
 class PhaseVector:
-    """unit[n] = e(n^2 t/2) for n = 0..N, each phase off by at most error cycles.
+    """unit[i] = e(n^2 t/2) for n = M + i, the window M <= n <= N of one
+    block, each phase off by at most error cycles.
 
-    The quadratic phase depends on the time and N alone, so every weight
-    family of one scale, and the comb probe, can share one vector.
+    The quadratic phase depends on the time and the window alone, so every
+    weight family of one scale, and the comb probe, can share one vector.
     """
 
     unit: np.ndarray
@@ -129,66 +136,90 @@ def check_phase_resolution(time: TimeSpec, N: int) -> None:
             f"|n| = {N}; supply more digits")
 
 
-def phase_vector(time: TimeSpec, N: int) -> PhaseVector:
-    """The phase vector of a time for n = 0..N: exact for rational values
-    (one final rounding), error-tracked fixed point otherwise. Refused by
-    check_phase_resolution where a literal's digits cannot pin it.
+def _unit(phase: np.ndarray) -> np.ndarray:
+    """e(phase), elementwise, in one complex array."""
+    unit = np.multiply(phase, 2j * np.pi)
+    return np.exp(unit, out=unit)
+
+
+def phase_vector(time: TimeSpec, N: int, M: int) -> PhaseVector:
+    """The phase vector of a time on the window M <= n <= N: exact for
+    rational values (one final rounding), error-tracked fixed point
+    otherwise. Refused by check_phase_resolution where a literal's digits
+    cannot pin it.
+
+    Only the window's phases are formed: for a dyadic block (M = N/4 + 1)
+    a quarter fewer than n = 0..N. The error model is that of the whole
+    range, as the largest |n| is still N. At t = p/q the phase n^2 p/(2q)
+    mod 1 depends on n mod 2q alone, so a window longer than 2q takes the
+    2q unit values of one period, rotated to start at M and tiled: the
+    same bits as forming each entry, in a twentieth of the time for q in
+    the thousands on the j = 20 window.
     """
     check_phase_resolution(time, N)
-    n = np.arange(N + 1)
     rational = time.exact_value()
     if rational is not None:
-        phase = exactnum.rational_phase_array(
-            n, rational.numerator, rational.denominator)
-        err = 2.0 ** -52
-    else:
-        phase, err = exactnum.quadratic_phase_array(
-            n, exactnum.fixed_of_time(time, scale_bits_for(N)))
-    del n
-    unit = np.multiply(phase, 2j * np.pi)
-    del phase
-    return PhaseVector(unit=np.exp(unit, out=unit), error=err)
+        p, q = rational.numerator, rational.denominator
+        period = 2 * q
+        if period < N - M + 1:
+            one = _unit(exactnum.rational_phase_array(np.arange(period), p, q))
+            size = N - M + 1
+            unit = np.tile(np.roll(one, -(M % period)), -(-size // period))[:size]
+        else:
+            unit = _unit(exactnum.rational_phase_array(np.arange(M, N + 1), p, q))
+        return PhaseVector(unit=unit, error=2.0 ** -52)
+    phase, err = exactnum.quadratic_phase_array(
+        np.arange(M, N + 1), exactnum.fixed_of_time(time, scale_bits_for(N)))
+    return PhaseVector(unit=_unit(phase), error=err)
 
 
 class SumSpec:
     """One weighted sum: a time parameter plus a weight block.
 
-    ``phases``, when given, must be ``phase_vector(time, weights.N)``; it
-    lets sums over several weight blocks of one scale share that vector.
-    Everything derived is deterministic, so two SumSpecs built from equal
-    inputs agree exactly.
+    The sum holds one complex array, its coefficients over the window
+    M <= n <= N only, and the phase error of the vector they came from.
+    ``phases``, when given, must be ``phase_vector(time, weights.N,
+    weights.M)``; it lets sums over several weight blocks of one scale
+    share that vector. A block whose weights are exactly 1 on its window
+    (rough, unit) takes the vector itself as its coefficients; any other
+    multiplies it into an array of its own, so the caller may drop the
+    vector before the sum's sup. Everything derived is deterministic, so
+    two SumSpecs built from equal inputs agree exactly.
     """
 
     def __init__(self, time: TimeSpec, weights: WeightVector,
                  phases: PhaseVector | None = None):
+        M, N = weights.M, weights.N
         if phases is None:
-            phases = phase_vector(time, weights.N)
-        if phases.unit.shape != (weights.N + 1,):
-            raise DomainError(
-                f"{phases.unit.size} phases for a window reaching |n| = {weights.N}")
+            phases = phase_vector(time, N, M)
+        if phases.unit.shape != (N - M + 1,):
+            raise DomainError(f"{phases.unit.size} phases for the window "
+                              f"{M} <= |n| <= {N}")
+        self.time = time
         self.weights = weights
-        self.phases = phases
-        self._coeffs: np.ndarray | None = None
+        self._phase_error = phases.error
+        self._coeffs = (phases.unit if weights.mode in ("rough", "unit")
+                        else weights.w[M:] * phases.unit)
 
     def phase_error_bound(self) -> float:
-        return self.phases.error
+        return self._phase_error
 
     def coefficient_arrays(self) -> np.ndarray:
-        """c_n = w_n e(n^2 t/2) for n = 0..N, which is also c_{-n}: the
-        weights and the quadratic phase are both even in n."""
-        if self._coeffs is None:
-            self._coeffs = self.weights.w * self.phases.unit
+        """c_n = w_n e(n^2 t/2) for n = M..N, at index n - M, which is also
+        c_{-n}: the weights and the quadratic phase are both even in n.
+        Every c_n with 0 < |n| < M is 0, and c_0 too unless M = 0."""
         return self._coeffs
 
 
 def eval_sum(spec: SumSpec, x: float) -> complex:
     """S(x) by direct summation, each part rounded once (math.fsum)."""
     c = spec.coefficient_arrays()
-    n = np.arange(spec.weights.N + 1)
+    M = spec.weights.M
+    n = np.arange(M, spec.weights.N + 1)
     unit = np.exp((2j * np.pi) * exactnum.linear_phase_array(n, float(x)))
     terms = c * unit
-    if spec.weights.N >= 1:
-        terms[1:] += c[1:] * np.conj(unit[1:])
+    pos = 1 if M == 0 else 0            # n = 0 is counted once
+    terms[pos:] += c[pos:] * np.conj(unit[pos:])
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
@@ -197,7 +228,7 @@ def _check_grid(K: int) -> None:
         raise BudgetError(f"grid of {K} points exceeds the {MAX_GRID} budget")
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=512)
 def _coset_twist(L: int, m: int, s: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, turns) for coset s of an m L-point grid, K = m L:
@@ -206,10 +237,13 @@ def _coset_twist(L: int, m: int, s: int
     that row j of the coefficients takes turns[j % m] = e(j s/m). Each
     entry e(n/M) is one exp of n reduced mod M exactly in int64 and divided
     by M once (M = K or m). Cached read-only: both families of a scale,
-    every time at that scale and every scan item share them. At oversample
-    8 the blocks j = 0..20 ask for 163 keys (L, m, s), one per coset
-    s = 1..m//2 of a scale: at most 8 per scale for j <= 11, 7 for j = 12
-    and 13, and 15 or 16 from j = 14 on."""
+    every time at that scale and every scan item share them. The blocks
+    j = 0..20 ask for one key (L, m, s) per coset s = 1..m//2 of a scale:
+    243 at oversample 8 (at most 8 per scale for j <= 11, 7 for j = 12 and
+    13, 15 or 16 for j = 14 and 15, and 32 from j = 16 on), and 383 at
+    oversamples 2, 4 and 8 together, which the bound of 512 holds. Those
+    383 keys' tables take 4.1 MB in all; no key's pass 24.2 kB (2 sqrt(L)
+    + m entries of 16 bytes), so the bound caps the cache at 12.4 MB."""
     K, C = m * L, next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
     rows, cols, turns = (np.exp((2j * np.pi) * (n % M / M)) for n, M in (
         (np.arange(0, L, C) * s, K), (np.arange(C) * s, K),
@@ -235,14 +269,20 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
     K-point grid x = k/K at m = 1, else coset s of the m K-point grid.
 
     At x = k/K the term n reads e(n k/K), which depends on n mod K only, so
-    the transform takes the coefficients summed per residue mod K. A whole
-    grid below K = N+1 (m = 1: the comb probe's short grids, of up to
-    millions of rows) is summed with no N-length temporary: c_1..c_N are
-    the whole rows of c[1:] viewed K wide, summed, plus one partial row;
-    row 0 starts at n = 1, so the sums sit in slots 1..K of K + 1, slot K
-    holding residue 0. As c_{-n} = c_n, the n < 0 side's sum at residue r
-    is the n > 0 side's at -r, so it is added as a mirror, and residue 0
-    gets c_0 once.
+    the transform takes the coefficients summed per residue mod K. Only the
+    window M <= |n| <= N is read (SumSpec.coefficient_arrays); the terms
+    outside it are exact zeros, so each residue adds the same nonzero terms
+    in the same order, n rising on either side, as a sum over all |n| <= N
+    would, and gets the same bits.
+
+    A whole grid below K = N+1 (m = 1: the comb probe's short grids, of up
+    to millions of rows) is summed with no N-length temporary: the n > 0
+    side, from n0 = max(M, 1), is the rows of the coefficients viewed K
+    wide from n0, summed, plus one partial row; the sum of column i is that
+    of residue n0 + i, rotated into slots 1..K of K + 1, slot K holding
+    residue 0. As c_{-n} = c_n, the n < 0 side's sum at residue r is the
+    n > 0 side's at -r, so it is added as a mirror, and residue 0 gets c_0
+    once.
 
     Every other grid, a coset of any length K included, is the four-step
     factorisation (D. H. Bailey, "FFTs in external or hierarchical memory",
@@ -252,33 +292,37 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
 
         b[r] = e(r s/(m K)) sum_j e(j s/m) c_(r + j K),
 
-    each row j of the coefficients, of either sign, added whole with its
-    row factor turns[j % m] (_coset_twist). For K >= 2N+1 each term sits
-    alone (rows 0 and -1); below it residues fold up to ceil((2N+1)/K)
-    terms. The n < 0 rows go first, row -1 written and the rest added, the
-    residues they leave are zeroed, and the n >= 0 rows are added; rows
-    whose factor is not 1 are added in passes of _CHUNK, so no temporary
-    grows with N. Then the twist e(r s/(m K)) is two broadcast products of
-    b viewed (K/C, C) by _coset_twist's tables. Coset 0 takes no product.
-    ``out``, when given, is a K-point complex buffer that receives the
-    values, so a caller running many cosets reuses one.
+    each row j of the coefficients, of either sign, added with its row
+    factor turns[j % m] (_coset_twist) over the part of it in the window.
+    For K >= 2N+1 each term sits alone (rows 0 and -1); below it residues
+    fold up to ceil((2N+1)/K) terms. The n < 0 rows go first, the first one
+    reaching the window written and the rest added, the residues it leaves
+    are zeroed, and the n >= 0 rows are added; rows whose factor is not 1
+    are added in passes of _CHUNK, so no temporary grows with N. Then the
+    twist e(r s/(m K)) is two broadcast products of b viewed (K/C, C) by
+    _coset_twist's tables. Coset 0 takes no product. ``out``, when given,
+    is a K-point complex buffer that receives the values, so a caller
+    running many cosets reuses one.
     """
-    N = spec.weights.N
+    M, N = spec.weights.M, spec.weights.N
     if K < 1:
         raise DomainError(f"a grid needs K >= 1 points, not {K}")
     _check_grid(K)
     if not 0 <= s < m:
         raise DomainError(f"no coset {s} of {m}")
-    c = spec.coefficient_arrays()
+    c = spec.coefficient_arrays()       # c[i] = c_(M + i)
+    n0 = max(M, 1)                      # the least n > 0 of the window
     if K <= N and m == 1:
-        rows = N // K
+        pos = c[n0 - M:]                # n = n0..N
+        rows = pos.size // K
+        cols = pos[:rows * K].reshape(rows, K).sum(axis=0)
+        part = pos[rows * K:]
+        cols[:part.size] += part
         sums = np.empty(K + 1, dtype=np.complex128)
-        c[1:rows * K + 1].reshape(rows, K).sum(axis=0, out=sums[1:])
-        part = c[rows * K + 1:]             # residues 1..N - rows K
-        sums[1:part.size + 1] += part
+        sums[1:] = np.roll(cols, (n0 - 1) % K)   # column i: slot (n0 + i - 1) % K + 1
         buf = sums[:K]
         buf[1:] += buf[K - 1:0:-1]          # numpy reads the overlap before writing
-        buf[0] = c[0] + 2 * sums[K]
+        buf[0] = (c[0] if M == 0 else 0) + 2 * sums[K]
         if out is not None:
             out[:] = buf
             buf = out
@@ -289,18 +333,29 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
         def turn(j: int) -> complex:
             return turns[j % m] if s else 1
 
-        # row -j holds -n for n = (j-1)K+1 .. min(jK, N), at r = jK - n
-        top = min(K, N)
-        if s:
-            np.multiply(c[top:0:-1], turns[-1], out=buf[K - top:])
+        def minus(j: int) -> tuple[slice, np.ndarray]:
+            """Row -j over the window: -n for n = max((j-1)K + 1, n0) ..
+            min(jK, N), at r = jK - n, as (its residues, its c_n)."""
+            lo, top = max((j - 1) * K + 1, n0), min(j * K, N)
+            return slice(j * K - top, j * K - lo + 1), c[lo - M:top - M + 1][::-1]
+
+        first, last = -(-n0 // K), -(-N // K)   # rows -j reaching the window
+        if first <= last:
+            span, row = minus(first)
+            if s:
+                np.multiply(row, turn(-first), out=buf[span])
+            else:
+                buf[span] = row
+            buf[:span.start] = 0
+            buf[span.stop:] = 0
         else:
-            buf[K - top:] = c[top:0:-1]
-        for j in range(2, -(-N // K) + 1):
-            top = min(j * K, N)
-            _add_row(buf[j * K - top:], c[top:(j - 1) * K:-1], turn(-j))
-        buf[:K - min(K, N)] = 0
-        for j in range(N // K + 1):         # row j holds n = jK .. jK + K - 1
-            _add_row(buf[:min(K, N + 1 - j * K)], c[j * K:(j + 1) * K], turn(j))
+            buf[:] = 0
+        for j in range(first + 1, last + 1):
+            span, row = minus(j)
+            _add_row(buf[span], row, turn(-j))
+        for j in range(M // K, N // K + 1):     # row j holds n = jK .. jK + K - 1
+            lo, hi = max(j * K, M), min(j * K + K, N + 1)
+            _add_row(buf[lo - j * K:hi - j * K], c[lo - M:hi - M], turn(j))
         if s:
             view = buf.reshape(-1, tw_cols.size)
             view *= tw_rows[:, None]
@@ -352,14 +407,19 @@ def _coset_count(K: int, N: int) -> int:
     * N+1 for _FOLD_N <= N < _FOLD4_N: each residue mod K/m takes at most
       two of the 2N+1 terms (the fold), and a coset transform is about
       half as long, so two run at once in the memory of one;
-    * ceil((2N+1)/4), N/2 + 1 for even N, from _FOLD4_N on: at most four
-      terms on a residue, and two transforms about a quarter as long run
-      at once in half the memory of one.
+    * ceil((2N+1)/4), N/2 + 1 for even N, for _FOLD4_N <= N < _FOLD8_N:
+      at most four terms on a residue, and two transforms about a quarter
+      as long run at once in half the memory of one;
+    * ceil((2N+1)/8), N/4 + 1 for even N, from _FOLD8_N on: at most eight
+      terms on a residue, and the two lanes' buffers, plans and scratch
+      halve again.
 
     1 when no split keeps both. At oversample 8 that is m = 5 to 8 for
-    j <= 11, 15 for j = 12 and 13, 30 for j = 14 and 32 from j = 15 on.
+    j <= 11, 15 for j = 12 and 13, 30 for j = 14, 32 for j = 15 and 64
+    from j = 16 on (L = 32,805 at j = 16).
     """
-    terms = 1 if N < _FOLD_N else 2 if N < _FOLD4_N else 4
+    terms = (1 if N < _FOLD_N else 2 if N < _FOLD4_N else 4 if N < _FOLD8_N
+             else 8)
     width = -(-(2 * N + 1) // terms)
     top = min(K // width, math.isqrt(K))
     return max(d for d in range(1, max(top, 1) + 1) if K % d == 0)
@@ -383,12 +443,14 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     is 1 and no twist is applied. A folded coset (L < 2N+1) adds the f =
     ceil((2N+1)/L) or fewer terms of a residue in f - 1 roundings, within
     (f - 1)u of their moduli's sum to first order: f u per coefficient
-    covers it with their own errors (f <= 4 on sup_norm's split, where
-    L >= (2N+1)/4). The input errors move every output by at most their
-    l1 sum. Transform: an FFT of P passes, each of relative 2-norm error
-    eta, errs by at most P eta / (1 - P eta) ||y||_2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 24.2, argued pass by
-    pass).
+    covers it with their own errors, as gamma_(f-1) = (f-1)u / (1 - (f-1)u)
+    < f u for f <= 8, the most on sup_norm's split, where L >= (2N+1)/8:
+    8u from N = 2^17 on. The terms outside the window M <= |n| <= N are
+    exact zeros that grid_values skips, so they add no rounding. The input
+    errors move every output by at most their l1 sum. Transform: an FFT of
+    P passes, each of relative 2-norm error eta, errs by at most P eta /
+    (1 - P eta) ||y||_2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 24.2, argued pass by pass).
     11-smooth sizes L take P <= log2 L passes of radix r <= 11, each
     forming length-r sums after one twiddle product, so eta <=
     gamma_(r+3) (sqrt(r) + u) < 64u and P eta < 1/2. One entry is at most
@@ -471,14 +533,16 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     argmax_x is folded into [0, 1/2], where the mirror point -x has the
     same exact value.
 
-    The coefficients are built once, before any coset runs. Below N =
-    _FOLD_N (j <= 11) K/m >= 2N+1 and the cosets run one after another
-    through one L-point buffer. From it on each coset folds (grid_values)
-    and the cosets run in two lanes, one of them on a second thread
-    (_map_cosets): K/m is about N+1 below N = _FOLD4_N (j = 12, 13), so
-    two transforms in flight hold the memory of one whole-length one, and
-    about N/2 from it on (j >= 14), half that. The window's size alone
-    picks the route (_coset_count), and no route makes an array of |S|.
+    The coefficients are the sum's one window-length array, built with it
+    (SumSpec). Below N = _FOLD_N (j <= 11) K/m >= 2N+1 and the cosets run
+    one after another through one L-point buffer. From it on each coset
+    folds (grid_values) and the cosets run in two lanes, one of them on a
+    second thread (_map_cosets): K/m is about N+1 below N = _FOLD4_N (j =
+    12, 13), so two transforms in flight hold the memory of one
+    whole-length one, about N/2 below N = _FOLD8_N (j = 14, 15), half
+    that, and about N/4 from it on (j >= 16), a quarter. The window's size
+    alone picks the route (_coset_count), and no route makes an array of
+    |S|.
     Both crossovers were measured on one golden-mean sup (medians of
     interleaved pairs, 2-core host). Two folded lanes of about N+1 points
     took 0.47-0.55 of the unfolded serial route's time at j = 12 and
@@ -487,7 +551,13 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     N+1 split's time at j = 12 and 1.09 (1.03-1.15) at j = 13, where the
     work of folding all 2N+1 terms into twice as many cosets outweighs the
     shorter transforms, against 0.74 (0.72-0.75) at j = 14, 0.70 at j = 15
-    and 0.67 at j = 16 (30 pairs each).
+    and 0.67 at j = 16 (30 pairs each). The N/4 split from _FOLD8_N on is
+    taken for memory, not speed: it halves each lane's buffer and the
+    FFT's plan and scratch. Against the N/2 split, both reading only the
+    window's coefficients, a sup took 1.18 (quartiles 1.13-1.22, 20
+    rounds) of the time at j = 16, 1.08 at j = 17, 1.11 at j = 18 and
+    0.97-0.98 at j = 19 and 20, where its shorter transforms pay for
+    folding twice as many cosets.
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
@@ -508,7 +578,6 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     m = _coset_count(K, spec.weights.N)
     L = K // m
     cosets = range(m // 2 + 1)
-    spec.coefficient_arrays()           # once, before the lanes start
 
     def peak(s: int, out: np.ndarray) -> tuple[float, int]:
         return _peak(grid_values(spec, L, s, m, out))
@@ -746,8 +815,7 @@ def stability_ratio(time_a: TimeSpec, time_b: TimeSpec,
                            bound=radius)
 
 
-def merged_block_sup(time: TimeSpec, weights: WeightVector, oversample: int = 8,
-                     phases: PhaseVector | None = None
+def merged_block_sup(spec: SumSpec, oversample: int = 8
                      ) -> tuple[SupNormResult, ProbeResult | None]:
     """The block sup with the exact comb-grid probe merged in for rational times.
 
@@ -763,10 +831,10 @@ def merged_block_sup(time: TimeSpec, weights: WeightVector, oversample: int = 8,
     that upper, the probe's argmax and grid_size = 2q. Every other block
     takes sup_norm, with a larger probe value merged into its value and
     argmax; the grid's upper end still bounds the sup. The grid refusals
-    (oversample < 2, K past MAX_GRID) hold on both routes. ``phases`` is
-    passed on to SumSpec, and the probe reads that sum's coefficients.
+    (oversample < 2, K past MAX_GRID) hold on both routes. The probe reads
+    the sum's own coefficients.
     """
-    spec = SumSpec(time, weights, phases)
+    time, weights = spec.time, spec.weights
     probe: ProbeResult | None = None
     exact = time.exact_value()
     if exact is not None and exact.denominator <= MAX_PROBE_Q \

@@ -246,7 +246,7 @@ def _hl_ratio(t: TimeSpec, p: int, q: int, L: int) -> float:
     assert _abs_diff_lt(t, Fraction(p, q), Fraction(1, q * q)), (p, q)
     K = _fft_len(8 * (2 * L + 1))
     buf = np.zeros(K, dtype=np.complex128)
-    buf[1:L + 1] = phase_vector(t, L).unit[1:]
+    buf[1:L + 1] = phase_vector(t, L, 1).unit
     sup = float(np.abs(np.fft.ifft(buf) * K).max())
     return sup / (L / math.sqrt(q) + math.sqrt(q))
 

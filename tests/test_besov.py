@@ -100,8 +100,8 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
     # the same numbers as one SumSpec per family, and as a probe of a
     # freshly built sum
     for rec in recs:
-        rough, probe = merged_block_sup(time, rough_weights(rec.j))
-        smooth, sprobe = merged_block_sup(time, smooth_weights(rec.j))
+        rough, probe = merged_block_sup(SumSpec(time, rough_weights(rec.j)))
+        smooth, sprobe = merged_block_sup(SumSpec(time, smooth_weights(rec.j)))
         assert (rec.rough_sup, rec.rough_sup_upper) == (rough.value, rough.upper)
         assert (rec.smooth_sup, rec.smooth_sup_upper) == (smooth.value, smooth.upper)
         assert (probe is None) == (time.exact_value() is None)
@@ -236,21 +236,40 @@ def test_report_json_schema(third):
     assert report_to_json(rep) == text
 
 
-def test_block_spectrum_memory_peak(golden):
-    # j = 16 evaluates its 2.1M-point grids as 17 of 32 folded cosets of
-    # L = 65,610 points in two lanes, one buffer each. The worst case holds
-    # one family's arrays: 1.0 MiB of weights, 2.0 MiB of phases, 2.0 MiB of
-    # coefficients, two L-point buffers (2.0 MiB), the 16 twist tables
-    # (0.13 MiB) and, per lane, one fold row's product or one _peak pass
-    # (at most 0.25 MiB each, 0.5 MiB), 7.63 MiB; the first sup of a
-    # process adds the grid-size cache and numpy.fft's import, up to 0.5
-    # MiB. Runs read 7.51-7.87 MiB. One transform of the whole grid would
-    # take about 58 MB. tracemalloc sees numpy's buffers, not the FFT
-    # library's scratch.
+def _traced_peak(time, j: int) -> int:
+    """tracemalloc peak of block_spectrum(time, j, j, mode="both")."""
     tracemalloc.start()
     try:
-        block_spectrum(golden, 16, 16, mode="both")
-        _, peak = tracemalloc.get_traced_memory()
+        block_spectrum(time, j, j, mode="both")
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 33 << 18, peak               # 8.25 MiB
+
+
+def test_block_spectrum_memory_peak(golden):
+    # j = 16 evaluates its 2.1M-point grids as 33 of 64 folded cosets of
+    # L = 32,805 points in two lanes, one buffer each, and each sum holds
+    # one array over its window 2^15 < n <= 2^17. The worst case is one
+    # family's sup: 1.0 MiB of weights, 1.5 MiB of coefficients, two
+    # L-point buffers (1.0 MiB), the 32 twist tables (0.22 MiB) and, per
+    # lane, one fold row's product or one _peak pass (at most 0.25 MiB
+    # each, 0.5 MiB), 4.22 MiB; building the smooth sum holds its weights,
+    # the phase vector and its own array, 4.0 MiB. The first sup of a
+    # process adds the grid-size cache and numpy.fft's import, up to 0.5
+    # MiB. Runs read 4.13 MiB, and 4.59 on a process's first call. One
+    # transform of the whole grid would take about 58 MB. tracemalloc sees
+    # numpy's buffers, not the FFT library's scratch.
+    peak = _traced_peak(golden, 16)
+    assert peak <= 19 << 18, peak               # 4.75 MiB
+
+
+def test_block_spectrum_memory_peak_at_the_top_scale(golden):
+    # j = 20: the window 2^19 < n <= 2^21 holds 1.5M coefficients (24 MiB)
+    # and the weights 16 MiB. Building the smooth sum holds both, the
+    # phase vector too: 64 MiB. Its sup holds 16 + 24 MiB, two lanes of
+    # L = 524,880 points (16 MiB), 32 twist tables (0.74 MiB) and 0.5 MiB
+    # of per-lane passes, 57.2 MiB. Numpy's cast buffers and a process's
+    # first-call caches add up to 2 MiB. Runs read 64.13 MiB, and 65.23
+    # on a first call.
+    peak = _traced_peak(golden, 20)
+    assert peak <= 66 << 20, peak               # 66 MiB

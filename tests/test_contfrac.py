@@ -2,8 +2,13 @@
 
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +39,37 @@ def test_iroot_of_a_huge_index_returns_at_once():
     assert iroot(3, 10**10) == 1
     assert iroot(2**64 - 1, 64) == 1 and iroot(2**64, 64) == 2
     assert time.perf_counter() - start < 1.0
+
+
+@given(bits=st.integers(1, 4000), k=st.integers(1, 500), seed=st.integers(0, 2**32),
+       near=st.sampled_from([None, -1, 0, 1]))
+@settings(max_examples=300)
+def test_iroot_floor_on_random_inputs(bits, k, seed, near):
+    # random x, or an exact k-th power and its neighbours, where a start
+    # below the root or a floor off by one would show
+    x = random.Random(seed).getrandbits(bits)
+    if near is not None:
+        x = max(iroot(x, k) ** k + near, 0)
+    r = iroot(x, k)
+    assert r ** k <= x < (r + 1) ** k
+
+
+def test_iroot_of_a_large_power_finishes():
+    # a 394,661-bit x at k = 20,000 and a 989,931-bit one at k = 100: from
+    # 2^(bits/k + 1) Newton took 33 s on the first; from the estimate of
+    # the top 64 bits each takes under a second, so the timeout is generous
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(contfrac.__file__).resolve().parents[1]))
+    code = (
+        "import random\n"
+        "from thetareg.contfrac import iroot\n"
+        "for x, k in ((3 ** 249_000 + 12345, 20_000),\n"
+        "             (random.Random(1).getrandbits(989_931) | 1 << 989_930, 100)):\n"
+        "    r = iroot(x, k)\n"
+        "    assert r ** k <= x < (r + 1) ** k, k\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _at_most(k: int, a: int, b: int, c: int, d: int) -> bool:

@@ -17,7 +17,8 @@ from oracles import brute_probe_max, brute_sum_at
 from thetareg import exactnum, thetasum
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
-                             rough_weights, smooth_weights, unit_window)
+                             block_bounds, rough_weights, smooth_weights,
+                             unit_window)
 from thetareg.errors import BudgetError, DomainError, HypothesisError
 from thetareg.besov import block_spectrum
 from thetareg.thetasum import (SumSpec, _comb_bracket, _coset_count, _fft_len,
@@ -165,28 +166,53 @@ def test_coset_count_rule():
     # grids of block j = 6..20: the largest divisor m of K that keeps
     # K/m >= 2N+1 below N = 2^13 (j <= 11), at most the oversample,
     # K/m >= N+1 below N = 2^15 (j = 12, 13), at most two terms on a
-    # residue, and K/m >= N/2 + 1 from it on, at most four
-    want = {2: [1, 1, 2, 2, 2, 2, 3, 3, 6, 8, 8, 8, 8, 8, 8],
-            4: [3, 3, 4, 4, 4, 3, 6, 6, 15, 16, 16, 16, 16, 16, 16],
-            8: [7, 7, 8, 8, 5, 6, 15, 15, 30, 32, 32, 32, 32, 32, 32]}
+    # residue, K/m >= N/2 + 1 below N = 2^17 (j = 14, 15), at most four,
+    # and K/m >= N/4 + 1 from it on (j >= 16), at most eight
+    want = {2: [1, 1, 2, 2, 2, 2, 3, 3, 6, 8, 16, 16, 16, 16, 16],
+            4: [3, 3, 4, 4, 4, 3, 6, 6, 15, 16, 32, 32, 32, 32, 32],
+            8: [7, 7, 8, 8, 5, 6, 15, 15, 30, 32, 64, 64, 64, 64, 64]}
     for oversample, ms in want.items():
         for j, m in zip(range(6, 21), ms):
             N = rough_weights(j).N
             K = _fft_len(oversample * (2 * N + 1))
-            width = 2 * N + 1 if j <= 11 else N + 1 if j <= 13 else N // 2 + 1
+            terms = 1 if j <= 11 else 2 if j <= 13 else 4 if j <= 15 else 8
+            width = -(-(2 * N + 1) // terms)
+            assert width == (2 * N + 1, N + 1, N // 2 + 1, N // 4 + 1)[
+                terms.bit_length() - 1]
             assert _coset_count(K, N) == m, (oversample, j)
             assert K % m == 0 and K // m >= width
             assert not any(K % d == 0 for d in range(m + 1, K // width + 1))
-            assert -(-(2 * N + 1) // (K // m)) <= (1 if j <= 11 else 2 if j <= 13 else 4)
-    # the crossovers read the window alone: one grid, N either side of 2^13
-    # and of 2^15
+            assert -(-(2 * N + 1) // (K // m)) <= terms
+    # j = 16 at oversample 8: 64 cosets of 32,805 points
+    assert _fft_len(8 * (2 * 2 ** 17 + 1)) // 64 == 32_805
+    # the crossovers read the window alone: one grid, N either side of
+    # 2^13, of 2^15 and of 2^17
     assert (_coset_count(131_220, 2 ** 13 - 1),
             _coset_count(131_220, 2 ** 13)) == (6, 15)
     assert (_coset_count(524_880, 2 ** 15 - 1),
             _coset_count(524_880, 2 ** 15)) == (16, 30)
+    assert (_coset_count(2_099_520, 2 ** 17 - 1),
+            _coset_count(2_099_520, 2 ** 17)) == (32, 64)
     assert _coset_count(100, 60) == 1            # aliasing grid: no split
     # oversample 10^6 on N = 2: 2,000 cosets of 2,500 points, not 10^6 of 5
     assert _coset_count(5_000_000, 2) == 2000
+
+
+def test_coset_twist_cache_holds_every_scale():
+    # sups at oversamples 2, 4 and 8 over the blocks j = 0..20 ask for one
+    # twist key (L, m, s) per transformed coset s >= 1: the cache's bound
+    # holds all of them, so none is evicted and rebuilt
+    keys = {oversample: set() for oversample in (2, 4, 8)}
+    for oversample, found in keys.items():
+        for j in range(MAX_BLOCK_J + 1):
+            N = rough_weights(j).N
+            K = _fft_len(oversample * (2 * N + 1))
+            m = _coset_count(K, N)
+            found.update((K // m, m, s) for s in range(1, m // 2 + 1))
+    assert len(keys[8]) == 243
+    every = set().union(*keys.values())
+    assert len(every) == 383
+    assert len(every) <= thetasum._coset_twist.cache_info().maxsize
 
 
 def _forced_splits(spec, monkeypatch):
@@ -434,12 +460,12 @@ def test_sup_bracket_holds_across_cosets(kind, j):
 @pytest.mark.parametrize("text", ["rat:1234/7919", "quad:(-1+1*sqrt(5))/2"])
 def test_split_sup_matches_one_whole_grid_transform(text):
     # j = 6..11 split the oversample-8 grid into 5 to 8 cosets, j = 12, 13
-    # into 15 folding two terms and j = 14 into 30 folding four, an even
-    # sum transforming about half of them: the maximum is the one
-    # transform's, within both rounding terms, at its argmax folded into
-    # [0, 1/2]
+    # into 15 folding two terms, j = 14 and 15 into 30 and 32 folding four
+    # and j = 16 into 64 folding eight, an even sum transforming about half
+    # of them: the maximum is the one transform's, within both rounding
+    # terms, at its argmax folded into [0, 1/2]
     for family in (rough_weights, smooth_weights):
-        for j in range(6, 15):
+        for j in range(6, 17):
             spec = SumSpec(parse_timespec(text), family(j))
             res = sup_norm(spec)
             K = res.grid_size
@@ -472,8 +498,9 @@ _SMALL_TIMES = st.one_of(
 @settings(max_examples=80, deadline=None)
 def test_every_coset_split_matches_one_whole_grid_transform(
         text, weights, oversample):
-    # every divisor m of the grid with K/m >= (2N+1)/4, folding up to four
-    # terms onto a residue or none, forced through _coset_count: sup_norm's maximum is the one whole-grid
+    # every divisor m of the grid with K/m >= ceil((2N+1)/8), folding up to
+    # eight terms onto a residue or none, forced through _coset_count:
+    # sup_norm's maximum is the one whole-grid
     # transform's within both rounding terms, at its argmax folded into
     # [0, 1/2]. Comb peaks of a rational time can tie exactly (rat:5/3
     # peaks at x = 1/6 and 1/2 alike), and then rounding picks the point:
@@ -487,7 +514,7 @@ def test_every_coset_split_matches_one_whole_grid_transform(
         r1 = _rounding_term(spec, K)
         full = np.abs(grid_values(spec, K))
         g = int(np.argmax(full))
-        for m in range(2, K // -(-(2 * N + 1) // 4) + 1):
+        for m in range(2, K // -(-(2 * N + 1) // 8) + 1):
             if K % m:
                 continue
             _force_cosets(mp, m)
@@ -616,7 +643,7 @@ def test_exact_tie_across_cosets_goes_to_the_smallest_k(
 
 
 def test_merged_block_sup_rational_merges_probe():
-    res, probe = merged_block_sup(Rational(1, 3), rough_weights(8))
+    res, probe = merged_block_sup(SumSpec(Rational(1, 3), rough_weights(8)))
     assert probe is not None and probe.satisfied
     count = 3 * 2**8
     assert res.value >= count / math.sqrt(3) - 1e-9
@@ -686,7 +713,7 @@ def test_far_denominator_goes_to_the_grid(monkeypatch):
     time, merged = Rational(1234, 7919), 0
     for j in range(1, 17):
         for make in (rough_weights, smooth_weights):
-            res, probe = merged_block_sup(time, make(j))
+            res, probe = merged_block_sup(SumSpec(time, make(j)))
             grid = grids[-1]
             assert probe is not None and res.grid_size == grid.grid_size
             assert res.upper == grid.upper, (j, make)
@@ -729,7 +756,7 @@ def test_settled_bracket_meets_the_grid_bracket(q, p, j, family):
         p = 1
     time = Rational(p, q)
     weights = _FAMILIES[family](j)
-    res, probe = merged_block_sup(time, weights)
+    res, probe = merged_block_sup(SumSpec(time, weights))
     if res.grid_size != 2 * q:
         return                               # the grid route
     spec = SumSpec(time, weights)
@@ -741,7 +768,7 @@ def test_settled_bracket_meets_the_grid_bracket(q, p, j, family):
 
 
 def test_merged_block_sup_irrational_has_no_probe(golden):
-    res, probe = merged_block_sup(golden, rough_weights(6))
+    res, probe = merged_block_sup(SumSpec(golden, rough_weights(6)))
     assert probe is None
     assert res.value > 0
 
@@ -754,26 +781,36 @@ def test_phase_error_bound_small(golden):
     assert spec_r.phase_error_bound() <= 2.0 ** -50
 
 
-def _traced_unit(time, N: int) -> tuple[np.ndarray, int]:
-    """(phase_vector(time, N).unit, tracemalloc peak of building it)."""
+def _traced_unit(time, N: int, M: int) -> tuple[np.ndarray, int]:
+    """(phase_vector(time, N, M).unit, tracemalloc peak of building it)."""
     tracemalloc.start()
     try:
-        unit = thetasum.phase_vector(time, N).unit
+        unit = thetasum.phase_vector(time, N, M).unit
         return unit, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _direct_rational_unit(p: int, q: int, N: int, M: int) -> np.ndarray:
+    """e(n^2 p/(2q)) for n = M..N, one correctly rounded int / int each."""
+    L = 2 * q
+    frac = np.array([k * k * p % L / L for k in range(M, N + 1)])
+    return np.exp((2j * np.pi) * frac)
+
+
 def test_phase_vector_memory_and_bits(golden):
-    # irrational phases are built in passes, rational ones reduced in place
-    # on one array, and both exponentiated in place: the peak stays below
-    # two results' worth, and the bits are the one-pass formula's
+    # the window M..N of a block only: irrational phases are built in
+    # passes, rational ones reduced in place on one array or taken from one
+    # period, and both exponentiated in place: the peak stays below two
+    # results' worth, and the bits are the one-pass formula's
     N = 2 ** 18
-    unit, peak = _traced_unit(golden, N)
+    M = N // 4 + 1
+    unit, peak = _traced_unit(golden, N, M)
+    assert unit.shape == (N - M + 1,)
     assert peak <= 2 * unit.nbytes, (peak, unit.nbytes)
     t = exactnum.fixed_of_time(golden, scale_bits_for(N))
     hi, lo, _ = exactnum.half_phase_splits(t)
-    u = np.arange(N + 1).astype(np.float64)
+    u = np.arange(M, N + 1).astype(np.float64)
     u *= u
     p, e = exactnum._two_prod(u, hi)
     r = p - np.round(p)
@@ -781,22 +818,62 @@ def test_phase_vector_memory_and_bits(golden):
     frac = tot - np.floor(tot)
     frac = np.where(frac >= 1.0, 0.0, frac)
     assert unit.tobytes() == np.exp((2j * np.pi) * frac).tobytes()
+    # the window's error bound is the whole range's: the largest |n| is N
+    assert thetasum.phase_vector(golden, N, M).error == \
+        thetasum.phase_vector(golden, N, 0).error
     # t = 1234/7919: the exact route is Python's correctly rounded int / int
-    unit, peak = _traced_unit(Rational(1234, 7919), N)
+    unit, peak = _traced_unit(Rational(1234, 7919), N, M)
     assert peak <= 2 * unit.nbytes, (peak, unit.nbytes)
-    L = 2 * 7919
-    frac = np.array([k * k * 1234 % L / L for k in range(N + 1)])
-    assert unit.tobytes() == np.exp((2j * np.pi) * frac).tobytes()
+    assert unit.tobytes() == _direct_rational_unit(1234, 7919, N, M).tobytes()
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (5, 97), (7, 9973), (1, 1), (3, 4),
+                                  (1234, 49999)])
+def test_rational_phase_vector_from_one_period(p, q):
+    # e(n^2 p/(2q)) depends on n mod 2q alone: a window longer than 2q
+    # repeats one period's unit values, rotated to start at M, and gets
+    # the bits of forming each entry; 2q = 99,998 is longer than the
+    # window 2^15 + 1 .. 2^17, and 7/9973's period splits it unevenly
+    M, N = 2 ** 15 + 1, 2 ** 17
+    calls = []
+    real = exactnum.rational_phase_array
+
+    def counted(n, *args):
+        calls.append(len(n))
+        return real(n, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "rational_phase_array", counted)
+        unit = thetasum.phase_vector(Rational(p, q), N, M).unit
+    assert calls == [min(2 * q, N - M + 1)]
+    assert unit.tobytes() == _direct_rational_unit(p, q, N, M).tobytes()
 
 
 def test_coefficient_arrays_symmetric_weights(golden):
     # e((-n)^2 t/2) = e(n^2 t/2) and w_{-n} = w_n: one array holds c_n and
-    # c_{-n}, built once per sum
-    spec = SumSpec(golden, rough_weights(5))
-    c = spec.coefficient_arrays()
-    assert c.shape == (spec.weights.N + 1,)
-    assert c.tobytes() == (spec.weights.w * spec.phases.unit).tobytes()
-    assert spec.coefficient_arrays() is c
+    # c_{-n} over the window M <= n <= N. A rough block's weights are 1
+    # there, so its coefficients are the window's phase vector itself; a
+    # smooth block multiplies that vector into an array of its own
+    for time in (golden, Rational(5, 97)):
+        for j in (0, 5, 9):
+            M, N = block_bounds(j)
+            phases = thetasum.phase_vector(time, N, M)
+            before = phases.unit.copy()
+            rough = SumSpec(time, rough_weights(j), phases)
+            c = rough.coefficient_arrays()
+            assert c is phases.unit and c.shape == (N - M + 1,)
+            assert rough.coefficient_arrays() is c
+            smooth = SumSpec(time, smooth_weights(j), phases)
+            w = smooth.weights.w
+            cs = smooth.coefficient_arrays()
+            assert cs is not phases.unit and cs.shape == (N - M + 1,)
+            assert cs.tobytes() == (w[M:] * phases.unit).tobytes()
+            assert phases.unit.tobytes() == before.tobytes()
+            # the entries left out are exact zeros: n = 1..M-1 of both
+            assert not w[1:M].any() and (M == 0 or w[0] == 0)
+            assert smooth.phase_error_bound() == phases.error
+    with pytest.raises(DomainError):
+        SumSpec(golden, rough_weights(5), thetasum.phase_vector(golden, 64, 0))
 
 
 # ---------------------------------------------------------------- stability
