@@ -17,9 +17,9 @@ which int_0^inf chi = (3/2)/2 = 3/4 exactly.
 A WeightVector is one block of per-frequency coefficients w_n >= 0 for
 |n| in a window [M, N]: either the smooth chi(2^-j |n|), the sharp
 indicator of 2^(j-1) < |n| <= 2^(j+1), or a sharp window on given [M, N].
-Each is even in n (w_{-n} = w_n), so one array indexed by |n| holds it,
-and every block sum is even in x. It carries the bookkeeping the
-lower-bound probes need: window, mass over both signs and l2 norm.
+Each is even in n (w_{-n} = w_n) and 0 off the window, so one array over
+M <= n <= N holds it, and every block sum is even in x. It also gives the
+sums the bounds need: mass over both signs, l2 norm and ||Delta^k w||_1.
 """
 
 from __future__ import annotations
@@ -81,10 +81,9 @@ def _chi(x: np.ndarray) -> np.ndarray:
 class WeightVector:
     """Coefficients of one frequency block, even in n.
 
-    w[n] is the weight of both +n and -n for n = 0..N. M and N delimit the
-    support window: w[n] == 0 for 0 < n < M and n > N (n = 0 itself only
-    carries weight in the lowest block). N past the block budget
-    MAX_BLOCK_N is refused.
+    w[i] is the weight of both +n and -n for n = M + i, M <= n <= N; every
+    weight off that window is 0. mode is "rough" (1 on the window) or
+    "smooth". N past the block budget MAX_BLOCK_N is refused.
     """
 
     M: int
@@ -95,22 +94,38 @@ class WeightVector:
     def __post_init__(self) -> None:
         if self.N > MAX_BLOCK_N:
             raise BudgetError(f"window reaches |n| = {self.N} > {MAX_BLOCK_N}")
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.shape != (self.N + 1,):
-            raise DomainError("w must have length N + 1")
         if self.M < 0 or self.N < self.M:
             raise DomainError("need 0 <= M <= N")
+        self.w = np.asarray(self.w, dtype=np.float64)
+        if self.w.shape != (self.N - self.M + 1,):
+            raise DomainError("w must have length N - M + 1")
+        if self.mode not in ("rough", "smooth"):
+            raise DomainError(f"mode must be rough or smooth, not {self.mode!r}")
+
+    def _both_sides(self, v: np.ndarray) -> float:
+        """sum over M <= |n| <= N of v, an array over the window, n = 0 once."""
+        return 2 * float(v.sum()) - (float(v[0]) if self.M == 0 else 0.0)
 
     def window_mass(self) -> float:
-        """sum over M <= |n| <= N of w_n, n = 0 counted once."""
-        lo = max(self.M, 1)
-        mass = 2 * float(self.w[lo:].sum())
-        if self.M == 0:
-            mass += float(self.w[0])
-        return mass
+        """sum over M <= |n| <= N of w_n, n = 0 counted once: W(0) = ||w||_1."""
+        return self._both_sides(self.w)
 
     def l2_squared(self) -> float:
-        return float((self.w ** 2).sum() + (self.w[1:] ** 2).sum())
+        return self._both_sides(self.w ** 2)
+
+    def variation(self, k: int) -> float:
+        """||Delta^k w||_1 over both sides: while they lie more than k apart
+        (2M > k, else refused), twice one pass over the window padded by k
+        zeros, in chunks of _CHUNK so that no temporary grows with N."""
+        if 2 * self.M <= k:
+            raise DomainError(f"sides within k = {k} of each other (M = {self.M})")
+        size, total = self.w.size, 0.0
+        for a in range(0, size + k, _CHUNK):    # differences a .. hi - 1
+            lo, hi = a - k, min(a + _CHUNK, size + k)
+            part = np.concatenate((np.zeros(max(-lo, 0)), self.w[max(lo, 0):hi],
+                                   np.zeros(max(hi - size, 0))))
+            total += float(np.abs(np.diff(part, k)).sum())
+        return 2 * total
 
 
 def block_bounds(j: int) -> tuple[int, int]:
@@ -132,33 +147,25 @@ def smooth_weights(j: int) -> WeightVector:
     grows with N.
     """
     M, N = block_bounds(j)
-    if j == 0:
-        w = _phi(np.arange(N + 1, dtype=np.float64))
-    else:
-        w = np.zeros(N + 1)
-        for a in range(M, N + 1, _CHUNK):
-            n = np.arange(a, min(a + _CHUNK, N + 1), dtype=np.float64)
-            w[a:a + n.size] = _chi(n * 2.0 ** -j)
+    bump = _phi if j == 0 else _chi
+    w = np.empty(N - M + 1)
+    for a in range(0, w.size, _CHUNK):
+        n = np.arange(M + a, M + min(a + _CHUNK, w.size), dtype=np.float64)
+        w[a:a + n.size] = bump(n * 2.0 ** -j)
     return WeightVector(M=M, N=N, w=w, mode="smooth")
 
 
 def rough_weights(j: int) -> WeightVector:
     """Sharp dyadic block: indicator of 2^(j-1) < |n| <= 2^(j+1) (j = 0: |n| <= 2)."""
     M, N = block_bounds(j)
-    w = np.zeros(N + 1)
-    w[M:] = 1.0
-    if j == 0:
-        w[0] = 1.0
-    return WeightVector(M=M, N=N, w=w, mode="rough")
+    return WeightVector(M=M, N=N, w=np.ones(N - M + 1), mode="rough")
 
 
 def unit_window(M: int, N: int) -> WeightVector:
-    """Unit weights on M <= |n| <= N, both sides; a window past the block
-    budget is refused before the array is allocated."""
+    """Unit weights on M <= |n| <= N, both sides, as a sharp block; a window
+    past the block budget is refused before the array is allocated."""
     if M < 1:
         raise DomainError("windows start at M >= 1 (n = 0 has no phase)")
     if N > MAX_BLOCK_N:
         raise BudgetError(f"window reaches |n| = {N} > {MAX_BLOCK_N}")
-    w = np.zeros(N + 1)
-    w[M:] = 1.0
-    return WeightVector(M=M, N=N, w=w, mode="unit")
+    return WeightVector(M=M, N=N, w=np.ones(max(N - M + 1, 0)), mode="rough")

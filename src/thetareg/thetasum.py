@@ -151,22 +151,18 @@ def phase_vector(time: TimeSpec, N: int, M: int) -> PhaseVector:
     Only the window's phases are formed: for a dyadic block (M = N/4 + 1)
     a quarter fewer than n = 0..N. The error model is that of the whole
     range, as the largest |n| is still N. At t = p/q the phase n^2 p/(2q)
-    mod 1 depends on n mod 2q alone, so a window longer than 2q takes the
-    2q unit values of one period, rotated to start at M and tiled: the
-    same bits as forming each entry, in a twentieth of the time for q in
-    the thousands on the j = 20 window.
+    mod 1 depends on n mod 2q alone, so the first min(2q, N - M + 1) unit
+    values are formed once and tiled to the window's length: the same bits
+    as forming each entry, in a twentieth of the time for q in the
+    thousands on the j = 20 window.
     """
     check_phase_resolution(time, N)
     rational = time.exact_value()
     if rational is not None:
-        p, q = rational.numerator, rational.denominator
-        period = 2 * q
-        if period < N - M + 1:
-            one = _unit(exactnum.rational_phase_array(np.arange(period), p, q))
-            size = N - M + 1
-            unit = np.tile(np.roll(one, -(M % period)), -(-size // period))[:size]
-        else:
-            unit = _unit(exactnum.rational_phase_array(np.arange(M, N + 1), p, q))
+        p, q, size = rational.numerator, rational.denominator, N - M + 1
+        one = _unit(exactnum.rational_phase_array(
+            np.arange(M, M + min(2 * q, size)), p, q))
+        unit = one if one.size == size else np.tile(one, -(-size // one.size))[:size]
         return PhaseVector(unit=unit, error=2.0 ** -52)
     phase, err = exactnum.quadratic_phase_array(
         np.arange(M, N + 1), exactnum.fixed_of_time(time, scale_bits_for(N)))
@@ -181,7 +177,7 @@ class SumSpec:
     ``phases``, when given, must be ``phase_vector(time, weights.N,
     weights.M)``; it lets sums over several weight blocks of one scale
     share that vector. A block whose weights are exactly 1 on its window
-    (rough, unit) takes the vector itself as its coefficients; any other
+    (rough) takes the vector itself as its coefficients; any other
     multiplies it into an array of its own, so the caller may drop the
     vector before the sum's sup. Everything derived is deterministic, so
     two SumSpecs built from equal inputs agree exactly.
@@ -198,8 +194,8 @@ class SumSpec:
         self.time = time
         self.weights = weights
         self._phase_error = phases.error
-        self._coeffs = (phases.unit if weights.mode in ("rough", "unit")
-                        else weights.w[M:] * phases.unit)
+        self._coeffs = (phases.unit if weights.mode == "rough"
+                        else weights.w * phases.unit)
 
     def phase_error_bound(self) -> float:
         return self._phase_error
@@ -458,12 +454,12 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     sqrt(L) ||w||_1 for the transform's input b, folded or not, as the
     twist has modulus 1.
     """
-    w = spec.weights
-    m = _coset_count(K, w.N)
+    N = spec.weights.N
+    m = _coset_count(K, N)
     L = K // m
-    l1 = float(np.abs(w.w).sum() + np.abs(w.w[1:]).sum())
+    l1 = spec.weights.window_mass()     # w >= 0
     twist = 0 if m == 1 else 96
-    terms = -(-(2 * w.N + 1) // L)
+    terms = -(-(2 * N + 1) // L)
     fold = terms if terms > 1 else 0
     ulps = 32 + twist + fold + 2 * math.log2(L) * 64 * math.sqrt(L)
     return l1 * (2 * math.pi * spec.phase_error_bound() + ulps * 2.0 ** -53)
@@ -609,7 +605,7 @@ def probe_floors(weights: WeightVector, q: int,
         raise DomainError("floors need a window 1 <= M < N")
     L = N - M + 1
     mass = weights.window_mass()
-    is_unit = weights.mode in ("unit", "rough")
+    is_unit = weights.mode == "rough"
     floors: dict[str, float] = {}
     if q >= L:
         floors["mass_sparse"] = mass / (math.sqrt(2.0) * math.sqrt(N - M))
@@ -715,14 +711,15 @@ def _comb_bracket(q: int, weights: WeightVector, settles=None
     At the x that puts y_0 on 0, a point h/(2q) of the probe's comb grid,
     y_i = i/q, so |S(x)| >= (W(0) - T)/sqrt(q) there.
 
-    Rounding: W(0) = w_0 + 2 sum w[1:] and B_k are sums of at most N + 4
-    float terms, and in any order such a sum is within gamma_(N+5) <= nu =
-    (N + 8) u of its terms' absolute sum (u = 2^-53; Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., sec. 4.2). So the exact
-    W(0) is within 2 nu of the computed one, relatively. An entry of
-    Delta^k w, k rounded differences deep, is within gamma_k sum_i C(k, i)
-    |w_(n-i)| of exact, which over all n is gamma_k 2^k W(0); so B_k is at
-    most the computed one times 1 + 2 nu, plus k 2^(k+2) u W(0).
+    Rounding: W(0) and B_k are twice sums over the window (window_mass,
+    variation) of N - M + 1 and N - M + k + 1 <= N + 3 float terms, and in
+    any order such a sum is within gamma_(N+5) <= nu = (N + 8) u of its
+    terms' absolute sum (u = 2^-53; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 4.2). So the exact W(0) is within
+    2 nu of the computed one, relatively. An entry of Delta^k w, k rounded
+    differences deep, is within gamma_k sum_i C(k, i) |w_(n-i)| of exact,
+    which over all n is gamma_k 2^k W(0); so B_k is at most the computed
+    one times 1 + 2 nu, plus k 2^(k+2) u W(0).
     _comb_sine_sum bounds the sine sum from above. The dozen operations
     that combine these err by at most u each, and 1 +- 64u on the ends
     covers them, the lower end's cancellation included while 3T <= W(0);
@@ -731,22 +728,14 @@ def _comb_bracket(q: int, weights: WeightVector, settles=None
     ``settles(lower, upper)``, when given, is the caller's rule: None is
     returned unless the bracket passes it, and before the sine sum when the
     two nearest comb points alone break it (both ends only widen as T
-    grows). A window narrower than k, N < k, returns None too.
+    grows), and for a block with 2M <= k, which variation refuses: of the
+    package's blocks only those at j = 0, which no caller brackets.
     """
-    w, N = weights.w, weights.N
     k = 3 if weights.mode == "smooth" else 1
-    if N < k:
+    if 2 * weights.M <= k:
         return None
-    lo = (k - 1) // 2           # |Delta^k v| is even about k/2: sum n > k/2
-    head = np.concatenate((w[lo:0:-1], w[:k + 1]))          # w_|n|, n = -lo..k
-    tail = np.concatenate((w[N - k + 1:], np.zeros(k)))     # n = N-k+1..N+k
-    # n = k+1..N in chunks of 2^13, so no temporary grows with N
-    inner = sum(float(np.abs(np.diff(w[a:a + (1 << 13) + k], k)).sum())
-                for a in range(1, N + 1, 1 << 13))
-    B = 2 * (float(np.abs(np.diff(head, k)).sum()) + inner
-             + float(np.abs(np.diff(tail, k)).sum()))
-    W = float(w[0] + 2 * w[1:].sum())
-    nu = (N + 8) * _U
+    B, W = weights.variation(k), weights.window_mass()
+    nu = (weights.N + 8) * _U
     W_lo, W_hi = W * (1 - 2 * nu), W * (1 + 2 * nu)
     B_hi = B * (1 + 2 * nu) + k * 2 ** (k + 2) * _U * W_hi
     root = math.sqrt(q)

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from thetareg.contfrac import QuadraticIrrational
 
@@ -25,14 +26,20 @@ def e_frac(ph: Fraction) -> complex:
     return cmath.exp(1j * TAU * float(ph))
 
 
+def half_line(weights) -> np.ndarray:
+    """w_n for n = 0..N: M zeros, then the weights of the window M..N."""
+    return np.concatenate((np.zeros(weights.M), weights.w))
+
+
 def brute_sum_at(p: int, q: int, weights, num: int, den: int) -> complex:
     """S(num/den) = sum w_n e(n^2 p/(2q) + n num/den), term by term.
 
     Phases are reduced as exact Fractions before any float enters.
     """
+    half = half_line(weights)
     total = 0.0 + 0.0j
     for m in range(-weights.N, weights.N + 1):
-        w = weights.w[abs(m)]
+        w = half[abs(m)]
         if w == 0.0:
             continue
         ph = Fraction(m * m * p, 2 * q) + Fraction(m * num, den)
@@ -77,15 +84,21 @@ def determinant_alternates(exp) -> bool:
                for k, ((p_prev, q_prev), (p, q)) in enumerate(zip(pairs, pairs[1:])))
 
 
-def total_variation(weights) -> float:
-    """sum |w_{n+1} - w_n| over the whole line, zero past -N and N."""
-    line = [0.0, *weights.w[:0:-1].tolist(), *weights.w.tolist(), 0.0]
-    return float(sum(abs(b - a) for a, b in zip(line, line[1:])))
+def variation(weights, k: int) -> float:
+    """sum of |(Delta^k w)_n| over the whole line, w zero off M <= |n| <= N:
+    k rounds of differences b - a over n = -N-k..N+k, one term at a time,
+    and one correctly rounded sum (math.fsum)."""
+    half = half_line(weights).tolist()
+    line = [0.0] * k + half[:0:-1] + half + [0.0] * k
+    for _ in range(k):
+        line = [b - a for a, b in zip(line, line[1:])]
+    return math.fsum(abs(d) for d in line)
 
 
 def count_nonzero(weights) -> int:
     """Integer frequencies with nonzero weight, both sides, n = 0 once."""
-    return int((weights.w != 0).sum() + (weights.w[1:] != 0).sum())
+    half = half_line(weights)
+    return int((half != 0).sum() + (half[1:] != 0).sum())
 
 
 def mp_value(timespec, dps: int = 60) -> mp.mpf:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import count_nonzero, determinant_alternates, total_variation
+from oracles import count_nonzero, determinant_alternates, variation
 from thetareg.besov import block_spectrum, burst_scales, fit_exponent
 from thetareg.cli import main as cli_main
 from thetareg.collapse import verify_collapse
@@ -269,12 +269,12 @@ def test_c08_hardy_littlewood_monitor(golden, third, quad_spectra):
     worst_pair = 0.0
     for name, (t, recs) in quad_spectra.items():
         for r in recs:
-            tv = total_variation(smooth_weights(r.j))
+            tv = variation(smooth_weights(r.j), 1)
             worst_pair = max(worst_pair, r.smooth_sup / (tv * r.rough_sup))
             if r.smooth_sup > tv * r.rough_sup:
                 smooth_ok = False
     for r in block_spectrum(Rational(1, 3), j_min=6, j_max=10, mode="both"):
-        tv = total_variation(smooth_weights(r.j))
+        tv = variation(smooth_weights(r.j), 1)
         worst_pair = max(worst_pair, r.smooth_sup / (tv * r.rough_sup))
         if r.smooth_sup > tv * r.rough_sup:
             smooth_ok = False

@@ -169,6 +169,8 @@ def test_probe_command(capsys):
 
 def test_probe_bad_window_exits_2(capsys):
     assert main(["probe", "--t", "rat:1/5", "--window", "banana"]) == 2
+    # an inverted window is refused by the weights' own check
+    assert main(["probe", "--t", "rat:1/5", "--window", "10:3"]) == 2
 
 
 def test_probe_coarse_decimal_is_refused(capsys):

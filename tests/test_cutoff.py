@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import count_nonzero, total_variation
+from oracles import count_nonzero, variation
 from thetareg.cutoff import (WeightVector, _chi, _phi, block_bounds,
                              rough_weights, smooth_weights, unit_window)
 from thetareg.errors import DomainError
@@ -40,8 +40,8 @@ def _partition_sum(x, j_lo: int, j_hi: int) -> np.ndarray:
 
 
 def _tv_one_sided(w) -> float:
-    """Total variation of n -> w_n over n >= 0 (padded with zero at N+1)."""
-    return float(np.abs(np.diff(np.append(w.w, 0.0))).sum())
+    """Total variation of n -> w_n over n >= 0 (zero below M and at N+1)."""
+    return float(np.abs(np.diff(np.concatenate((np.zeros(w.M), w.w, [0.0])))).sum())
 
 
 def test_partition_of_unity_on_wide_range():
@@ -93,7 +93,7 @@ def test_rough_block_counts_and_bounds():
         assert (w.M, w.N) == (2**(j-1) + 1, 2**(j+1))
         assert count_nonzero(w) == 3 * 2**j
         assert w.l2_squared() == float(3 * 2**j)
-        assert total_variation(w) == 4.0            # two jumps up, two down
+        assert variation(w, 1) == 4.0               # two jumps up, two down
         assert _tv_one_sided(w) == 2.0
         assert w.window_mass() == float(3 * 2**j)
     w0 = rough_weights(0)
@@ -106,12 +106,15 @@ def test_rough_block_counts_and_bounds():
 def test_smooth_block_anchors_and_supports():
     for j in range(1, 14):
         w = smooth_weights(j)
-        assert w.w[2**j] == 1.0                  # chi(1) = 1 exactly
-        assert w.w[w.M - 1] == 0.0 if w.M > 0 else True
-        assert np.all(w.w[:w.M] == 0.0)          # bit-exact zeros
-        assert w.w[w.N] == 0.0                   # chi(2) = 0
+        # w[i] is w_(M+i): only the window M <= n <= N is stored
+        assert w.w.shape == (w.N - w.M + 1,)
+        assert w.w[2**j - w.M] == 1.0            # chi(1) = 1 exactly
+        below = _chi(np.arange(w.M, dtype=np.float64) * 2.0 ** -j)
+        assert below[w.M - 1] == 0.0 if w.M > 0 else True
+        assert np.all(below == 0.0)              # bit-exact zeros
+        assert w.w[w.N - w.M] == 0.0             # chi(2) = 0
         assert np.all(w.w <= 1.0)
-        assert total_variation(w) <= 4.0 + 1e-12
+        assert variation(w, 1) <= 4.0 + 1e-12
         assert _tv_one_sided(w) <= 2.0 + 1e-12
 
 
@@ -129,10 +132,9 @@ def test_smooth_block_is_one_pass_of_chi_in_few_bytes():
     # chi over the whole window at once
     for j in range(1, 13):
         M, N = block_bounds(j)
-        want = np.zeros(N + 1)
-        want[M:] = _chi(np.arange(M, N + 1, dtype=np.float64) * 2.0 ** -j)
+        want = _chi(np.arange(M, N + 1, dtype=np.float64) * 2.0 ** -j)
         assert smooth_weights(j).w.tobytes() == want.tobytes(), j
-    # its temporaries stay small next to the 1 MiB result at j = 16 (one
+    # its temporaries stay small next to the 0.75 MiB result at j = 16 (one
     # pass over the window peaked at 6.1 MiB)
     tracemalloc.start()
     try:
@@ -159,7 +161,13 @@ def test_unit_windows():
 
 
 def test_weight_vector_shape_validation():
+    # w holds the window M..N: N - M + 1 weights, not N + 1
+    assert WeightVector(M=1, N=4, w=np.ones(4), mode="rough").w.size == 4
+    with pytest.raises(DomainError):
+        WeightVector(M=1, N=4, w=np.ones(5), mode="rough")
+    with pytest.raises(DomainError):
+        WeightVector(M=5, N=4, w=np.ones(5), mode="rough")
+    # two modes: a sharp window is a rough block
+    assert unit_window(1, 4).mode == "rough"
     with pytest.raises(DomainError):
         WeightVector(M=1, N=4, w=np.ones(4), mode="unit")
-    with pytest.raises(DomainError):
-        WeightVector(M=5, N=4, w=np.ones(5), mode="unit")

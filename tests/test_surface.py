@@ -232,24 +232,29 @@ def test_every_kept_entry_is_still_needed():
     assert not stale, f"KEPT entries that no longer need keeping: {stale}"
 
 
-# name -> the one function of src/thetareg that may use it
+# name -> the places of src/thetareg that may use it: a module, or one
+# top-level function or class of a module. ".w" is the block weights'
+# array, whose window layout only cutoff and the sum's coefficients read
 ONE_ROUTE = {
-    "np.fft": "grid_values",
-    "rational_phase_array": "phase_vector",
-    "quadratic_phase_array": "phase_vector",
-    "threading": "_map_cosets",
+    "np.fft": {"thetasum.grid_values"},
+    "rational_phase_array": {"thetasum.phase_vector"},
+    "quadratic_phase_array": {"thetasum.phase_vector"},
+    "threading": {"thetasum._map_cosets"},
+    ".w": {"cutoff", "thetasum.SumSpec"},
 }
 
 
 def _route_uses(tree: ast.Module):
-    """(name, top-level function) for each reference to np.fft, each
-    attribute of threading or import from it, and each call of a
-    phase-array builder in the module."""
+    """(name, top-level function or class) for each reference to np.fft,
+    each attribute of threading or import from it, each call of a
+    phase-array builder and each attribute .w in the module."""
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
             else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if isinstance(node, ast.Attribute) and node.attr == "w":
+                yield ".w", owner
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 dotted = f"{node.value.id}.{node.attr}"
                 if dotted == "np.fft":
                     yield dotted, owner
@@ -266,5 +271,5 @@ def test_one_transform_and_one_phase_builder():
         (f"{path.stem}.{owner}", name)
         for path in sorted(PACKAGE.glob("*.py"))
         for name, owner in _route_uses(ast.parse(path.read_text()))
-        if owner != ONE_ROUTE[name])
+        if not {path.stem, f"{path.stem}.{owner}"} & ONE_ROUTE[name])
     assert not stray, (f"used outside their one route {ONE_ROUTE}: {stray}")

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from oracles import brute_probe_max, brute_sum_at
+from oracles import brute_probe_max, brute_sum_at, variation
 from thetareg import exactnum, thetasum
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
-from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
+from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector, _chi,
                              block_bounds, rough_weights, smooth_weights,
                              unit_window)
 from thetareg.errors import BudgetError, DomainError, HypothesisError
@@ -290,8 +290,8 @@ def test_block_budget_is_one_limit():
         unit_window(1, MAX_BLOCK_N + 1)
     # weights built by hand meet the same limit where they are made
     with pytest.raises(BudgetError):
-        WeightVector(M=1, N=MAX_BLOCK_N + 1, w=np.ones(MAX_BLOCK_N + 2),
-                     mode="unit")
+        WeightVector(M=1, N=MAX_BLOCK_N + 1, w=np.ones(MAX_BLOCK_N + 1),
+                     mode="rough")
 
 
 def test_fft_len_matches_scipy():
@@ -700,6 +700,27 @@ def test_comb_bracket_widths_are_pinned(case):
         assert lower == pytest.approx((W - 8) / math.sqrt(3), rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_block_variation_matches_the_whole_line(k):
+    # B_k = ||Delta^k w||_1 over both sides, taken as twice one pass over
+    # the window padded by k zeros, against k rounds of differences over
+    # the whole line and one correctly rounded sum: the entries agree bit
+    # for bit, and each side's sum of at most N + 4 terms is within
+    # gamma_(N+5) of its terms, so within nu = (N + 8) u of the oracle
+    blocks = [make(j) for j in range(1, 13)
+              for make in (rough_weights, smooth_weights)]
+    if k == 1:
+        blocks.append(unit_window(1, 64))
+    for w in blocks:
+        want = variation(w, k)
+        assert abs(w.variation(k) - want) <= (w.N + 8) * 2.0 ** -53 * want, \
+            (w.mode, w.N, k)
+    # the two sides of a j = 0 block overlap in Delta^3: no closed bracket
+    assert _comb_bracket(3, smooth_weights(0)) is None
+    with pytest.raises(DomainError):
+        smooth_weights(0).variation(3)
+
+
 def test_far_denominator_goes_to_the_grid(monkeypatch):
     # q = 7919 against N <= 2^17: no block at j <= 16 settles, and the grid
     # result takes the probe's value and argmax wherever the probe is larger
@@ -867,10 +888,11 @@ def test_coefficient_arrays_symmetric_weights(golden):
             w = smooth.weights.w
             cs = smooth.coefficient_arrays()
             assert cs is not phases.unit and cs.shape == (N - M + 1,)
-            assert cs.tobytes() == (w[M:] * phases.unit).tobytes()
+            assert w.shape == (N - M + 1,)      # w[i] is w_(M+i)
+            assert cs.tobytes() == (w * phases.unit).tobytes()
             assert phases.unit.tobytes() == before.tobytes()
-            # the entries left out are exact zeros: n = 1..M-1 of both
-            assert not w[1:M].any() and (M == 0 or w[0] == 0)
+            # the weights left out are exact zeros: n = 0..M-1 (none at j = 0)
+            assert not _chi(np.arange(M, dtype=np.float64) * 2.0 ** -j).any()
             assert smooth.phase_error_bound() == phases.error
     with pytest.raises(DomainError):
         SumSpec(golden, rough_weights(5), thetasum.phase_vector(golden, 64, 0))
