@@ -120,9 +120,9 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     Rational times get the exact comb probe merged into each sup and the
     guaranteed floor recorded next to it. Both families of a scale share
     one window, so one phase vector per scale serves both sums and probes:
-    the rough sum takes it as its coefficients, and the smooth sum
-    multiplies it into an array of its own, after which the vector is
-    dropped, so each sup holds one window-length array.
+    the rough sum reads it as its coefficients, and once the rough sup is
+    done the smooth sum takes it over and multiplies its weights into it
+    in place (SumSpec), so a scale holds one window-length complex array.
     """
     if mode not in ("rough", "smooth", "both"):
         raise DomainError(f"unknown mode {mode!r}")

@@ -29,13 +29,13 @@ The sup norm over x is reported as a bracket [value, upper] of which
 upper is certified: value is the maximum over one dense grid (default 8x
 past the polynomial degree), as computed, and Bernstein's inequality plus
 a rounding term turn it into a closed-form upper end. The grid runs as
-cosets, each one shorter transform of the coefficients twisted from two
-small tables (grid_values); from a window of N = 2^13 on (j >= 12) each
-coset is about N+1 points long, so two terms fold onto some residues,
-from N = 2^15 on (j >= 14) about N/2, so up to four do, and from N = 2^17
-on (j >= 16) about N/4, up to eight. The folded cosets run in two lanes,
-two short transforms in at most the memory of one whole-length one
-(sup_norm). A rational block
+cosets, each one shorter transform of the coefficients folded in place
+by Horner's rule and twisted from two small tables (grid_values); from a
+window of N = 2^13 on (j >= 12) each coset is about N+1 points long, so
+two terms fold onto some residues, from N = 2^15 on (j >= 14) about N/2,
+so up to four do, and from N = 2^17 on (j >= 16) about N/4, up to eight.
+The folded cosets run in two lanes, two short transforms in at most the
+memory of one whole-length one (sup_norm). A rational block
 whose closed comb bracket is at least as tight settles from it instead
 (merged_block_sup): its value is the larger of the probe maximum and the
 certified lower end.
@@ -86,7 +86,7 @@ MAX_GRID = 1 << 26           # points of one sup grid, however it is split
 _FOLD_N = 1 << 13
 _FOLD4_N = 1 << 15
 _FOLD8_N = 1 << 17
-_CHUNK = 1 << 14             # elements per pass where a temporary would grow with N
+_CHUNK = 1 << 14             # elements per _peak pass
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
 _SCALE_MARGIN_BITS = 32
@@ -112,17 +112,32 @@ def scale_bits_for(n_max: int) -> int:
     return 2 * max(int(n_max).bit_length(), 1) + _SCALE_MARGIN_BITS
 
 
-@dataclass(frozen=True)
 class PhaseVector:
     """unit[i] = e(n^2 t/2) for n = M + i, the window M <= n <= N of one
     block, each phase off by at most error cycles.
 
     The quadratic phase depends on the time and the window alone, so every
     weight family of one scale, and the comb probe, can share one vector.
+    hand_over() passes its array to one owner, which may write it: from
+    then on reading unit raises, and so does every sum still sharing it.
     """
 
-    unit: np.ndarray
-    error: float
+    __slots__ = ("_unit", "error")
+
+    def __init__(self, unit: np.ndarray, error: float):
+        self._unit = unit
+        self.error = error
+
+    @property
+    def unit(self) -> np.ndarray:
+        if self._unit is None:
+            raise RuntimeError("the phase vector was handed over to a weighted sum")
+        return self._unit
+
+    def hand_over(self) -> np.ndarray:
+        """The array, for its one new owner; the vector reads no more."""
+        unit, self._unit = self.unit, None
+        return unit
 
 
 def check_phase_resolution(time: TimeSpec, N: int) -> None:
@@ -177,10 +192,12 @@ class SumSpec:
     ``phases``, when given, must be ``phase_vector(time, weights.N,
     weights.M)``; it lets sums over several weight blocks of one scale
     share that vector. A block whose weights are exactly 1 on its window
-    (rough) takes the vector itself as its coefficients; any other
-    multiplies it into an array of its own, so the caller may drop the
-    vector before the sum's sup. Everything derived is deterministic, so
-    two SumSpecs built from equal inputs agree exactly.
+    (rough) reads the vector itself as its coefficients. Any other takes
+    the vector over (PhaseVector.hand_over) and multiplies its weights
+    into it in place, so a scale holds one window-length complex array:
+    build it once every sum sharing the vector is done, as a later read of
+    those raises. Everything derived is deterministic, so two SumSpecs
+    built from equal inputs agree exactly.
     """
 
     def __init__(self, time: TimeSpec, weights: WeightVector,
@@ -194,8 +211,11 @@ class SumSpec:
         self.time = time
         self.weights = weights
         self._phase_error = phases.error
-        self._coeffs = (phases.unit if weights.mode == "rough"
-                        else weights.w * phases.unit)
+        if weights.mode == "rough":
+            self._shared, self._coeffs = phases, None
+        else:
+            unit = phases.hand_over()
+            self._shared, self._coeffs = None, np.multiply(weights.w, unit, out=unit)
 
     def phase_error_bound(self) -> float:
         return self._phase_error
@@ -203,8 +223,10 @@ class SumSpec:
     def coefficient_arrays(self) -> np.ndarray:
         """c_n = w_n e(n^2 t/2) for n = M..N, at index n - M, which is also
         c_{-n}: the weights and the quadratic phase are both even in n.
-        Every c_n with 0 < |n| < M is 0, and c_0 too unless M = 0."""
-        return self._coeffs
+        Every c_n with 0 < |n| < M is 0, and c_0 too unless M = 0. A rough
+        sum reads its shared vector, so this raises once that is handed
+        over."""
+        return self._coeffs if self._shared is None else self._shared.unit
 
 
 def eval_sum(spec: SumSpec, x: float) -> complex:
@@ -229,12 +251,13 @@ def _coset_twist(L: int, m: int, s: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, turns) for coset s of an m L-point grid, K = m L:
     e(r s/K) = rows[r // C] cols[r % C] for r = 0..L-1, C the divisor of L
-    nearest sqrt(L) from below, and turns[g] = e(g s/m) for g = 0..m-1, so
-    that row j of the coefficients takes turns[j % m] = e(j s/m). Each
-    entry e(n/M) is one exp of n reduced mod M exactly in int64 and divided
-    by M once (M = K or m). Cached read-only: both families of a scale,
-    every time at that scale and every scan item share them. The blocks
-    j = 0..20 ask for one key (L, m, s) per coset s = 1..m//2 of a scale:
+    nearest sqrt(L) from below, and turns[g] = e(g s/m) for g = 0..m-1:
+    grid_values's Horner step e(-s/m) = turns[m - 1] and its top row's
+    factor turns[j_top % m]. Each entry e(n/M) is one exp of n reduced mod
+    M exactly in int64 and divided by M once (M = K or m). Cached
+    read-only: both families of a scale, every time at that scale and
+    every scan item share them. The blocks j = 0..20 ask for one key
+    (L, m, s) per coset s = 1..m//2 of a scale:
     243 at oversample 8 (at most 8 per scale for j <= 11, 7 for j = 12 and
     13, 15 or 16 for j = 14 and 15, and 32 from j = 16 on), and 383 at
     oversamples 2, 4 and 8 together, which the bound of 512 holds. Those
@@ -247,16 +270,6 @@ def _coset_twist(L: int, m: int, s: int
     for table in (rows, cols, turns):
         table.flags.writeable = False
     return rows, cols, turns
-
-
-def _add_row(dst: np.ndarray, src: np.ndarray, turn: complex) -> None:
-    """dst += turn * src, in passes of _CHUNK where turn != 1, so the
-    product's temporary stays _CHUNK long."""
-    if turn == 1:
-        dst += src
-        return
-    for a in range(0, dst.size, _CHUNK):
-        dst[a:a + _CHUNK] += turn * src[a:a + _CHUNK]
 
 
 def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
@@ -288,17 +301,23 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
 
         b[r] = e(r s/(m K)) sum_j e(j s/m) c_(r + j K),
 
-    each row j of the coefficients, of either sign, added with its row
-    factor turns[j % m] (_coset_twist) over the part of it in the window.
-    For K >= 2N+1 each term sits alone (rows 0 and -1); below it residues
-    fold up to ceil((2N+1)/K) terms. The n < 0 rows go first, the first one
-    reaching the window written and the rest added, the residues it leaves
-    are zeroed, and the n >= 0 rows are added; rows whose factor is not 1
-    are added in passes of _CHUNK, so no temporary grows with N. Then the
-    twist e(r s/(m K)) is two broadcast products of b viewed (K/C, C) by
-    _coset_twist's tables. Coset 0 takes no product. ``out``, when given,
-    is a K-point complex buffer that receives the values, so a caller
-    running many cosets reuses one.
+    each row j of the coefficients, of either sign, taken over the part of
+    it in the window with its row factor e(j s/m) = turns[j % m]
+    (_coset_twist). For K >= 2N+1 each term sits alone (rows -1 and 0);
+    below it residues fold up to ceil((2N+1)/K) terms. The rows are
+    folded in by Horner's rule in e(s/m), rising from row -ceil(N/K),
+    which holds n = -N, to row j_top = N // K: the first is written times
+    e(-s/m) and the residues it leaves are zeroed; each later row is added
+    over the part of it in the window (none for a row in the gap |n| < M)
+    and, below the top row, the whole buffer is multiplied in place by
+    e(-s/m). So row j ends with e((j - j_top) s/m), and the missing
+    e(j_top s/m), 1 unless N >= K, multiplies the row table of the twist
+    e(r s/(m K)): two broadcast products of b viewed (K/C, C) by
+    _coset_twist's tables. No temporary grows with N or with the number
+    of rows, and two rows, as every coset at j <= 13 has, take one
+    product and one sum per term. Coset 0 takes no product. ``out``, when
+    given, is a K-point complex buffer that receives the values, so a
+    caller running many cosets reuses one.
     """
     M, N = spec.weights.M, spec.weights.N
     if K < 1:
@@ -326,35 +345,33 @@ def grid_values(spec: SumSpec, K: int, s: int = 0, m: int = 1,
         buf = np.empty(K, dtype=np.complex128) if out is None else out
         tw_rows, tw_cols, turns = _coset_twist(K, m, s) if s else (None,) * 3
 
-        def turn(j: int) -> complex:
-            return turns[j % m] if s else 1
+        def row(j: int) -> tuple[slice, np.ndarray]:
+            """Row j over the window, n = jK .. jK + K - 1 at r = n - jK, as
+            (its residues, its c_n read at |n|); empty in the gap |n| < M."""
+            if j >= 0:
+                lo = max(j * K, M)
+                hi = max(min(j * K + K, N + 1), lo)
+                return slice(lo - j * K, hi - j * K), c[lo - M:hi - M]
+            lo = max((-j - 1) * K + 1, n0)
+            top = max(min(-j * K, N), lo - 1)
+            return slice(-j * K - top, -j * K - lo + 1), c[lo - M:top - M + 1][::-1]
 
-        def minus(j: int) -> tuple[slice, np.ndarray]:
-            """Row -j over the window: -n for n = max((j-1)K + 1, n0) ..
-            min(jK, N), at r = jK - n, as (its residues, its c_n)."""
-            lo, top = max((j - 1) * K + 1, n0), min(j * K, N)
-            return slice(j * K - top, j * K - lo + 1), c[lo - M:top - M + 1][::-1]
-
-        first, last = -(-n0 // K), -(-N // K)   # rows -j reaching the window
-        if first <= last:
-            span, row = minus(first)
-            if s:
-                np.multiply(row, turn(-first), out=buf[span])
-            else:
-                buf[span] = row
-            buf[:span.start] = 0
-            buf[span.stop:] = 0
+        top = N // K                        # Horner's rule, rows rising
+        span, terms = row(-N // K)
+        if s and top > -N // K:
+            np.multiply(terms, turns[-1], out=buf[span])
         else:
-            buf[:] = 0
-        for j in range(first + 1, last + 1):
-            span, row = minus(j)
-            _add_row(buf[span], row, turn(-j))
-        for j in range(M // K, N // K + 1):     # row j holds n = jK .. jK + K - 1
-            lo, hi = max(j * K, M), min(j * K + K, N + 1)
-            _add_row(buf[lo - j * K:hi - j * K], c[lo - M:hi - M], turn(j))
+            buf[span] = terms
+        buf[:span.start] = 0
+        buf[span.stop:] = 0
+        for j in range(-N // K + 1, top + 1):
+            span, terms = row(j)
+            buf[span] += terms
+            if s and j < top:
+                buf *= turns[-1]
         if s:
             view = buf.reshape(-1, tw_cols.size)
-            view *= tw_rows[:, None]
+            view *= (tw_rows * turns[top % m] if top * s % m else tw_rows)[:, None]
             view *= tw_cols
     return np.fft.ifft(buf, out=buf, norm="forward")
 
@@ -428,14 +445,20 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
 
     Input: each c_n is off by at most |w_n| (2 pi phase_error_bound() +
     32u), the phase error times 2 pi plus a few ulps u for the argument,
-    exp, product and abs. For m > 1 coset s multiplies each coefficient by
-    its row's factor turns[j % m] = e(j s/m) and its residue's sum by the
-    table entries rows[r // C] and cols[r % C] (_coset_twist): exactly
-    three unit factors, whatever the number of rows. Each is one exp of an
-    argument below 2 pi formed in three roundings, so within 24u of exact,
-    and each product adds at most sqrt(5) u < 3u (Brent, Percival and
-    Zimmermann, Math. Comp. 76, 2007): 81u, and 96u per coefficient covers
-    the second-order terms for any m. Nothing at m = 1, where every factor
+    exp, product and abs. For m > 1 coset s folds the R = ceil(N/L) +
+    floor(N/L) + 1 rows of the coefficients by Horner's rule
+    (grid_values): a coefficient of the lowest row takes R - 1 computed
+    factors e(-s/m), one per later row, then the top row's factor
+    e(j_top s/m) inside the row table, and every residue's sum the table
+    entries rows[r // C] and cols[r % C] (_coset_twist). Each factor is
+    one exp of an argument below 2 pi formed in three roundings, so
+    within 24u of exact, and each product adds at most sqrt(5) u < 3u
+    (Brent, Percival and Zimmermann, Math. Comp. 76, 2007): 27u a factor,
+    and 32u covers the second-order terms of the F = R + 2 factors, or
+    R + 1 where the top row is row 0 (N < L), whose factor is 1 and is
+    not applied. Every coset at j <= 13 has R = 2 and F = 3: 96u.
+    sup_norm's splits have L >= (2N+1)/8, so R <= 8 and F <= 10: 192u at
+    j = 14 and 15, 320u from j = 16 on. Nothing at m = 1, where every factor
     is 1 and no twist is applied. A folded coset (L < 2N+1) adds the f =
     ceil((2N+1)/L) or fewer terms of a residue in f - 1 roundings, within
     (f - 1)u of their moduli's sum to first order: f u per coefficient
@@ -452,13 +475,15 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     gamma_(r+3) (sqrt(r) + u) < 64u and P eta < 1/2. One entry is at most
     the 2-norm, and ||y||_2 = sqrt(L) ||b||_2 <= sqrt(L) ||b||_1 <=
     sqrt(L) ||w||_1 for the transform's input b, folded or not, as the
-    twist has modulus 1.
+    twist has modulus 1. That term dwarfs the rest: at j = 16 (L = 32,805)
+    it is about 3.5e5 ulps against 360 for the input, twist and fold.
     """
     N = spec.weights.N
     m = _coset_count(K, N)
     L = K // m
     l1 = spec.weights.window_mass()     # w >= 0
-    twist = 0 if m == 1 else 96
+    rows = N // L - (-N // L) + 1       # -ceil(N/L) .. N // L
+    twist = 0 if m == 1 else 32 * (rows + 1 + (N >= L))
     terms = -(-(2 * N + 1) // L)
     fold = terms if terms > 1 else 0
     ulps = 32 + twist + fold + 2 * math.log2(L) * 64 * math.sqrt(L)
@@ -467,14 +492,16 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
 
 def _peak(vals: np.ndarray) -> tuple[float, int]:
     """(max |vals|, the smallest k attaining it), pass by pass, so no
-    array of |vals| is made. The array method and a float comparison keep
-    a small grid's cost at one pass's: np.argmax and numpy-scalar
-    comparisons made a sup at j = 6..9 take about 4% longer."""
+    array of |vals| is made and at most one pass's is held. The array
+    method and a float comparison keep a small grid's cost at one pass's:
+    np.argmax and numpy-scalar comparisons made a sup at j = 6..9 take
+    about 4% longer."""
     best, at = -1.0, 0
     for a in range(0, vals.size, _CHUNK):
         mags = np.abs(vals[a:a + _CHUNK])
         k = int(mags.argmax())
         v = float(mags[k])
+        del mags                        # before the next pass's is made
         if v > best:
             best, at = v, a + k
     return best, at
@@ -532,13 +559,13 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     The coefficients are the sum's one window-length array, built with it
     (SumSpec). Below N = _FOLD_N (j <= 11) K/m >= 2N+1 and the cosets run
     one after another through one L-point buffer. From it on each coset
-    folds (grid_values) and the cosets run in two lanes, one of them on a
-    second thread (_map_cosets): K/m is about N+1 below N = _FOLD4_N (j =
-    12, 13), so two transforms in flight hold the memory of one
-    whole-length one, about N/2 below N = _FOLD8_N (j = 14, 15), half
-    that, and about N/4 from it on (j >= 16), a quarter. The window's size
-    alone picks the route (_coset_count), and no route makes an array of
-    |S|.
+    folds its rows in place by Horner's rule (grid_values) and the cosets
+    run in two lanes, one of them on a second thread (_map_cosets): K/m
+    is about N+1 below N = _FOLD4_N (j = 12, 13), so two transforms in
+    flight hold the memory of one whole-length one, about N/2 below N =
+    _FOLD8_N (j = 14, 15), half that, and about N/4 from it on (j >= 16),
+    a quarter. The window's size alone picks the route (_coset_count),
+    and no route makes an array of |S|.
     Both crossovers were measured on one golden-mean sup (medians of
     interleaved pairs, 2-core host). Two folded lanes of about N+1 points
     took 0.47-0.55 of the unfolded serial route's time at j = 12 and
@@ -553,7 +580,12 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     window's coefficients, a sup took 1.18 (quartiles 1.13-1.22, 20
     rounds) of the time at j = 16, 1.08 at j = 17, 1.11 at j = 18 and
     0.97-0.98 at j = 19 and 20, where its shorter transforms pay for
-    folding twice as many cosets.
+    folding twice as many cosets. With Horner's fold, fewer and longer
+    cosets still lose below j = 16: m = 10 at j = 13 took 1.40 of the
+    sup time at m = 15 and m = 18 at j = 14 1.14 of m = 30. Nor did
+    fewer transforms per lane pay from j = 16 on: in a loop alternating
+    m alone, m = 45 at j = 16 took 1.25 of m = 64's time, and m = 54 and
+    60 at j = 17 and 18 took 1.00 and 1.02 (BENCH_24.json).
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N

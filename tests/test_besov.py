@@ -252,24 +252,27 @@ def test_block_spectrum_memory_peak(golden):
     # one array over its window 2^15 < n <= 2^17, as do the weights. The
     # worst case is one family's sup: 0.75 MiB of weights, 1.5 MiB of
     # coefficients, two L-point buffers (1.0 MiB), the 32 twist tables
-    # (0.22 MiB) and, per lane, one fold row's product or one _peak pass
-    # (at most 0.25 MiB each, 0.5 MiB), 3.97 MiB; building the smooth sum
-    # holds its weights, the phase vector and its own array, 3.75 MiB.
-    # The first sup of a process adds the grid-size cache and numpy.fft's
-    # import, up to 0.5 MiB. Runs read 3.88 MiB, and 4.34 on a process's
-    # first call. One transform of the whole grid would take about 58 MB.
-    # tracemalloc sees numpy's buffers, not the FFT library's scratch.
+    # (0.22 MiB) and, per lane, one _peak pass or numpy's buffer for the
+    # twist's broadcast products (at most 0.13 MiB each, 0.25 MiB), 3.72
+    # MiB; the folds by Horner's rule make no temporary. Building the
+    # smooth sum multiplies its weights into the phase vector in place,
+    # 2.25 MiB. The first sup of a process adds the grid-size cache and
+    # numpy.fft's import, up to 0.5 MiB. Runs read 3.52 MiB, and 3.98 on
+    # a process's first call. One transform of the whole grid would take
+    # about 58 MB. tracemalloc sees numpy's buffers, not the FFT
+    # library's scratch.
     peak = _traced_peak(golden, 16)
     assert peak <= 18 << 18, peak               # 4.5 MiB
 
 
 def test_block_spectrum_memory_peak_at_the_top_scale(golden):
     # j = 20: the window 2^19 < n <= 2^21 holds 1.5M coefficients (24 MiB)
-    # and as many weights (12 MiB). Building the smooth sum holds both, the
-    # phase vector too: 60 MiB. Its sup holds 12 + 24 MiB, two lanes of
-    # L = 524,880 points (16 MiB), 32 twist tables (0.74 MiB) and 0.5 MiB
-    # of per-lane passes, 53.2 MiB. Numpy's cast buffers and a process's
-    # first-call caches add up to 2 MiB. Runs read 60.13 MiB, and 61.23
-    # on a first call.
+    # and as many weights (12 MiB). Each family's sup holds both, two
+    # lanes of L = 524,880 points (16 MiB), 32 twist tables (0.74 MiB)
+    # and 0.25 MiB of per-lane passes: 53 MiB. Building the smooth sum
+    # takes the phase vector over and multiplies its weights into it in
+    # place, so it holds 36 MiB, not the 60 of a second array beside the
+    # vector. Numpy's cast buffers and a process's first-call caches add
+    # up to 1 MiB. Runs read 52.29 MiB, and 53.21 on a first call.
     peak = _traced_peak(golden, 20)
-    assert peak <= 62 << 20, peak               # 62 MiB
+    assert peak <= 54 << 20, peak               # 54 MiB

@@ -118,6 +118,44 @@ def test_probe_makes_no_n_length_temporary():
     assert peak < 8 * (spec.weights.N + 1), peak
 
 
+def _traced(fn) -> int:
+    """tracemalloc peak, in bytes, of one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_folded_coset_makes_no_row_product(golden):
+    # Horner's rule folds each of a coset's rows into its buffer in place:
+    # a j = 16 coset of 32,805 points, eight rows -4 .. 3, makes no
+    # temporary of a row, for s = 1 as for the top s. numpy buffers the
+    # twist's two broadcast products on its own (128 kB in numpy 2.4);
+    # the same products alone on the same view set the baseline
+    spec = SumSpec(golden, smooth_weights(16))
+    N = spec.weights.N
+    K = _fft_len(8 * (2 * N + 1))
+    m = _coset_count(K, N)
+    L = K // m
+    assert (m, L, -(-N // L), N // L) == (64, 32_805, 4, 3)    # rows -4 .. 3
+    buf = np.empty(L, dtype=np.complex128)
+    rows, cols, _ = thetasum._coset_twist(L, m, 1)
+    view = buf.reshape(-1, cols.size)
+
+    def twist():
+        view.__imul__(rows[:, None])
+        view.__imul__(cols)
+
+    twist()
+    base = _traced(twist)
+    for s in (1, m // 2):
+        grid_values(spec, L, s, m, out=buf)         # fills the twist cache
+        peak = _traced(lambda: grid_values(spec, L, s, m, out=buf))
+        assert peak < base + (64 << 10), (s, peak, base)
+
+
 def _force_cosets(monkeypatch, m):
     """Make sup_norm and _rounding_term split every grid into m cosets."""
     monkeypatch.setattr(thetasum, "_coset_count", lambda K, N: m)
@@ -461,9 +499,10 @@ def test_sup_bracket_holds_across_cosets(kind, j):
 def test_split_sup_matches_one_whole_grid_transform(text):
     # j = 6..11 split the oversample-8 grid into 5 to 8 cosets, j = 12, 13
     # into 15 folding two terms, j = 14 and 15 into 30 and 32 folding four
-    # and j = 16 into 64 folding eight, an even sum transforming about half
-    # of them: the maximum is the one transform's, within both rounding
-    # terms, at its argmax folded into [0, 1/2]
+    # and j = 16 into 64 folding eight by Horner's rule over eight rows,
+    # an even sum transforming about half of them: the maximum is the one
+    # transform's, within both rounding terms, at its argmax folded into
+    # [0, 1/2]
     for family in (rough_weights, smooth_weights):
         for j in range(6, 17):
             spec = SumSpec(parse_timespec(text), family(j))
@@ -874,23 +913,30 @@ def test_coefficient_arrays_symmetric_weights(golden):
     # e((-n)^2 t/2) = e(n^2 t/2) and w_{-n} = w_n: one array holds c_n and
     # c_{-n} over the window M <= n <= N. A rough block's weights are 1
     # there, so its coefficients are the window's phase vector itself; a
-    # smooth block multiplies that vector into an array of its own
+    # smooth block takes that vector over and multiplies its weights into
+    # it in place, after which neither the vector nor the rough sum reads
     for time in (golden, Rational(5, 97)):
         for j in (0, 5, 9):
             M, N = block_bounds(j)
             phases = thetasum.phase_vector(time, N, M)
-            before = phases.unit.copy()
+            unit = phases.unit
+            before = unit.copy()
             rough = SumSpec(time, rough_weights(j), phases)
             c = rough.coefficient_arrays()
-            assert c is phases.unit and c.shape == (N - M + 1,)
+            assert c is unit and c.shape == (N - M + 1,)
             assert rough.coefficient_arrays() is c
             smooth = SumSpec(time, smooth_weights(j), phases)
             w = smooth.weights.w
             cs = smooth.coefficient_arrays()
-            assert cs is not phases.unit and cs.shape == (N - M + 1,)
+            assert cs is unit and cs.shape == (N - M + 1,)
             assert w.shape == (N - M + 1,)      # w[i] is w_(M+i)
-            assert cs.tobytes() == (w * phases.unit).tobytes()
-            assert phases.unit.tobytes() == before.tobytes()
+            assert cs.tobytes() == (w * before).tobytes()
+            for read in (lambda: phases.unit, rough.coefficient_arrays,
+                         phases.hand_over,
+                         lambda: SumSpec(time, smooth_weights(j), phases)):
+                with pytest.raises(RuntimeError, match="handed over"):
+                    read()
+            assert smooth.coefficient_arrays() is cs
             # the weights left out are exact zeros: n = 0..M-1 (none at j = 0)
             assert not _chi(np.arange(M, dtype=np.float64) * 2.0 ** -j).any()
             assert smooth.phase_error_bound() == phases.error
