@@ -18,6 +18,13 @@ tail identity [..., a] = [..., a-1, 1]; the convergent-matrix determinant
 alternates with the index, and downstream identities need the even-index
 orientation q p_{n-1} - p q_{n-1} = +1.
 
+Each time keeps one memo of the quotients it has drawn together with
+their convergents (p_k, q_k), each pair formed by one step of
+``convergents`` as its quotient is drawn. Every reader of a time (its
+expansion, value brackets, the quotient rule's own q_k, scale matching)
+shares that memo, and the CFExpansion that ``expansion()`` returns carries
+the pairs it walked, so each convergent is formed once per time.
+
 Diophantine typing: sigma_n = log q_{n+1} / log q_n - 1 measures how fast
 the denominators grow; bounded quotients give sigma_n -> 0, the quotient
 rule above gives sigma_n -> sigma. classify_sigma estimates limsup/liminf
@@ -31,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -176,11 +183,15 @@ class CFExpansion:
 
     ``exact_terminates`` marks the complete expansion of a rational;
     ``truncated`` is its negation: a quotient or digit source that was cut
-    off before it was done.
+    off before it was done. ``pairs`` are the convergents of the quotients
+    when the maker already walked them (``TimeSpec.expansion``); otherwise
+    they are formed once, on first read. They take no part in equality.
     """
 
     quotients: tuple[int, ...]
     exact_terminates: bool = False
+    pairs: tuple[tuple[int, int], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.quotients:
@@ -189,26 +200,33 @@ class CFExpansion:
             raise DomainError("a_0 must be >= 0")
         if any(a < 1 for a in self.quotients[1:]):
             raise DomainError("a_k must be >= 1 for k >= 1")
+        if self.pairs is not None and len(self.pairs) != len(self.quotients):
+            raise DomainError("need one convergent per quotient")
 
     @property
     def truncated(self) -> bool:
         return not self.exact_terminates
 
     def convergents(self) -> list[tuple[int, int]]:
-        return list(convergents(self.quotients))
+        if self.pairs is None:
+            object.__setattr__(self, "pairs", tuple(convergents(self.quotients)))
+        return list(self.pairs)
 
 
 class TimeSpec:
     """Base for time parameters. Subclasses fill in the small protocol below.
 
     A subclass supplies its partial quotients as the generator
-    ``_quotients()``; ``partial_quotients()`` draws each one once and keeps
-    it, so every reader of the stream (expansion, convergents, brackets,
-    scale matching) shares one memo. A decimal literal has no stream: its
-    ``expansion()`` walks the interval its digits pin instead.
+    ``_quotients()``. One memo per time holds each quotient drawn together
+    with its convergent (p_k, q_k), grown by one step of ``convergents``
+    per quotient, so every reader of the stream (quotients, convergents,
+    expansion, brackets, scale matching) shares one walk of the
+    recurrence. A decimal literal has no stream: its ``expansion()`` walks
+    the interval its digits pin instead.
     """
 
-    _memo: tuple[list[int], Iterator[int]] | None = None
+    _memo: tuple[list[int], list[tuple[int, int]],
+                 Iterator[tuple[int, int]]] | None = None
 
     def exact_value(self) -> Fraction | None:
         """The exact rational value, when there is one."""
@@ -221,53 +239,58 @@ class TimeSpec:
     def _quotients(self) -> Iterator[int]:
         raise NotImplementedError
 
-    def partial_quotients(self) -> Iterator[int]:
-        """a_0, a_1, ...; finite for rationals, drawn from _quotients() once.
-        A time with no exact value whose source ends was cut off by a
-        budget: reading past its last quotient raises
+    def _terms(self) -> Iterator[tuple[int, tuple[int, int]]]:
+        """(a_k, (p_k, q_k)) for k = 0, 1, ...; finite for rationals, each
+        term formed once and kept. A time with no exact value whose source
+        ends was cut off by a budget: every read past its last term raises
         PrecisionExhaustedError."""
         if self._memo is None:
-            self._memo = ([], self._quotients())
-        quots, source = self._memo
+            quots: list[int] = []   # each quotient, kept as the recurrence draws it
+            drawn = (quots.append(a) or a for a in self._quotients())
+            self._memo = (quots, [], convergents(drawn))
+        quots, pairs, stream = self._memo
         k = 0
         while True:
-            if k == len(quots):
-                a = next(source, None)
-                if a is None:
+            if k == len(pairs):
+                pair = next(stream, None)
+                if pair is None:
                     if self.exact_value() is None:
                         raise PrecisionExhaustedError(
                             f"the quotients of {self.describe()} end after "
                             f"{k} terms: their next one would pass the budget")
                     return
-                quots.append(a)
-            yield quots[k]
+                pairs.append(pair)
+            yield quots[k], pairs[k]
             k += 1
 
     def convergent_pairs(self) -> Iterator[tuple[int, int]]:
-        """Successive (p_k, q_k); finite for rationals."""
-        return convergents(self.partial_quotients())
+        """Successive (p_k, q_k); finite for rationals, read from the memo."""
+        return (pair for _, pair in self._terms())
 
     def expansion(self, max_terms: int = 64) -> CFExpansion:
         """Quotients up to max_terms, up to the first denominator past
         MAX_Q_BITS bits, and up to where a budget ends the source;
-        truncated=True when cut off."""
+        truncated=True when cut off. The convergents walked on the way go
+        with it."""
         quots: list[int] = []
-        pairs = self.convergent_pairs()
+        pairs: list[tuple[int, int]] = []
         truncated = False
         try:
-            for a in self.partial_quotients():
+            for a, pair in self._terms():
                 if len(quots) >= max_terms:
                     truncated = True    # the source has a quotient past the budget
                     break
                 quots.append(a)
-                if next(pairs)[1].bit_length() > MAX_Q_BITS:
+                pairs.append(pair)
+                if pair[1].bit_length() > MAX_Q_BITS:
                     truncated = True
                     break
         except PrecisionExhaustedError:
             truncated = True            # a budget ended the source
         if not quots:
             raise PrecisionExhaustedError("no quotients could be produced")
-        return CFExpansion(tuple(quots), exact_terminates=not truncated)
+        return CFExpansion(tuple(quots), exact_terminates=not truncated,
+                           pairs=tuple(pairs))
 
     def value_bracket(self, eps: Fraction
                       ) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -414,11 +437,10 @@ class QuotientRule(TimeSpec):
     def _quotients(self) -> Iterator[int]:
         """The seed, then a_{k+1} = max(1, floor(q_k^sigma)).
 
-        q_k comes from this time's own convergent stream, which by then
-        only needs the quotients a_0..a_k already drawn. The stream ends
-        where num * bits(q_k) passes MAX_POWER_BITS: forming q_k^num and
-        its den-th root there takes from seconds to hours as sigma's
-        numerator and denominator grow.
+        q_k is read from this time's memo, which holds it as soon as a_k
+        is drawn. The stream ends where num * bits(q_k) passes
+        MAX_POWER_BITS: forming q_k^num and its den-th root there takes
+        from seconds to hours as sigma's numerator and denominator grow.
         """
         yield from self.seed
         num, den = self.sigma.numerator, self.sigma.denominator

@@ -47,7 +47,7 @@ MAX_BLOCK_J = 20
 MAX_BLOCK_N = 2 ** (MAX_BLOCK_J + 1)
 
 # Elements per pass of smooth_weights: its temporaries (masks, copies and
-# quotients of _phi) stay at a few hundred kB whatever the block's size.
+# quotients of the bump) stay at a few hundred kB whatever the block's size.
 _CHUNK = 1 << 12
 
 
@@ -73,8 +73,20 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chi(x: np.ndarray) -> np.ndarray:
-    return _phi(x) - _phi(2.0 * np.asarray(x, dtype=np.float64))
+def _window_chi(x: np.ndarray) -> np.ndarray:
+    """chi(x) for 1/2 < x <= 2 in one pass of its closed form.
+
+    There phi(2x) = 0 for x >= 1 and phi(x) = 1 for x < 1, so chi is
+    phi(y) on y = x, or 1 - phi(y) on y = 2x, with 1 <= y <= 2: the same
+    operations on the same operands as phi(x) - phi(2x), so the same bits.
+    """
+    low = x < 1.0
+    y = np.where(low, 2.0 * x, x)
+    with np.errstate(divide="ignore"):      # g(0) = exp(-inf) = 0 at y = 1, 2
+        g_a = np.exp(-1.0 / (2.0 - y))
+        g_b = np.exp(-1.0 / (y - 1.0))
+    v = g_a / (g_a + g_b)
+    return np.where(low, 1.0 - v, v)
 
 
 @dataclass
@@ -142,12 +154,13 @@ def block_bounds(j: int) -> tuple[int, int]:
 def smooth_weights(j: int) -> WeightVector:
     """Smooth dyadic block: w_n = chi(2^-j n); the j = 0 block uses phi.
 
-    chi is formed elementwise, so building it over [M, N] in passes of
-    _CHUNK gives the bits of one pass over the window, and only the result
-    grows with N.
+    Every window n of a block j >= 1 has 1/2 < 2^-j n <= 2, where
+    _window_chi's closed form holds. The bump is formed elementwise, so
+    building it over [M, N] in passes of _CHUNK gives the bits of one pass
+    over the window, and only the result grows with N.
     """
     M, N = block_bounds(j)
-    bump = _phi if j == 0 else _chi
+    bump = _phi if j == 0 else _window_chi
     w = np.empty(N - M + 1)
     for a in range(0, w.size, _CHUNK):
         n = np.arange(M + a, M + min(a + _CHUNK, w.size), dtype=np.float64)

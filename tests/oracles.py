@@ -16,6 +16,7 @@ import mpmath as mp
 import numpy as np
 
 from thetareg.contfrac import QuadraticIrrational
+from thetareg.cutoff import _phi
 
 TAU = 2.0 * math.pi
 
@@ -24,6 +25,12 @@ def e_frac(ph: Fraction) -> complex:
     """e(ph) for an exact rational phase."""
     ph = ph - (ph.numerator // ph.denominator)
     return cmath.exp(1j * TAU * float(ph))
+
+
+def chi(x: np.ndarray) -> np.ndarray:
+    """The smooth bump as its definition composes it, phi(x) - phi(2x), for
+    every x: the reference for the closed form smooth_weights uses."""
+    return _phi(x) - _phi(2.0 * np.asarray(x, dtype=np.float64))
 
 
 def half_line(weights) -> np.ndarray:

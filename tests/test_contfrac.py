@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import determinant_alternates, frac_le_sqrt, mp_value
-from thetareg import contfrac
+from thetareg import contfrac, exactnum
+from thetareg.besov import _scale_matched_q, burst_scales
 from thetareg.contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                                QuadraticIrrational, QuotientRule, Rational,
                                canonical_quotients, classify_sigma,
@@ -197,7 +198,7 @@ def test_quadratic_quotients_periodic(golden, sqrt2m1):
     s = sqrt2m1.expansion(25)
     assert s.quotients[0] == 0 and set(s.quotients[1:]) == {2}
     sqrt3 = QuadraticIrrational(0, 1, 3, 1)
-    assert list(itertools.islice(sqrt3.partial_quotients(), 9)) == [1] + [1, 2] * 4
+    assert sqrt3.expansion(9).quotients == (1,) + (1, 2) * 4
     # deep expansion still matches the float value
     deep = CFExpansion(tuple(sqrt3.expansion(40).quotients))
     v = Fraction(*deep.convergents()[-1])
@@ -294,23 +295,54 @@ def test_quotient_rule_fractional_sigma_growth():
 def test_quotient_rule_stream_ends_at_the_power_budget():
     # sigma = 99/100 forms q_k^99 for each quotient: the stream ends once
     # 99 bits(q_k) passes MAX_POWER_BITS, the expansion reads as cut off,
-    # not finished, and a reader past its end is refused
+    # not finished, and every reader past its end is refused, not only the
+    # first: the expansion, then three more
     t = QuotientRule(Fraction(99, 100), (0, 1))
     exp = t.expansion(64)
     assert exp.truncated and len(exp.quotients) < 64
     q_last = exp.convergents()[-1][1]
     assert 99 * q_last.bit_length() > contfrac.MAX_POWER_BITS
     assert q_last.bit_length() < contfrac.MAX_Q_BITS
-    with pytest.raises(PrecisionExhaustedError):
-        t.value_bracket(Fraction(1, q_last ** 3))
-    with pytest.raises(PrecisionExhaustedError):
-        list(t.convergent_pairs())
+    reads = (lambda: t.value_bracket(Fraction(1, q_last ** 3)),
+             lambda: list(t.convergent_pairs()),
+             lambda: exactnum.fixed_of_time(t, 3 * q_last.bit_length()))
+    for read in reads:
+        with pytest.raises(PrecisionExhaustedError):
+            read()
     # numerators 1 and 2 are never cut short of MAX_Q_BITS
     for sigma in (Fraction(1), Fraction(2), Fraction(1, 2)):
         exp = QuotientRule(sigma, (0, 1)).expansion(64)
         assert exp.truncated
         q_last = exp.convergents()[-1][1]
         assert q_last.bit_length() > contfrac.MAX_Q_BITS or len(exp.quotients) == 64
+
+
+def test_every_reader_shares_one_convergent_recurrence(monkeypatch):
+    # the memo forms each (p_k, q_k) once per time: the quotient rule's own
+    # q_k, the expansion and its classifiers, brackets, fixed point and
+    # scale matching all read it, so the recurrence starts once
+    calls = []
+
+    def counted(quotients):
+        calls.append(None)
+        return convergents(quotients)
+
+    monkeypatch.setattr(contfrac, "convergents", counted)
+    t = parse_timespec("class:sigma=1,seed=0,1")
+    exp = t.expansion(64)
+    classify_sigma(exp)
+    khinchin_levy_diagnostic(exp)
+    for bits in (64, 4096, 65536):
+        t.value_bracket(Fraction(1, 1 << bits))
+    exactnum.fixed_of_time(t, 1024)
+    first = list(itertools.islice(t.convergent_pairs(), 12))
+    assert list(itertools.islice(t.convergent_pairs(), 12)) == first
+    for j in range(6, 17):
+        _scale_matched_q(t, j)
+        burst_scales(t, 1.0, j_lo=6, j_hi=j)
+    assert exp.convergents()[:12] == first
+    assert exp.convergents() == list(convergents(exp.quotients))
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------- classifier

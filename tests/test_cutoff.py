@@ -9,22 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import count_nonzero, variation
-from thetareg.cutoff import (WeightVector, _chi, _phi, block_bounds,
-                             rough_weights, smooth_weights, unit_window)
+from oracles import chi, count_nonzero, variation
+from thetareg.cutoff import (WeightVector, _phi, block_bounds, rough_weights,
+                             smooth_weights, unit_window)
 from thetareg.errors import DomainError
 
 
 def test_chi_exact_anchor_values():
-    assert _chi(np.array([1.0]))[0] == 1.0          # phi(1) - phi(2) = 1 - 0
-    assert _chi(np.array([0.5]))[0] == 0.0
-    assert _chi(np.array([2.0]))[0] == 0.0
+    assert chi(np.array([1.0]))[0] == 1.0          # phi(1) - phi(2) = 1 - 0
+    assert chi(np.array([0.5]))[0] == 0.0
+    assert chi(np.array([2.0]))[0] == 0.0
     x = np.array([0.0, 0.1, 0.49, 2.0, 3.0, 100.0, -1.0])
-    assert np.all(_chi(x) == 0.0)                   # bit-exact outside support
+    assert np.all(chi(x) == 0.0)                   # bit-exact outside support
     # just inside the edges chi is positive but underflows binary64; test
     # strict positivity only where the value is representable
     inside = np.linspace(0.6, 1.9, 301)
-    assert np.all(_chi(inside) > 0.0)
+    assert np.all(chi(inside) > 0.0)
 
 
 def test_phi_complementary_symmetry():
@@ -36,7 +36,7 @@ def test_phi_complementary_symmetry():
 def _partition_sum(x, j_lo: int, j_hi: int) -> np.ndarray:
     """sum_{j=j_lo}^{j_hi} chi(2^-j x); equals 1 well inside the range."""
     x = np.asarray(x, dtype=np.float64)
-    return sum(_chi(x * 2.0 ** -j) for j in range(j_lo, j_hi + 1))
+    return sum(chi(x * 2.0 ** -j) for j in range(j_lo, j_hi + 1))
 
 
 def _tv_one_sided(w) -> float:
@@ -64,12 +64,12 @@ def test_plateau_plus_tail_telescopes():
     x = np.linspace(0.01, 50.0, 97)
     total = _phi(x).copy()
     for j in range(1, 12):
-        total += _chi(x * 2.0 ** -j)
+        total += chi(x * 2.0 ** -j)
     assert np.max(np.abs(total - 1.0)) < 1e-13
 
 
 def test_integral_constant_against_quadrature():
-    val, err = quad(lambda u: float(_chi(np.array([u]))[0]), 0.5, 2.0,
+    val, err = quad(lambda u: float(chi(np.array([u]))[0]), 0.5, 2.0,
                     points=[1.0], limit=200)
     assert err < 1e-6                 # quad is conservative at flat edges
     assert abs(val - 0.75) < 1e-9       # int_0^inf chi = 3/4 exactly
@@ -80,7 +80,7 @@ def test_integral_constant_against_quadrature():
 
 def test_kappa_matches_measured_variation():
     grid = np.linspace(0.5, 2.0, 20001)
-    tv = float(np.abs(np.diff(_chi(grid))).sum())
+    tv = float(np.abs(np.diff(chi(grid))).sum())
     assert tv <= 2.0 + 1e-9
     assert tv > 2.0 - 1e-3            # one full rise plus one full fall
 
@@ -109,7 +109,7 @@ def test_smooth_block_anchors_and_supports():
         # w[i] is w_(M+i): only the window M <= n <= N is stored
         assert w.w.shape == (w.N - w.M + 1,)
         assert w.w[2**j - w.M] == 1.0            # chi(1) = 1 exactly
-        below = _chi(np.arange(w.M, dtype=np.float64) * 2.0 ** -j)
+        below = chi(np.arange(w.M, dtype=np.float64) * 2.0 ** -j)
         assert below[w.M - 1] == 0.0 if w.M > 0 else True
         assert np.all(below == 0.0)              # bit-exact zeros
         assert w.w[w.N - w.M] == 0.0             # chi(2) = 0
@@ -128,12 +128,18 @@ def test_smooth_block_mass_riemann():
 
 
 def test_smooth_block_is_one_pass_of_chi_in_few_bytes():
-    # built in passes of 4,096, from j = 12 on in more than one: the bits of
-    # chi over the whole window at once
-    for j in range(1, 13):
+    # built in passes of 4,096, from j = 12 on in more than one, by chi's
+    # closed form: the bits of phi(x) - phi(2x) over the whole window at
+    # once (phi itself at j = 0), compared in slices to keep the reference
+    # small at j = 20
+    for j in range(0, 21):
         M, N = block_bounds(j)
-        want = _chi(np.arange(M, N + 1, dtype=np.float64) * 2.0 ** -j)
-        assert smooth_weights(j).w.tobytes() == want.tobytes(), j
+        got = smooth_weights(j).w
+        bump = _phi if j == 0 else chi
+        for a in range(0, got.size, 1 << 16):
+            n = np.arange(M + a, min(M + a + (1 << 16), N + 1), dtype=np.float64)
+            want = bump(n * 2.0 ** -j)
+            assert got[a:a + n.size].tobytes() == want.tobytes(), (j, a)
     # its temporaries stay small next to the 0.75 MiB result at j = 16 (one
     # pass over the window peaked at 6.1 MiB)
     tracemalloc.start()

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from oracles import brute_probe_max, brute_sum_at, variation
+from oracles import brute_probe_max, brute_sum_at, chi, variation
 from thetareg import exactnum, thetasum
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
-from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector, _chi,
+from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
                              block_bounds, rough_weights, smooth_weights,
                              unit_window)
 from thetareg.errors import BudgetError, DomainError, HypothesisError
@@ -938,7 +938,7 @@ def test_coefficient_arrays_symmetric_weights(golden):
                     read()
             assert smooth.coefficient_arrays() is cs
             # the weights left out are exact zeros: n = 0..M-1 (none at j = 0)
-            assert not _chi(np.arange(M, dtype=np.float64) * 2.0 ** -j).any()
+            assert not chi(np.arange(M, dtype=np.float64) * 2.0 ** -j).any()
             assert smooth.phase_error_bound() == phases.error
     with pytest.raises(DomainError):
         SumSpec(golden, rough_weights(5), thetasum.phase_vector(golden, 64, 0))
