@@ -20,7 +20,7 @@ from .contfrac import (KHINCHIN_LEVY, CFExpansion, DecimalLiteral,
                        SigmaEstimate, TimeSpec, classify_sigma,
                        expand_rational, khinchin_levy_diagnostic,
                        parse_timespec)
-from .cutoff import WeightVector, rough_weights, smooth_weights, unit_window
+from .cutoff import WeightVector, rough_weights, smooth_weights
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)

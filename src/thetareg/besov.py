@@ -134,18 +134,17 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
     records: list[BlockRecord] = []
     for j in scales:
         rough = smooth = probe = sprobe = None
-        M, N = block_bounds(j)
-        phases = phase_vector(time, N, M)
+        sharp = rough_weights(j)
+        phases = phase_vector(time, sharp.N, sharp.M)
         if mode in ("rough", "both"):
-            rough, probe = merged_block_sup(
-                SumSpec(time, rough_weights(j), phases), oversample)
+            rough, probe = merged_block_sup(SumSpec(time, sharp, phases), oversample)
         spec = (SumSpec(time, smooth_weights(j), phases)
                 if mode in ("smooth", "both") else None)
         del phases
         if spec is not None:
             smooth, sprobe = merged_block_sup(spec, oversample)
         del spec
-        count = 3 * 2 ** j if j >= 1 else 5
+        count = sharp.window_mass()
         exact = time.exact_value()
         q_used = exact.denominator if exact is not None else _scale_matched_q(time, j)
         envelope = None

@@ -27,7 +27,7 @@ from .besov import (block_spectrum, classify_regularity, fit_exponent,
 from .collapse import verify_collapse
 from .contfrac import (KHINCHIN_LEVY, DecimalLiteral, classify_sigma,
                        khinchin_levy_diagnostic, parse_timespec)
-from .cutoff import block_bounds, rough_weights, smooth_weights, unit_window
+from .cutoff import WeightVector, block_bounds, rough_weights, smooth_weights
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
@@ -314,8 +314,10 @@ def _cmd_probe(args) -> int:
         M, N = (int(v) for v in args.window.split(":"))
     except ValueError as exc:
         raise DomainError(f"--window wants M:N, got {args.window!r}") from exc
+    if M < 1:
+        raise DomainError("windows start at M >= 1 (n = 0 has no phase)")
     if args.weights == "unit":
-        w = unit_window(M, N)
+        w = WeightVector(M, N)
     else:
         j = max(int(math.log2(max(N, 2))) - 1, 1)
         w = smooth_weights(j)

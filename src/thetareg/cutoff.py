@@ -15,11 +15,12 @@ The symmetry g(2-x)/(g(2-x)+g(x-1)) gives phi(1+u) + phi(2-u) = 1, from
 which int_0^inf chi = (3/2)/2 = 3/4 exactly.
 
 A WeightVector is one block of per-frequency coefficients w_n >= 0 for
-|n| in a window [M, N]: either the smooth chi(2^-j |n|), the sharp
-indicator of 2^(j-1) < |n| <= 2^(j+1), or a sharp window on given [M, N].
-Each is even in n (w_{-n} = w_n) and 0 off the window, so one array over
-M <= n <= N holds it, and every block sum is even in x. It also gives the
-sums the bounds need: mass over both signs, l2 norm and ||Delta^k w||_1.
+|n| in a window [M, N], even in n (w_{-n} = w_n) and 0 off the window, so
+every block sum is even in x. A smooth block, chi(2^-j |n|), holds one
+array over M <= n <= N. A sharp block, 1 on its window (the dyadic
+2^(j-1) < |n| <= 2^(j+1), or any given [M, N]), holds none. Each gives the
+sums the bounds need: mass over both signs, l2 norm and ||Delta^k w||_1,
+in closed form for a sharp block, exact integers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "block_bounds",
     "smooth_weights",
     "rough_weights",
-    "unit_window",
 ]
 
 
@@ -49,28 +49,6 @@ MAX_BLOCK_N = 2 ** (MAX_BLOCK_J + 1)
 # Elements per pass of smooth_weights: its temporaries (masks, copies and
 # quotients of the bump) stay at a few hundred kB whatever the block's size.
 _CHUNK = 1 << 12
-
-
-def _smooth_step(u: np.ndarray) -> np.ndarray:
-    """g(u) = exp(-1/u) for u > 0, else 0; infinitely flat at 0."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
-def _phi(x: np.ndarray) -> np.ndarray:
-    """1 on x <= 1, 0 on x >= 2, smooth monotone join in between."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.ones_like(x)
-    out[x >= 2.0] = 0.0
-    mid = (x > 1.0) & (x < 2.0)
-    if np.any(mid):
-        a = _smooth_step(2.0 - x[mid])
-        b = _smooth_step(x[mid] - 1.0)
-        out[mid] = a / (a + b)
-    return out
 
 
 def _window_chi(x: np.ndarray) -> np.ndarray:
@@ -94,47 +72,64 @@ class WeightVector:
     """Coefficients of one frequency block, even in n.
 
     w[i] is the weight of both +n and -n for n = M + i, M <= n <= N; every
-    weight off that window is 0. mode is "rough" (1 on the window) or
-    "smooth". N past the block budget MAX_BLOCK_N is refused.
+    weight off that window is 0. With no w the block is sharp: 1 on its
+    window, with no array stored. N past the block budget MAX_BLOCK_N is
+    refused.
     """
 
     M: int
     N: int
-    w: np.ndarray
-    mode: str
+    w: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.N > MAX_BLOCK_N:
             raise BudgetError(f"window reaches |n| = {self.N} > {MAX_BLOCK_N}")
         if self.M < 0 or self.N < self.M:
             raise DomainError("need 0 <= M <= N")
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.shape != (self.N - self.M + 1,):
-            raise DomainError("w must have length N - M + 1")
-        if self.mode not in ("rough", "smooth"):
-            raise DomainError(f"mode must be rough or smooth, not {self.mode!r}")
+        if self.w is not None:
+            self.w = np.asarray(self.w, dtype=np.float64)
+            if self.w.shape != (self.N - self.M + 1,):
+                raise DomainError("w must have length N - M + 1")
+
+    @property
+    def mode(self) -> str:
+        """The family: "rough" for a sharp block, else "smooth"."""
+        return "rough" if self.w is None else "smooth"
 
     def _both_sides(self, v: np.ndarray) -> float:
         """sum over M <= |n| <= N of v, an array over the window, n = 0 once."""
         return 2 * float(v.sum()) - (float(v[0]) if self.M == 0 else 0.0)
 
     def window_mass(self) -> float:
-        """sum over M <= |n| <= N of w_n, n = 0 counted once: W(0) = ||w||_1."""
+        """sum over M <= |n| <= N of w_n, n = 0 counted once: W(0) = ||w||_1,
+        for a sharp block its count of frequencies."""
+        if self.w is None:
+            return float(2 * (self.N - self.M + 1) - (self.M == 0))
         return self._both_sides(self.w)
 
     def l2_squared(self) -> float:
-        return self._both_sides(self.w ** 2)
+        return self.window_mass() if self.w is None else self._both_sides(self.w ** 2)
 
     def variation(self, k: int) -> float:
         """||Delta^k w||_1 over both sides: while they lie more than k apart
         (2M > k, else refused), twice one pass over the window padded by k
-        zeros, in chunks of _CHUNK so that no temporary grows with N."""
+        zeros, in chunks of _CHUNK so that no temporary grows with N.
+
+        A sharp window of L = N - M + 1 >= k ones is 2^(k+1) exactly: on
+        each side Delta^k of its unit step up at M and down at N + 1 is
+        Delta^(k-1) of two unit impulses L apart, entries +-C(k-1, i) over
+        k places each, which do not meet. A shorter one takes the pass.
+        """
         if 2 * self.M <= k:
             raise DomainError(f"sides within k = {k} of each other (M = {self.M})")
-        size, total = self.w.size, 0.0
+        size = self.N - self.M + 1
+        if self.w is None and size >= k:
+            return float(2 ** (k + 1))
+        w = np.ones(size) if self.w is None else self.w
+        total = 0.0
         for a in range(0, size + k, _CHUNK):    # differences a .. hi - 1
             lo, hi = a - k, min(a + _CHUNK, size + k)
-            part = np.concatenate((np.zeros(max(-lo, 0)), self.w[max(lo, 0):hi],
+            part = np.concatenate((np.zeros(max(-lo, 0)), w[max(lo, 0):hi],
                                    np.zeros(max(hi - size, 0))))
             total += float(np.abs(np.diff(part, k)).sum())
         return 2 * total
@@ -152,7 +147,8 @@ def block_bounds(j: int) -> tuple[int, int]:
 
 
 def smooth_weights(j: int) -> WeightVector:
-    """Smooth dyadic block: w_n = chi(2^-j n); the j = 0 block uses phi.
+    """Smooth dyadic block: w_n = chi(2^-j n); the j = 0 block is the
+    plateau phi(n), 1, 1 and 0 at n = 0, 1 and 2.
 
     Every window n of a block j >= 1 has 1/2 < 2^-j n <= 2, where
     _window_chi's closed form holds. The bump is formed elementwise, so
@@ -160,25 +156,15 @@ def smooth_weights(j: int) -> WeightVector:
     over the window, and only the result grows with N.
     """
     M, N = block_bounds(j)
-    bump = _phi if j == 0 else _window_chi
+    if j == 0:
+        return WeightVector(M, N, np.array([1.0, 1.0, 0.0]))
     w = np.empty(N - M + 1)
     for a in range(0, w.size, _CHUNK):
         n = np.arange(M + a, M + min(a + _CHUNK, w.size), dtype=np.float64)
-        w[a:a + n.size] = bump(n * 2.0 ** -j)
-    return WeightVector(M=M, N=N, w=w, mode="smooth")
+        w[a:a + n.size] = _window_chi(n * 2.0 ** -j)
+    return WeightVector(M, N, w)
 
 
 def rough_weights(j: int) -> WeightVector:
     """Sharp dyadic block: indicator of 2^(j-1) < |n| <= 2^(j+1) (j = 0: |n| <= 2)."""
-    M, N = block_bounds(j)
-    return WeightVector(M=M, N=N, w=np.ones(N - M + 1), mode="rough")
-
-
-def unit_window(M: int, N: int) -> WeightVector:
-    """Unit weights on M <= |n| <= N, both sides, as a sharp block; a window
-    past the block budget is refused before the array is allocated."""
-    if M < 1:
-        raise DomainError("windows start at M >= 1 (n = 0 has no phase)")
-    if N > MAX_BLOCK_N:
-        raise BudgetError(f"window reaches |n| = {N} > {MAX_BLOCK_N}")
-    return WeightVector(M=M, N=N, w=np.ones(max(N - M + 1, 0)), mode="rough")
+    return WeightVector(*block_bounds(j))

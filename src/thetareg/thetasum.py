@@ -30,13 +30,10 @@ upper is certified: value is the maximum over one dense grid (default 8x
 past the polynomial degree), as computed, and Bernstein's inequality plus
 a rounding term turn it into a closed-form upper end. The grid runs as
 cosets, each one shorter transform of the coefficients folded in place
-by Horner's rule and twisted from two small tables (grid_values); from a
-window of N = 2^13 on (j >= 12) each coset is about N+1 points long, so
-two terms fold onto some residues, from N = 2^15 on (j >= 14) about N/2,
-so up to four do, and from N = 2^17 on (j >= 16) about N/4, up to eight.
-The folded cosets run in two lanes, two short transforms in at most the
-memory of one whole-length one (sup_norm). A rational block
-whose closed comb bracket is at least as tight settles from it instead
+by Horner's rule and twisted from two small tables (grid_values); from
+j = 12 on up to 2, 4 or 8 terms fold onto a residue (_coset_count), and
+the cosets run in two lanes (sup_norm). A rational block whose closed
+comb bracket is at least as tight settles from it instead
 (merged_block_sup): its value is the larger of the probe maximum and the
 certified lower end.
 
@@ -98,9 +95,7 @@ def _fft_len(target: int) -> int:
 
     Such an s > 1 is f * s' for a prime factor f <= 11 of it, and then s' is
     the smallest 11-smooth integer >= ceil(target / f); so minimising over
-    f is exact. The cache makes that a few thousand small calls: every grid
-    size of every block j <= 20 at oversample 2, 4 and 8 together fills 1,607
-    entries (about 250 kB), and its bound caps the memory at ten times that.
+    f is exact. The cache makes that a few thousand small calls.
     """
     if target <= 1:
         return 1
@@ -168,8 +163,7 @@ def phase_vector(time: TimeSpec, N: int, M: int) -> PhaseVector:
     range, as the largest |n| is still N. At t = p/q the phase n^2 p/(2q)
     mod 1 depends on n mod 2q alone, so the first min(2q, N - M + 1) unit
     values are formed once and tiled to the window's length: the same bits
-    as forming each entry, in a twentieth of the time for q in the
-    thousands on the j = 20 window.
+    as forming each entry.
     """
     check_phase_resolution(time, N)
     rational = time.exact_value()
@@ -191,13 +185,13 @@ class SumSpec:
     M <= n <= N only, and the phase error of the vector they came from.
     ``phases``, when given, must be ``phase_vector(time, weights.N,
     weights.M)``; it lets sums over several weight blocks of one scale
-    share that vector. A block whose weights are exactly 1 on its window
-    (rough) reads the vector itself as its coefficients. Any other takes
-    the vector over (PhaseVector.hand_over) and multiplies its weights
-    into it in place, so a scale holds one window-length complex array:
-    build it once every sum sharing the vector is done, as a later read of
-    those raises. Everything derived is deterministic, so two SumSpecs
-    built from equal inputs agree exactly.
+    share that vector. A sharp block, 1 on its window, reads the vector
+    itself as its coefficients. Any other takes the vector over
+    (PhaseVector.hand_over) and multiplies its weights into it in place,
+    so a scale holds one window-length complex array: build it once every
+    sum sharing the vector is done, as a later read of those raises.
+    Everything derived is deterministic, so two SumSpecs built from equal
+    inputs agree exactly.
     """
 
     def __init__(self, time: TimeSpec, weights: WeightVector,
@@ -256,13 +250,9 @@ def _coset_twist(L: int, m: int, s: int
     factor turns[j_top % m]. Each entry e(n/M) is one exp of n reduced mod
     M exactly in int64 and divided by M once (M = K or m). Cached
     read-only: both families of a scale, every time at that scale and
-    every scan item share them. The blocks j = 0..20 ask for one key
-    (L, m, s) per coset s = 1..m//2 of a scale:
-    243 at oversample 8 (at most 8 per scale for j <= 11, 7 for j = 12 and
-    13, 15 or 16 for j = 14 and 15, and 32 from j = 16 on), and 383 at
-    oversamples 2, 4 and 8 together, which the bound of 512 holds. Those
-    383 keys' tables take 4.1 MB in all; no key's pass 24.2 kB (2 sqrt(L)
-    + m entries of 16 bytes), so the bound caps the cache at 12.4 MB."""
+    every scan item share them. The bound of 512 holds one key (L, m, s)
+    per coset s = 1..m//2 of every block j <= 20 at oversamples 2, 4 and 8
+    together; a key's tables are 2 sqrt(L) + m entries of 16 bytes."""
     K, C = m * L, next(d for d in range(math.isqrt(L), 0, -1) if L % d == 0)
     rows, cols, turns = (np.exp((2j * np.pi) * (n % M / M)) for n, M in (
         (np.arange(0, L, C) * s, K), (np.arange(C) * s, K),
@@ -427,9 +417,7 @@ def _coset_count(K: int, N: int) -> int:
       terms on a residue, and the two lanes' buffers, plans and scratch
       halve again.
 
-    1 when no split keeps both. At oversample 8 that is m = 5 to 8 for
-    j <= 11, 15 for j = 12 and 13, 30 for j = 14, 32 for j = 15 and 64
-    from j = 16 on (L = 32,805 at j = 16).
+    1 when no split keeps both.
     """
     terms = (1 if N < _FOLD_N else 2 if N < _FOLD4_N else 4 if N < _FOLD8_N
              else 8)
@@ -475,8 +463,7 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
     gamma_(r+3) (sqrt(r) + u) < 64u and P eta < 1/2. One entry is at most
     the 2-norm, and ||y||_2 = sqrt(L) ||b||_2 <= sqrt(L) ||b||_1 <=
     sqrt(L) ||w||_1 for the transform's input b, folded or not, as the
-    twist has modulus 1. That term dwarfs the rest: at j = 16 (L = 32,805)
-    it is about 3.5e5 ulps against 360 for the input, twist and fold.
+    twist has modulus 1.
     """
     N = spec.weights.N
     m = _coset_count(K, N)
@@ -492,10 +479,7 @@ def _rounding_term(spec: SumSpec, K: int) -> float:
 
 def _peak(vals: np.ndarray) -> tuple[float, int]:
     """(max |vals|, the smallest k attaining it), pass by pass, so no
-    array of |vals| is made and at most one pass's is held. The array
-    method and a float comparison keep a small grid's cost at one pass's:
-    np.argmax and numpy-scalar comparisons made a sup at j = 6..9 take
-    about 4% longer."""
+    array of |vals| is made and at most one pass's is held."""
     best, at = -1.0, 0
     for a in range(0, vals.size, _CHUNK):
         mags = np.abs(vals[a:a + _CHUNK])
@@ -560,32 +544,12 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     (SumSpec). Below N = _FOLD_N (j <= 11) K/m >= 2N+1 and the cosets run
     one after another through one L-point buffer. From it on each coset
     folds its rows in place by Horner's rule (grid_values) and the cosets
-    run in two lanes, one of them on a second thread (_map_cosets): K/m
-    is about N+1 below N = _FOLD4_N (j = 12, 13), so two transforms in
-    flight hold the memory of one whole-length one, about N/2 below N =
-    _FOLD8_N (j = 14, 15), half that, and about N/4 from it on (j >= 16),
-    a quarter. The window's size alone picks the route (_coset_count),
-    and no route makes an array of |S|.
-    Both crossovers were measured on one golden-mean sup (medians of
-    interleaved pairs, 2-core host). Two folded lanes of about N+1 points
-    took 0.47-0.55 of the unfolded serial route's time at j = 12 and
-    0.39-0.63 at j = 13, against 0.70-1.16 at j = 11 and 1.66-2.04 at
-    j = 10. Cosets of about N/2 took 1.62 (quartiles 1.54-1.67) of the
-    N+1 split's time at j = 12 and 1.09 (1.03-1.15) at j = 13, where the
-    work of folding all 2N+1 terms into twice as many cosets outweighs the
-    shorter transforms, against 0.74 (0.72-0.75) at j = 14, 0.70 at j = 15
-    and 0.67 at j = 16 (30 pairs each). The N/4 split from _FOLD8_N on is
-    taken for memory, not speed: it halves each lane's buffer and the
-    FFT's plan and scratch. Against the N/2 split, both reading only the
-    window's coefficients, a sup took 1.18 (quartiles 1.13-1.22, 20
-    rounds) of the time at j = 16, 1.08 at j = 17, 1.11 at j = 18 and
-    0.97-0.98 at j = 19 and 20, where its shorter transforms pay for
-    folding twice as many cosets. With Horner's fold, fewer and longer
-    cosets still lose below j = 16: m = 10 at j = 13 took 1.40 of the
-    sup time at m = 15 and m = 18 at j = 14 1.14 of m = 30. Nor did
-    fewer transforms per lane pay from j = 16 on: in a loop alternating
-    m alone, m = 45 at j = 16 took 1.25 of m = 64's time, and m = 54 and
-    60 at j = 17 and 18 took 1.00 and 1.02 (BENCH_24.json).
+    run in two lanes, one of them on a second thread (_map_cosets), two
+    transforms in flight in at most the memory of one whole-length one
+    (_coset_count). The window's size alone picks the route, and no route
+    makes an array of |S|. The N+1 and N/2 splits are measured
+    crossovers; the N/4 split is taken for memory, not speed (BENCH_16,
+    BENCH_21, BENCH_22 and BENCH_24.json).
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N
@@ -629,25 +593,18 @@ def probe_floors(weights: WeightVector, q: int,
         window, so the energy is at least the diagonal;
       q < L   (saturated case): Cauchy-Schwarz over the 2q residue classes.
 
-    Unit windows additionally get the sharper combinatorial forms. All
-    floors are per the mass over both signs, sum_{M<=|n|<=N} w_n.
+    Each floor is per the mass over both signs, sum_{M<=|n|<=N} w_n. For a
+    sharp window (mass 2L) the combinatorial forms sqrt(2 (N - M)) and
+    sqrt(2) (N - M)/sqrt(q) are the mass floors times (N - M)/L < 1, so
+    they are not recorded.
     """
     M, N = window
     if M < 1 or N <= M:
         raise DomainError("floors need a window 1 <= M < N")
-    L = N - M + 1
     mass = weights.window_mass()
-    is_unit = weights.mode == "rough"
-    floors: dict[str, float] = {}
-    if q >= L:
-        floors["mass_sparse"] = mass / (math.sqrt(2.0) * math.sqrt(N - M))
-        if is_unit:
-            floors["unit_sparse"] = math.sqrt(2.0) * math.sqrt(N - M)
-    else:
-        floors["mass_saturated"] = mass / math.sqrt(2.0 * q)
-        if is_unit:
-            floors["unit_saturated"] = math.sqrt(2.0) * (N - M) / math.sqrt(q)
-    return floors
+    if q >= N - M + 1:
+        return {"mass_sparse": mass / (math.sqrt(2.0) * math.sqrt(N - M))}
+    return {"mass_saturated": mass / math.sqrt(2.0 * q)}
 
 
 @dataclass(frozen=True)
@@ -713,8 +670,8 @@ def _comb_sine_sum(q: int, k: int) -> float:
 def _comb_bracket(q: int, weights: WeightVector, settles=None
                   ) -> tuple[float, float] | None:
     """Certified [lower, upper] around sup_x |S(x)| at t = p/q, gcd(p, q) = 1,
-    from the comb identity alone: no grid, O(N) array work plus an O(q)
-    sine sum.
+    from the comb identity alone: no grid, O(N) array work for a smooth
+    block and none for a sharp one, plus an O(q) sine sum.
 
     Comb: u_n = e(n^2 p/(2q)) has period 2q in n, so u_n = sum_h G_h
     e(n h/(2q)) over h = 0..2q-1, and
@@ -731,7 +688,8 @@ def _comb_bracket(q: int, weights: WeightVector, settles=None
     sum w over both sides. k summations by parts, (1 - e(x))^k W(x) =
     sum_n (Delta^k w)_n e(n x), give |W(x)| <= B_k / |2 sin(pi x)|^k with
     B_k = ||Delta^k w||_1 over both sides: k = 3 for smooth blocks, else
-    k = 1, where a sharp block has B_1 = 4.
+    k = 1, where a sharp block has B_1 = 4 and W(0) = 2 (N - M + 1), both
+    exact (WeightVector).
 
     Bracket: for any x the q comb points x + h/(2q) with G_h != 0 are
     y_0 + i/q, i = 0..q-1, with y_0 the one nearest an integer, so y_i is
@@ -743,10 +701,12 @@ def _comb_bracket(q: int, weights: WeightVector, settles=None
     At the x that puts y_0 on 0, a point h/(2q) of the probe's comb grid,
     y_i = i/q, so |S(x)| >= (W(0) - T)/sqrt(q) there.
 
-    Rounding: W(0) and B_k are twice sums over the window (window_mass,
-    variation) of N - M + 1 and N - M + k + 1 <= N + 3 float terms, and in
-    any order such a sum is within gamma_(N+5) <= nu = (N + 8) u of its
-    terms' absolute sum (u = 2^-53; Higham, Accuracy and Stability of
+    Rounding: a sharp block's W(0) and B_1 are exact, and the widening
+    below only loosens its ends. A smooth block's W(0) and B_k are twice
+    sums over the window (window_mass, variation) of N - M + 1 and
+    N - M + k + 1 <= N + 3 float terms, and in any order such a sum is
+    within gamma_(N+5) <= nu = (N + 8) u of its terms' absolute sum
+    (u = 2^-53; Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., sec. 4.2). So the exact W(0) is within
     2 nu of the computed one, relatively. An entry of Delta^k w, k rounded
     differences deep, is within gamma_k sum_i C(k, i) |w_(n-i)| of exact,

@@ -16,7 +16,6 @@ import mpmath as mp
 import numpy as np
 
 from thetareg.contfrac import QuadraticIrrational
-from thetareg.cutoff import _phi
 
 TAU = 2.0 * math.pi
 
@@ -27,15 +26,39 @@ def e_frac(ph: Fraction) -> complex:
     return cmath.exp(1j * TAU * float(ph))
 
 
+def _smooth_step(u: np.ndarray) -> np.ndarray:
+    """g(u) = exp(-1/u) for u > 0, else 0; infinitely flat at 0."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros_like(u)
+    pos = u > 0
+    out[pos] = np.exp(-1.0 / u[pos])
+    return out
+
+
+def phi(x: np.ndarray) -> np.ndarray:
+    """1 on x <= 1, 0 on x >= 2, g(2 - x) / (g(2 - x) + g(x - 1)) between."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.ones_like(x)
+    out[x >= 2.0] = 0.0
+    mid = (x > 1.0) & (x < 2.0)
+    if np.any(mid):
+        a = _smooth_step(2.0 - x[mid])
+        b = _smooth_step(x[mid] - 1.0)
+        out[mid] = a / (a + b)
+    return out
+
+
 def chi(x: np.ndarray) -> np.ndarray:
     """The smooth bump as its definition composes it, phi(x) - phi(2x), for
     every x: the reference for the closed form smooth_weights uses."""
-    return _phi(x) - _phi(2.0 * np.asarray(x, dtype=np.float64))
+    return phi(x) - phi(2.0 * np.asarray(x, dtype=np.float64))
 
 
 def half_line(weights) -> np.ndarray:
-    """w_n for n = 0..N: M zeros, then the weights of the window M..N."""
-    return np.concatenate((np.zeros(weights.M), weights.w))
+    """w_n for n = 0..N: M zeros, then the weights of the window M..N (ones
+    for a sharp block, which stores none)."""
+    w = np.ones(weights.N - weights.M + 1) if weights.w is None else weights.w
+    return np.concatenate((np.zeros(weights.M), w))
 
 
 def brute_sum_at(p: int, q: int, weights, num: int, den: int) -> complex:

@@ -26,7 +26,7 @@ from thetareg.cli import main as cli_main
 from thetareg.collapse import verify_collapse
 from thetareg.contfrac import (CFExpansion, QuadraticIrrational, QuotientRule,
                                Rational, TimeSpec, expand_rational)
-from thetareg.cutoff import rough_weights, smooth_weights, unit_window
+from thetareg.cutoff import WeightVector, rough_weights, smooth_weights
 from thetareg.thetasum import (SumSpec, _fft_len, eval_sum, grid_values,
                                phase_vector, rational_probe, stability_ratio)
 
@@ -221,7 +221,7 @@ def test_c07_probe_floor_grid():
     for q in (2, 3, 5, 17, 40):
         for m, n in ((1, 16), (4, 64), (16, 128)):
             j = n.bit_length() - 2      # smooth block living inside (m, n]
-            for w in (unit_window(m, n), smooth_weights(j)):
+            for w in (WeightVector(m, n), smooth_weights(j)):
                 res = rational_probe(1, q, SumSpec(Rational(1, q), w),
                                      window=(m, n))
                 cells += 1
@@ -372,7 +372,7 @@ def test_c10_exact_arithmetic_invariants(golden, sqrt2m1):
         if math.gcd(p, q) != 1:
             p = 1
         n = int(rng.integers(6, 13))
-        spec = SumSpec(Rational(p, q), unit_window(1, n))
+        spec = SumSpec(Rational(p, q), WeightVector(1, n))
         vals = grid_values(spec, 64)
         for k in rng.integers(0, 64, 5):
             worst_grid = max(worst_grid,

@@ -236,11 +236,11 @@ def test_report_json_schema(third):
     assert report_to_json(rep) == text
 
 
-def _traced_peak(time, j: int) -> int:
-    """tracemalloc peak of block_spectrum(time, j, j, mode="both")."""
+def _traced_peak(time, j: int, mode: str = "both") -> int:
+    """tracemalloc peak of block_spectrum(time, j, j, mode)."""
     tracemalloc.start()
     try:
-        block_spectrum(time, j, j, mode="both")
+        block_spectrum(time, j, j, mode=mode)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -249,30 +249,40 @@ def _traced_peak(time, j: int) -> int:
 def test_block_spectrum_memory_peak(golden):
     # j = 16 evaluates its 2.1M-point grids as 33 of 64 folded cosets of
     # L = 32,805 points in two lanes, one buffer each, and each sum holds
-    # one array over its window 2^15 < n <= 2^17, as do the weights. The
-    # worst case is one family's sup: 0.75 MiB of weights, 1.5 MiB of
-    # coefficients, two L-point buffers (1.0 MiB), the 32 twist tables
-    # (0.22 MiB) and, per lane, one _peak pass or numpy's buffer for the
-    # twist's broadcast products (at most 0.13 MiB each, 0.25 MiB), 3.72
-    # MiB; the folds by Horner's rule make no temporary. Building the
-    # smooth sum multiplies its weights into the phase vector in place,
-    # 2.25 MiB. The first sup of a process adds the grid-size cache and
-    # numpy.fft's import, up to 0.5 MiB. Runs read 3.52 MiB, and 3.98 on
-    # a process's first call. One transform of the whole grid would take
-    # about 58 MB. tracemalloc sees numpy's buffers, not the FFT
-    # library's scratch.
+    # one array over its window 2^15 < n <= 2^17, as do the smooth
+    # weights. The worst case is the smooth sup: 0.75 MiB of weights,
+    # 1.5 MiB of coefficients, two L-point buffers (1.0 MiB), the 32
+    # twist tables (0.22 MiB) and, per lane, one _peak pass or numpy's
+    # buffer for the twist's broadcast products (at most 0.13 MiB each,
+    # 0.25 MiB), 3.72 MiB; the folds by Horner's rule make no temporary.
+    # Building the smooth sum multiplies its weights into the phase vector
+    # in place, 2.25 MiB. The first sup of a process adds the grid-size
+    # cache and numpy.fft's import, up to 0.5 MiB. Runs read 3.52 MiB, and
+    # 3.98 on a process's first call. One transform of the whole grid
+    # would take about 58 MB. tracemalloc sees numpy's buffers, not the
+    # FFT library's scratch.
     peak = _traced_peak(golden, 16)
     assert peak <= 18 << 18, peak               # 4.5 MiB
 
 
 def test_block_spectrum_memory_peak_at_the_top_scale(golden):
     # j = 20: the window 2^19 < n <= 2^21 holds 1.5M coefficients (24 MiB)
-    # and as many weights (12 MiB). Each family's sup holds both, two
-    # lanes of L = 524,880 points (16 MiB), 32 twist tables (0.74 MiB)
-    # and 0.25 MiB of per-lane passes: 53 MiB. Building the smooth sum
-    # takes the phase vector over and multiplies its weights into it in
-    # place, so it holds 36 MiB, not the 60 of a second array beside the
-    # vector. Numpy's cast buffers and a process's first-call caches add
-    # up to 1 MiB. Runs read 52.29 MiB, and 53.21 on a first call.
+    # and as many smooth weights (12 MiB); the sharp block stores none.
+    # The smooth sup holds both, two lanes of L = 524,880 points (16 MiB),
+    # 32 twist tables (0.74 MiB) and 0.25 MiB of per-lane passes: 53 MiB.
+    # Building the smooth sum takes the phase vector over and multiplies
+    # its weights into it in place, so it holds 36 MiB, not the 60 of a
+    # second array beside the vector. Numpy's cast buffers and a process's
+    # first-call caches add up to 1 MiB. Runs read 52.29 MiB, and 53.21 on
+    # a first call.
     peak = _traced_peak(golden, 20)
     assert peak <= 54 << 20, peak               # 54 MiB
+
+
+def test_rough_spectrum_at_the_top_scale_holds_no_weights(golden):
+    # the rough sup alone at j = 20: the coefficients (24 MiB, the phase
+    # vector itself), two lanes (16 MiB), the twist tables and per-lane
+    # passes (1 MiB); its window of ones, 12 MiB more, is not stored.
+    # Runs read 41.1 MiB
+    peak = _traced_peak(golden, 20, mode="rough")
+    assert peak <= 42 << 20, peak               # 42 MiB

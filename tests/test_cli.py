@@ -173,6 +173,19 @@ def test_probe_bad_window_exits_2(capsys):
     assert main(["probe", "--t", "rat:1/5", "--window", "10:3"]) == 2
 
 
+def test_probe_window_holding_n0_is_refused_before_any_sum(monkeypatch, capsys):
+    def no_phases(*args):
+        raise AssertionError("a phase vector was built")
+
+    monkeypatch.setattr(thetareg.thetasum, "phase_vector", no_phases)
+    for weights in ("unit", "smooth"):
+        assert main(["probe", "--t", "rat:1/5", "--window", "0:8",
+                     "--weights", weights]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: windows start at M >= 1 (n = 0 has no phase)\n"
+
+
 def test_probe_coarse_decimal_is_refused(capsys):
     # one digit moves the phase at |n| = 8 by 64/10 cycles, as in blocks
     assert main(["probe", "--t", "dec:0.5", "--window", "2:8"]) == 3

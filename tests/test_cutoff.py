@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import chi, count_nonzero, variation
-from thetareg.cutoff import (WeightVector, _phi, block_bounds, rough_weights,
-                             smooth_weights, unit_window)
+from oracles import chi, count_nonzero, half_line, phi, variation
+from thetareg.cutoff import (MAX_BLOCK_N, WeightVector, block_bounds,
+                             rough_weights, smooth_weights)
 from thetareg.errors import DomainError
 
 
@@ -29,7 +29,7 @@ def test_chi_exact_anchor_values():
 
 def test_phi_complementary_symmetry():
     u = np.linspace(1e-6, 1.0 - 1e-6, 257)
-    s = _phi(1.0 + u) + _phi(2.0 - u)
+    s = phi(1.0 + u) + phi(2.0 - u)
     assert np.max(np.abs(s - 1.0)) < 1e-14
 
 
@@ -41,7 +41,7 @@ def _partition_sum(x, j_lo: int, j_hi: int) -> np.ndarray:
 
 def _tv_one_sided(w) -> float:
     """Total variation of n -> w_n over n >= 0 (zero below M and at N+1)."""
-    return float(np.abs(np.diff(np.concatenate((np.zeros(w.M), w.w, [0.0])))).sum())
+    return float(np.abs(np.diff(np.concatenate((half_line(w), [0.0])))).sum())
 
 
 def test_partition_of_unity_on_wide_range():
@@ -62,7 +62,7 @@ def test_plateau_plus_tail_telescopes():
     # phi(2^-J x) = phi(x) + sum_{j=1..J} chi(2^-j x); at J large the left
     # side is 1 for moderate x
     x = np.linspace(0.01, 50.0, 97)
-    total = _phi(x).copy()
+    total = phi(x).copy()
     for j in range(1, 12):
         total += chi(x * 2.0 ** -j)
     assert np.max(np.abs(total - 1.0)) < 1e-13
@@ -73,7 +73,7 @@ def test_integral_constant_against_quadrature():
                     points=[1.0], limit=200)
     assert err < 1e-6                 # quad is conservative at flat edges
     assert abs(val - 0.75) < 1e-9       # int_0^inf chi = 3/4 exactly
-    val2, _ = quad(lambda u: float(_phi(np.array([u]))[0]), 0.0, 2.0,
+    val2, _ = quad(lambda u: float(phi(np.array([u]))[0]), 0.0, 2.0,
                    limit=200)
     assert abs(val2 - 1.5) < 1e-9
 
@@ -135,7 +135,7 @@ def test_smooth_block_is_one_pass_of_chi_in_few_bytes():
     for j in range(0, 21):
         M, N = block_bounds(j)
         got = smooth_weights(j).w
-        bump = _phi if j == 0 else chi
+        bump = phi if j == 0 else chi
         for a in range(0, got.size, 1 << 16):
             n = np.arange(M + a, min(M + a + (1 << 16), N + 1), dtype=np.float64)
             want = bump(n * 2.0 ** -j)
@@ -158,22 +158,73 @@ def test_smooth_block_zero_uses_plateau():
 
 
 def test_unit_windows():
-    w = unit_window(1, 16)
+    # a sharp block is (M, N) alone: no array, 1 on its window
+    w = WeightVector(1, 16)
+    assert w.w is None and w.mode == "rough"
     assert count_nonzero(w) == 32
     assert w.window_mass() == 32.0
     assert w.l2_squared() == 32.0
-    with pytest.raises(DomainError):
-        unit_window(0, 4)
 
 
 def test_weight_vector_shape_validation():
     # w holds the window M..N: N - M + 1 weights, not N + 1
-    assert WeightVector(M=1, N=4, w=np.ones(4), mode="rough").w.size == 4
+    w = WeightVector(M=1, N=4, w=np.ones(4))
+    assert w.w.size == 4 and w.mode == "smooth"
     with pytest.raises(DomainError):
-        WeightVector(M=1, N=4, w=np.ones(5), mode="rough")
+        WeightVector(M=1, N=4, w=np.ones(5))
     with pytest.raises(DomainError):
-        WeightVector(M=5, N=4, w=np.ones(5), mode="rough")
-    # two modes: a sharp window is a rough block
-    assert unit_window(1, 4).mode == "rough"
+        WeightVector(M=5, N=4)
     with pytest.raises(DomainError):
-        WeightVector(M=1, N=4, w=np.ones(4), mode="unit")
+        WeightVector(M=-1, N=4)
+    # the family is read off the array, not set beside it
+    with pytest.raises(AttributeError):
+        w.mode = "rough"
+
+
+def test_sharp_blocks_allocate_no_window():
+    # the top scale's sharp block and the widest hand-built window are their
+    # bounds alone; the first one's stored ones took 12,583,392 bytes
+    tracemalloc.start()
+    try:
+        blocks = [rough_weights(20), WeightVector(1, MAX_BLOCK_N)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(w.w is None for w in blocks)
+    assert peak < 1 << 10, peak
+
+
+_HAND_WINDOWS = [(0, 0), (0, 5), (1, 1), (2, 2), (2, 3), (9, 10), (3, 5),
+                 (4, 7), (5, 200)]
+
+
+def test_sharp_constants_are_exact():
+    # mass, l2 and B_k of a sharp block are closed forms; they equal the
+    # oracle's frequency count and whole-line differences exactly, for
+    # every dyadic block and for hand-built windows shorter than k
+    blocks = [rough_weights(j) for j in range(21)]
+    blocks += [WeightVector(M, N) for M, N in _HAND_WINDOWS]
+    for w in blocks:
+        count = float(count_nonzero(w))
+        assert w.window_mass() == count, (w.M, w.N)
+        assert w.l2_squared() == count, (w.M, w.N)
+        if w.N > 1 << 13:
+            continue                    # the oracle's pure-Python line is slow
+        for k in (1, 2, 3):
+            if 2 * w.M > k:
+                assert w.variation(k) == variation(w, k), (w.M, w.N, k)
+    assert WeightVector(9, 10).variation(3) == 12.0     # L = 2 < k: steps meet
+    for j in range(1, 21):
+        w = rough_weights(j)
+        assert [w.variation(k) for k in (1, 2, 3)] == [4.0, 8.0, 16.0], j
+
+
+def test_exact_smooth_mass_lies_in_the_bracket_allowance():
+    # _comb_bracket widens the computed W(0) to [W (1 - 2 nu), W (1 + 2 nu)],
+    # nu = (N + 8) 2^-53; the exact mass 1.5 * 2^j (the bump's terms pair
+    # off around its symmetric transition) must lie inside, wherever the
+    # computed sum's last bits land
+    for j in range(1, 21):
+        w = smooth_weights(j)
+        W, nu = w.window_mass(), (w.N + 8) * 2.0 ** -53
+        assert W * (1 - 2 * nu) <= 1.5 * 2 ** j <= W * (1 + 2 * nu), j

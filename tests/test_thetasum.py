@@ -17,8 +17,7 @@ from oracles import brute_probe_max, brute_sum_at, chi, variation
 from thetareg import exactnum, thetasum
 from thetareg.contfrac import QuadraticIrrational, Rational, parse_timespec
 from thetareg.cutoff import (MAX_BLOCK_J, MAX_BLOCK_N, WeightVector,
-                             block_bounds, rough_weights, smooth_weights,
-                             unit_window)
+                             block_bounds, rough_weights, smooth_weights)
 from thetareg.errors import BudgetError, DomainError, HypothesisError
 from thetareg.besov import block_spectrum
 from thetareg.thetasum import (SumSpec, _comb_bracket, _coset_count, _fft_len,
@@ -35,13 +34,13 @@ def test_scale_bits_for():
 
 def test_hand_zero_sum():
     # t = 1: e(n^2/2) = (-1)^n, so the 1 <= |n| <= 4 sum vanishes at x = 0
-    spec = SumSpec(Rational(1, 1), unit_window(1, 4))
+    spec = SumSpec(Rational(1, 1), WeightVector(1, 4))
     assert abs(eval_sum(spec, 0.0)) < 1e-13
 
 
 def test_eval_sum_matches_bruteforce():
     for (p, q) in ((1, 3), (2, 5), (5, 7)):
-        for w in (unit_window(1, 12), smooth_weights(3), rough_weights(2)):
+        for w in (WeightVector(1, 12), smooth_weights(3), rough_weights(2)):
             spec = SumSpec(Rational(p, q), w)
             for (num, den) in ((0, 1), (1, 7), (3, 4), (5, 11)):
                 got = eval_sum(spec, num / den)
@@ -172,7 +171,7 @@ def test_coset_grids_interleave_to_the_full_grid(golden, monkeypatch):
     # every split of the grid that keeps K/m >= N+1: the twisted transforms,
     # interleaved, are the one big transform's values within both bounds;
     # past K/(2N+1) = 8 the cosets fold, two terms on some residues
-    spec = SumSpec(golden, unit_window(3, 40))            # 2N+1 = 81
+    spec = SumSpec(golden, WeightVector(3, 40))           # 2N+1 = 81
     N = spec.weights.N
     K = 720
     full = grid_values(spec, K)
@@ -269,7 +268,7 @@ def _forced_splits(spec, monkeypatch):
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: rough_weights(8), id="rough"),
     pytest.param(lambda: smooth_weights(8), id="smooth"),
-    pytest.param(lambda: unit_window(3, 52), id="unit"),
+    pytest.param(lambda: WeightVector(3, 52), id="unit"),
 ])
 def test_sup_norm_transforms_half_the_cosets_of_an_even_sum(
         golden, monkeypatch, make):
@@ -297,7 +296,7 @@ def test_sup_norm_transforms_half_the_cosets_of_an_even_sum(
 def test_even_sum_sup_matches_all_cosets_and_folds_argmax(golden, monkeypatch):
     # the cosets left out mirror ones transformed: the same maximum, within
     # the rounding bounds, at a point folded into [0, 1/2]
-    spec = SumSpec(golden, unit_window(3, 52))
+    spec = SumSpec(golden, WeightVector(3, 52))
     full = np.abs(grid_values(spec, 840))
     g = int(np.argmax(full))
     r1 = _whole_grid_term(spec, 840)
@@ -310,7 +309,7 @@ def test_even_sum_sup_matches_all_cosets_and_folds_argmax(golden, monkeypatch):
 
 def test_block_budget():
     with pytest.raises(BudgetError):
-        SumSpec(Rational(1, 3), unit_window(1, MAX_BLOCK_N + 1))
+        SumSpec(Rational(1, 3), WeightVector(1, MAX_BLOCK_N + 1))
 
 
 def test_block_budget_is_one_limit():
@@ -323,13 +322,12 @@ def test_block_budget_is_one_limit():
         SumSpec(Rational(1, 3), w)
         with pytest.raises(BudgetError):
             make(MAX_BLOCK_J + 1)
-    assert unit_window(1, MAX_BLOCK_N).N == MAX_BLOCK_N
-    with pytest.raises(BudgetError):
-        unit_window(1, MAX_BLOCK_N + 1)
+    assert WeightVector(1, MAX_BLOCK_N).N == MAX_BLOCK_N
     # weights built by hand meet the same limit where they are made
     with pytest.raises(BudgetError):
-        WeightVector(M=1, N=MAX_BLOCK_N + 1, w=np.ones(MAX_BLOCK_N + 1),
-                     mode="rough")
+        WeightVector(1, MAX_BLOCK_N + 1)
+    with pytest.raises(BudgetError):
+        WeightVector(M=1, N=MAX_BLOCK_N + 1, w=np.ones(MAX_BLOCK_N + 1))
 
 
 def test_fft_len_matches_scipy():
@@ -348,7 +346,7 @@ def test_parseval_identity(golden):
     # on any grid of K >= 2N+1 points the mean of |S|^2 is the coefficient
     # power sum |w_n|^2 over both sides exactly (discrete Parseval)
     for time in (Rational(1, 3), golden):
-        for w in (rough_weights(9), smooth_weights(9), unit_window(3, 250)):
+        for w in (rough_weights(9), smooth_weights(9), WeightVector(3, 250)):
             vals = grid_values(SumSpec(time, w), _fft_len(4 * (2 * w.N + 1)))
             mean = float(np.mean(np.abs(vals) ** 2))
             assert mean == pytest.approx(w.l2_squared(), rel=1e-10)
@@ -359,7 +357,7 @@ def test_probe_matches_bruteforce():
     # at q = 17
     for q in (2, 3, 5, 7, 12, 16, 17):
         p = 1 if q != 12 else 5
-        for w in (unit_window(1, 16), smooth_weights(3), unit_window(2, 9)):
+        for w in (WeightVector(1, 16), smooth_weights(3), WeightVector(2, 9)):
             pr = rational_probe(p, q, SumSpec(Rational(p, q), w))
             want = brute_probe_max(p, q, w)
             assert pr.max_abs == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -367,31 +365,36 @@ def test_probe_matches_bruteforce():
 
 
 def test_probe_argmax_attains_max():
-    w = unit_window(1, 16)
+    w = WeightVector(1, 16)
     pr = rational_probe(3, 7, SumSpec(Rational(3, 7), w))
     direct = abs(brute_sum_at(3, 7, w, pr.argmax_h, 14))
     assert direct == pytest.approx(pr.max_abs, rel=1e-12)
 
 
 def test_probe_floors_branches():
-    w = unit_window(1, 16)
+    # one floor, from the mass: a sharp window's combinatorial forms are
+    # these times (N - M)/(N - M + 1), so never the larger
+    w = WeightVector(1, 16)
     sat = probe_floors(w, 3, (1, 16))       # q = 3 < window length
-    assert set(sat) == {"mass_saturated", "unit_saturated"}
+    assert set(sat) == {"mass_saturated"}
     assert sat["mass_saturated"] == pytest.approx(32 / math.sqrt(6))
-    assert sat["unit_saturated"] == pytest.approx(math.sqrt(2) * 15 / math.sqrt(3))
     sparse = probe_floors(w, 17, (1, 16))    # q = 17 >= window length
-    assert set(sparse) == {"mass_sparse", "unit_sparse"}
+    assert set(sparse) == {"mass_sparse"}
     assert sparse["mass_sparse"] == pytest.approx(32 / (math.sqrt(2) * math.sqrt(15)))
-    assert sparse["unit_sparse"] == pytest.approx(math.sqrt(2) * math.sqrt(15))
     sm = probe_floors(smooth_weights(3), 17, (1, 16))
-    assert set(sm) == {"mass_sparse"}        # no unit floor for tapered weights
+    assert set(sm) == {"mass_sparse"}
     with pytest.raises(DomainError):
         probe_floors(w, 3, (0, 16))
+    for (M, N), q in (((5, 200), 7), ((3, 4), 1), ((1, 16), 3), ((1, 16), 17)):
+        combinatorial = (math.sqrt(2) * (N - M) / math.sqrt(q) if q < N - M + 1
+                         else math.sqrt(2 * (N - M)))
+        floor, = probe_floors(WeightVector(M, N), q, (M, N)).values()
+        assert combinatorial < floor, (M, N, q)
 
 
 def test_probe_floor_satisfaction_spot_checks():
     for q, win in ((17, (1, 16)), (101, (16, 128)), (3, (1, 16))):
-        pr = rational_probe(1, q, SumSpec(Rational(1, q), unit_window(*win)),
+        pr = rational_probe(1, q, SumSpec(Rational(1, q), WeightVector(*win)),
                             window=win)
         assert pr.satisfied
         assert pr.floor_margin() >= 1.0
@@ -405,7 +408,7 @@ def test_probe_refuses_a_block_holding_n0():
 
 def test_probe_budget():
     with pytest.raises(BudgetError):
-        rational_probe(1, 10_001, SumSpec(Rational(1, 10_001), unit_window(1, 16)))
+        rational_probe(1, 10_001, SumSpec(Rational(1, 10_001), WeightVector(1, 16)))
 
 
 def test_sup_norm_dominates_samples(golden):
@@ -520,7 +523,7 @@ _SMALL_WINDOWS = st.one_of(
     st.integers(1, 6).map(rough_weights),
     st.integers(1, 6).map(smooth_weights),
     st.tuples(st.integers(1, 30), st.integers(1, 34)).map(
-        lambda mn: unit_window(mn[0], mn[0] + mn[1])),
+        lambda mn: WeightVector(mn[0], mn[0] + mn[1])),
 )
 _SMALL_TIMES = st.one_of(
     st.tuples(st.integers(0, 99), st.integers(1, 50)).map(
@@ -749,7 +752,7 @@ def test_block_variation_matches_the_whole_line(k):
     blocks = [make(j) for j in range(1, 13)
               for make in (rough_weights, smooth_weights)]
     if k == 1:
-        blocks.append(unit_window(1, 64))
+        blocks.append(WeightVector(1, 64))
     for w in blocks:
         want = variation(w, k)
         assert abs(w.variation(k) - want) <= (w.N + 8) * 2.0 ** -53 * want, \
