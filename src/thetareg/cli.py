@@ -286,7 +286,8 @@ def _cmd_collapse(args) -> int:
         checked += 1
         if worst is None or chk.max_residual > worst.max_residual:
             worst = chk
-        if chk.max_residual > args.tol or chk.kappa_unimodular_defect > 1e-8:
+        if (chk.max_residual > args.tol or chk.kappa_unimodular_defect > 1e-8
+                or chk.kappa_eighth_root_defect > 1e-7):
             failures += 1
     if args.sweep:
         summary = {
@@ -301,7 +302,8 @@ def _cmd_collapse(args) -> int:
         print(json.dumps(worst.as_dict(), sort_keys=True, indent=2))
     if args.check and failures:
         raise VerificationError(
-            f"{failures} collapse pairings exceeded {args.tol}")
+            f"{failures} collapse checks failed a gate: residual > {args.tol}, "
+            f"||kappa| - 1| > 1e-8 or |kappa^8 - 1| > 1e-7")
     return 0
 
 

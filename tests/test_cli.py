@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output formats, determinism."""
 
+import cmath
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ import thetareg
 from thetareg import cli
 from thetareg.cli import build_parser, main, read_config, spectrum_svg
 from thetareg.besov import block_spectrum
+from thetareg.collapse import CollapseCheck
 from thetareg.contfrac import Rational
 from thetareg.errors import DomainError
 
@@ -150,6 +152,20 @@ def test_collapse_check_with_impossible_tolerance_exits_4(capsys):
     assert main(["collapse", "--t", "rat:1/3", "--tol", "1e-30",
                  "--check"]) == 4
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_collapse_check_gates_the_eighth_root_defect(capsys, monkeypatch):
+    # unimodular, zero residuals, but e(1/18) is no eighth root of unity
+    kappa = cmath.exp(2j * math.pi / 18)
+    chk = CollapseCheck(
+        p=1, q=3, xi=1, eta=0, p_prev=1, q_prev=2, kappa=kappa,
+        kappa_unimodular_defect=abs(abs(kappa) - 1.0),
+        kappa_eighth_root_defect=abs(kappa ** 8 - 1.0),
+        residuals=(("gauss", 0.0),), max_residual=0.0)
+    assert chk.kappa_unimodular_defect <= 1e-8
+    monkeypatch.setattr(cli, "verify_collapse", lambda p, q: chk)
+    assert main(["collapse", "--t", "rat:1/3", "--check"]) == 4
+    assert "|kappa^8 - 1|" in capsys.readouterr().err
 
 
 def test_collapse_requires_time_or_sweep():

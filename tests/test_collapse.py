@@ -201,6 +201,45 @@ def test_rhs_pairing_is_comb_side():
     assert _eq(lhs, rhs, 1e-12)
 
 
+def _per_point_rhs(comb: CombFormula, phi) -> complex:
+    """rhs_pairing as a loop that forms every weight anew for each phi."""
+    total = 0.0 + 0.0j
+    for x in comb.points():
+        total += comb.weight_phase(x) * complex(phi(float(x)))
+    return 1 / math.sqrt(comb.q) * total
+
+
+def test_cached_comb_weights_match_the_exact_route():
+    pairs = [(p, q) for q in range(1, 26) for p in range(2 * q)
+             if math.gcd(p, q) == 1]
+    for p, q in pairs + [(5, 101), (5, 997), (5, 9973)]:
+        comb = comb_of(p, q)
+        points = comb.points()
+        cached = comb._weighted_points
+        assert len(cached) == comb.q
+        for (x, weight), point in zip(cached, points):
+            assert x == float(point), (p, q, point)
+            assert weight == comb.weight_phase(point), (p, q, point)
+        for phi in default_test_functions(comb)[:2]:
+            # bit for bit, not approximately
+            assert rhs_pairing(comb, phi) == _per_point_rhs(comb, phi), (p, q)
+
+
+@pytest.mark.parametrize("q", [1, 7, 25])
+def test_verify_collapse_forms_each_comb_phase_once(q, monkeypatch):
+    calls = []
+    exact = CombFormula.phase_fraction
+
+    def counted(self, x):
+        calls.append(x)
+        return exact(self, x)
+
+    monkeypatch.setattr(CombFormula, "phase_fraction", counted)
+    chk = verify_collapse(1, q)
+    assert len(chk.residuals) == 6
+    assert len(calls) == q
+
+
 # ----------------------------------------------------------- full verifier
 
 def test_verify_collapse_frozen_kappas():
