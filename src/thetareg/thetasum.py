@@ -32,10 +32,13 @@ a rounding term turn it into a closed-form upper end. The grid runs as
 cosets, each one shorter transform of the coefficients folded in place
 by Horner's rule and twisted from two small tables (grid_values); from
 j = 12 on up to 2, 4 or 8 terms fold onto a residue (_coset_count), and
-the cosets run in two lanes (sup_norm). A rational block whose closed
-comb bracket is at least as tight settles from it instead
-(merged_block_sup): its value is the larger of the probe maximum and the
-certified lower end.
+the cosets run in two lanes (sup_norm): the calling thread and one
+worker thread per process, made on first use and kept, which take items
+from one shared counter (_map_cosets). An irrational phase vector from
+j = 13 on is built on them too, in chunks (phase_vector). A rational
+block whose closed comb bracket is at least as tight settles from it
+instead (merged_block_sup): its value is the larger of the probe maximum
+and the certified lower end.
 
 Also here: the two-time stability comparison under |t - t1| < K/N^2,
 which certifies its hypothesis with exact rational brackets before
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -84,6 +88,7 @@ _FOLD_N = 1 << 13
 _FOLD4_N = 1 << 15
 _FOLD8_N = 1 << 17
 _CHUNK = 1 << 14             # elements per _peak pass
+_PHASE_CHUNK = 1 << 13       # phases per pass of an irrational phase_vector
 
 # fixed-point sizing for irrational times: enough for n^2 * ulp << 2^-guard
 _SCALE_MARGIN_BITS = 32
@@ -146,9 +151,9 @@ def check_phase_resolution(time: TimeSpec, N: int) -> None:
             f"|n| = {N}; supply more digits")
 
 
-def _unit(phase: np.ndarray) -> np.ndarray:
-    """e(phase), elementwise, in one complex array."""
-    unit = np.multiply(phase, 2j * np.pi)
+def _unit(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e(phase), elementwise, in one complex array: a new one, or out."""
+    unit = np.multiply(phase, 2j * np.pi, out=out)
     return np.exp(unit, out=unit)
 
 
@@ -159,11 +164,18 @@ def phase_vector(time: TimeSpec, N: int, M: int) -> PhaseVector:
     cannot pin it.
 
     Only the window's phases are formed: for a dyadic block (M = N/4 + 1)
-    a quarter fewer than n = 0..N. The error model is that of the whole
-    range, as the largest |n| is still N. At t = p/q the phase n^2 p/(2q)
-    mod 1 depends on n mod 2q alone, so the first min(2q, N - M + 1) unit
-    values are formed once and tiled to the window's length: the same bits
-    as forming each entry.
+    a quarter fewer than n = 0..N. At t = p/q the phase n^2 p/(2q) mod 1
+    depends on n mod 2q alone, so the first min(2q, N - M + 1) unit values
+    are formed once and tiled to the window's length: the same bits as
+    forming each entry.
+
+    An irrational time's window is one complex array, filled in chunks of
+    _PHASE_CHUNK entries, each its own n range, phases and e(phase) written
+    into its slice; a window of more than one chunk (j >= 13) fills them on
+    both lanes (_map_cosets). Every step is elementwise, so the bits are
+    those of one pass over the window. The error is the largest chunk's
+    bound, the one of the chunk holding n = N: that of the whole range, as
+    the largest |n| is still N.
     """
     check_phase_resolution(time, N)
     rational = time.exact_value()
@@ -173,9 +185,19 @@ def phase_vector(time: TimeSpec, N: int, M: int) -> PhaseVector:
             np.arange(M, M + min(2 * q, size)), p, q))
         unit = one if one.size == size else np.tile(one, -(-size // one.size))[:size]
         return PhaseVector(unit=unit, error=2.0 ** -52)
-    phase, err = exactnum.quadratic_phase_array(
-        np.arange(M, N + 1), exactnum.fixed_of_time(time, scale_bits_for(N)))
-    return PhaseVector(unit=_unit(phase), error=err)
+    fixed = exactnum.fixed_of_time(time, scale_bits_for(N))
+    unit = np.empty(N - M + 1, dtype=np.complex128)
+
+    def chunk(a: int, _) -> float:
+        part = unit[a:a + _PHASE_CHUNK]
+        phase, err = exactnum.quadratic_phase_array(
+            np.arange(M + a, M + a + part.size), fixed)
+        _unit(phase, out=part)
+        return err
+
+    starts = range(0, unit.size, _PHASE_CHUNK)
+    errors = _map_cosets(chunk, starts, 0, threaded=len(starts) > 1)
+    return PhaseVector(unit=unit, error=max(errors))
 
 
 class SumSpec:
@@ -491,31 +513,80 @@ def _peak(vals: np.ndarray) -> tuple[float, int]:
     return best, at
 
 
-def _map_cosets(fn, cosets: range, L: int, threaded: bool) -> list:
-    """[fn(s, out) for s in cosets], in coset order, each lane reusing one
-    L-point buffer out. Threaded, lane 1 takes every other coset on a
-    second thread (numpy's FFT and array loops release the GIL) and lane 0
-    the rest on the calling thread; each writes its results by coset index,
-    so the list is the same on one core. An exception of either lane is
-    raised here once both have stopped."""
-    lanes = 2 if threaded else 1
-    results: list = [None] * len(cosets)
+# The second lane of _map_cosets, (busy, go, done, job): made on its first
+# threaded call and kept; a forked child drops it and makes its own.
+_lane = None
+
+
+def _drop_lane() -> None:
+    global _lane
+    _lane = None
+
+
+os.register_at_fork(after_in_child=_drop_lane)
+
+
+def _map_cosets(fn, items: range, L: int, threaded: bool) -> list:
+    """[fn(s, out) for s in items], in item order, each lane reusing one
+    L-point buffer out: the cosets of a sup or the chunks of a phase vector
+    (L = 0).
+
+    Threaded, two lanes take the items from one shared counter: the
+    calling thread and the process's one worker thread, a daemon made on
+    the first threaded call and kept for every later one (numpy's FFT and
+    array loops release the GIL). Each writes its results by item index,
+    so the list is the same on one core, whichever lane took an item. The
+    first exception of either lane stops both, as neither takes another
+    item after it, and is raised here once, after both have stopped. A
+    call made while the worker serves another thread's call runs on its
+    calling thread alone.
+    """
+    global _lane
+    results: list = [None] * len(items)
     failed: list[BaseException] = []
+    taken = [0]                         # the shared counter, under lock
+    lock = threading.Lock()
 
-    def lane(i: int) -> None:
+    def lane() -> None:
         out = np.empty(L, dtype=np.complex128)
-        try:
-            for k in range(i, len(cosets), lanes):
-                results[k] = fn(cosets[k], out)
-        except BaseException as exc:    # raised again in the caller
-            failed.append(exc)
+        while True:
+            with lock:
+                if failed or taken[0] == len(items):
+                    return
+                k = taken[0]
+                taken[0] += 1
+            try:
+                results[k] = fn(items[k], out)
+            except BaseException as exc:    # raised again in the caller
+                with lock:
+                    failed.append(exc)
+                return
 
-    if lanes == 2:
-        worker = threading.Thread(target=lane, args=(1,))
-        worker.start()
-    lane(0)
-    if lanes == 2:
-        worker.join()
+    if threaded and _lane is None:
+        go, done, job = threading.Semaphore(0), threading.Semaphore(0), []
+
+        def serve() -> None:
+            while True:
+                go.acquire()
+                job.pop()()
+                done.release()
+
+        threading.Thread(target=serve, name="thetareg-lane", daemon=True).start()
+        _lane = (threading.Lock(), go, done, job)
+    if threaded and _lane[0].acquire(blocking=False):
+        busy, go, done, job = _lane
+        job.append(lane)
+        go.release()
+        try:
+            lane()
+            done.acquire()
+        except BaseException as exc:    # interrupted: the worker stops after
+            failed.append(exc)          # its item, and the next call makes
+            _lane = None                # a new one
+            raise
+        busy.release()
+    else:
+        lane()
     if failed:
         raise failed[0]
     return results
@@ -546,10 +617,12 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
     folds its rows in place by Horner's rule (grid_values) and the cosets
     run in two lanes, one of them on a second thread (_map_cosets), two
     transforms in flight in at most the memory of one whole-length one
-    (_coset_count). The window's size alone picks the route, and no route
-    makes an array of |S|. The N+1 and N/2 splits are measured
-    crossovers; the N/4 split is taken for memory, not speed (BENCH_16,
-    BENCH_21, BENCH_22 and BENCH_24.json).
+    (_coset_count). The second lane is one worker thread per process, kept
+    from call to call, and the lanes take cosets from one shared counter,
+    so neither idles while a coset is left. The window's size alone picks
+    the route, and no route makes an array of |S|. The N+1 and N/2 splits
+    are measured crossovers; the N/4 split is taken for memory, not speed
+    (BENCH_16, BENCH_21, BENCH_22 and BENCH_24.json).
 
     Proof: let |S| peak at x* with sup M and f = Re(e^(-i theta) S) for
     theta = arg S(x*). f is a real trigonometric polynomial of degree N

@@ -256,9 +256,12 @@ def test_block_spectrum_memory_peak(golden):
     # buffer for the twist's broadcast products (at most 0.13 MiB each,
     # 0.25 MiB), 3.72 MiB; the folds by Horner's rule make no temporary.
     # Building the smooth sum multiplies its weights into the phase vector
-    # in place, 2.25 MiB. The first sup of a process adds the grid-size
-    # cache and numpy.fft's import, up to 0.5 MiB. Runs read 3.52 MiB, and
-    # 3.98 on a process's first call. One transform of the whole grid
+    # in place, 2.25 MiB. The phase vector is built in chunks of 8,192
+    # entries on the two lanes, straight into its one complex array, so no
+    # window-length int or float array sits beside it (0.75 MiB each when
+    # it was built in one pass). The first sup of a process adds the
+    # grid-size cache and numpy.fft's import, up to 0.5 MiB. Runs read
+    # 3.52 MiB, and 3.98 on a process's first call. One transform of the whole grid
     # would take about 58 MB. tracemalloc sees numpy's buffers, not the
     # FFT library's scratch.
     peak = _traced_peak(golden, 16)
@@ -272,7 +275,9 @@ def test_block_spectrum_memory_peak_at_the_top_scale(golden):
     # 32 twist tables (0.74 MiB) and 0.25 MiB of per-lane passes: 53 MiB.
     # Building the smooth sum takes the phase vector over and multiplies
     # its weights into it in place, so it holds 36 MiB, not the 60 of a
-    # second array beside the vector. Numpy's cast buffers and a process's
+    # second array beside the vector. The vector itself is built in chunks
+    # of 8,192 entries, so its build holds no window-length int or float
+    # array (12 MiB each in one pass). Numpy's cast buffers and a process's
     # first-call caches add up to 1 MiB. Runs read 52.29 MiB, and 53.21 on
     # a first call.
     peak = _traced_peak(golden, 20)

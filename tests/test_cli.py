@@ -360,6 +360,18 @@ def test_import_leaves_scipy_out():
 _GOLDEN = "quad:(-1+1*sqrt(5))/2"
 
 
+def test_exponent_exits_with_the_worker_lane_up():
+    # j = 13 and 14 build their phase vectors and sups on two lanes, one of
+    # them a worker thread kept for the process: idle at the end, it must
+    # not hold the interpreter open, and two runs write the same bytes.
+    # The fit needs five scales from j = 8, so the run starts at j = 10
+    argv = ["exponent", "--t", _GOLDEN, "--jmin", "10", "--jmax", "14",
+            "--format", "json"]
+    runs = [_python("-m", "thetareg.cli", *argv, timeout=60) for _ in range(2)]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["stability", "--t", _GOLDEN, "--t1", "rat:144/233", "--j", "6",
      "--kbound", "nan"],

@@ -2,10 +2,14 @@
 
 import functools
 import math
+import os
+import select
+import signal
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from time import sleep
 
 import numpy as np
 import pytest
@@ -587,14 +591,16 @@ def _serial_map(fn, cosets, L, threaded):
 
 @pytest.mark.parametrize("j", [13, 14])
 def test_threaded_cosets_match_a_serial_map(golden, monkeypatch, j):
-    # the folded cosets of j = 13, 14 run in two lanes, one on the calling
-    # thread and one on a second thread; the result is the same with a
-    # serial map, and on every call
+    # the folded cosets of j = 13, 14 run in two lanes, the calling thread
+    # and one kept worker thread, which take cosets from a shared counter;
+    # the result is the same with a serial map, and on every call. Each
+    # coset sleeps a millisecond, so the woken worker surely takes some
     threads = []                        # per call: the threads that ran cosets
     real = thetasum.grid_values
 
     def tracking(*args):
         threads[-1].add(threading.get_ident())
+        sleep(1e-3)
         return real(*args)
 
     def traced_sup(spec):
@@ -610,8 +616,10 @@ def test_threaded_cosets_match_a_serial_map(golden, monkeypatch, j):
             serial = traced_sup(spec)
         assert pooled == [serial] * 3, make.__name__
         assert threads[-1] == {threading.get_ident()}
-        for ran in threads[-4:-1]:
-            assert threading.get_ident() in ran and len(ran) == 2
+        workers = {frozenset(ran - {threading.get_ident()})
+                   for ran in threads[-4:-1]}
+        assert all(threading.get_ident() in ran for ran in threads[-4:-1])
+        assert len(workers) == 1 and len(next(iter(workers))) == 1
 
 
 def test_concurrent_sups_agree_under_fast_switching(golden):
@@ -642,23 +650,73 @@ def test_concurrent_sups_agree_under_fast_switching(golden):
     assert got == [alone] * 12
 
 
-@pytest.mark.parametrize("bad", [0, 1], ids=["calling_lane", "worker_lane"])
+@pytest.mark.parametrize("bad", ["calling_lane", "worker_lane"])
 def test_a_failing_coset_reaches_the_caller(golden, monkeypatch, bad):
-    # lane 0 runs the even cosets on the calling thread and lane 1 the odd
-    # ones on a second thread: a coset that raises in either surfaces from
-    # sup_norm, and no lane is left running
-    real = thetasum.grid_values
+    # a coset that raises on either lane is raised once, from sup_norm:
+    # no thread reports it, neither lane starts another coset after it, no
+    # lane is left running, and the next sup has the bits of the one before
+    spec = SumSpec(golden, rough_weights(13))
+    want = sup_norm(spec)               # and the worker lane is up
+    caller, real = threading.get_ident(), thetasum.grid_values
+    log = []
 
     def failing(spec, L, s, m, out):
-        if s == bad:
+        log.append(("start", s))
+        if (threading.get_ident() == caller) == (bad == "calling_lane"):
+            log.append(("raise", s))
             raise DomainError(f"coset {s} failed")
+        sleep(5e-3)                     # the other lane is mid-coset
         return real(spec, L, s, m, out)
 
-    monkeypatch.setattr(thetasum, "grid_values", failing)
+    reported = []
+    monkeypatch.setattr(threading, "excepthook", reported.append)
     before = threading.active_count()
-    with pytest.raises(DomainError, match=f"coset {bad} failed"):
-        sup_norm(SumSpec(golden, rough_weights(13)))
-    assert threading.active_count() == before
+    with monkeypatch.context() as mp:
+        mp.setattr(thetasum, "grid_values", failing)
+        with pytest.raises(DomainError, match="coset .* failed"):
+            sup_norm(spec)
+    assert threading.active_count() == before and not reported
+    failure = log.index(next(e for e in log if e[0] == "raise"))
+    assert [e for e in log if e[0] == "raise"] == [log[failure]]
+    assert ("start", log[failure][1]) in log[:failure]
+    assert all(e[0] != "start" for e in log[failure + 1:]), log
+    assert sup_norm(spec) == want
+
+
+def test_the_worker_lane_is_kept_across_sups(golden):
+    # the second lane is one worker thread per process, made on first use:
+    # twenty folded sups start at most that one
+    spec = SumSpec(golden, rough_weights(13))
+    before = threading.active_count()
+    for _ in range(20):
+        sup_norm(spec)
+    assert threading.active_count() <= before + 1
+
+
+def test_a_forked_child_makes_its_own_lane(golden):
+    # the worker thread is not copied by fork: the child drops the parent's
+    # lane and makes its own, so its folded sup finishes, with the same bits
+    spec = SumSpec(golden, rough_weights(13))
+    want = sup_norm(spec)
+    assert thetasum._lane is not None
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:                        # the child reports one byte, and exits
+        try:
+            fresh = thetasum._lane is None
+            ok = sup_norm(spec) == want and fresh and thetasum._lane is not None
+            os.write(write, b"1" if ok else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 60)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        assert ready and os.read(read, 1) == b"1"
+    finally:
+        os.close(read)
 
 
 @pytest.mark.parametrize("mapper", [thetasum._map_cosets, _serial_map],
@@ -888,6 +946,34 @@ def test_phase_vector_memory_and_bits(golden):
     unit, peak = _traced_unit(Rational(1234, 7919), N, M)
     assert peak <= 2 * unit.nbytes, (peak, unit.nbytes)
     assert unit.tobytes() == _direct_rational_unit(1234, 7919, N, M).tobytes()
+
+
+@pytest.mark.parametrize("text", ["quad:(-1+1*sqrt(5))/2",
+                                  "quad:(0-1*sqrt(74))/9",
+                                  "class:sigma=1,seed=0,1",
+                                  "dec:0.41421356237309504880168"])
+def test_chunked_phase_vector_is_one_pass(text):
+    # an irrational window is filled in chunks, on both lanes from j = 13
+    # on; every step is elementwise, so the bits are those of one pass over
+    # the window, and the error is the one pass's: the chunk holding n = N
+    # has its largest |n|. A decimal literal is exact, and keeps the
+    # rational route
+    time = parse_timespec(text)
+    exact = time.exact_value()
+    for j in range(12, MAX_BLOCK_J + 1):
+        M, N = block_bounds(j)
+        n = np.arange(M, N + 1)
+        if exact is None:
+            fixed = exactnum.fixed_of_time(time, scale_bits_for(N))
+            phase, err = exactnum.quadratic_phase_array(n, fixed)
+        else:
+            phase, err = exactnum.rational_phase_array(
+                n, exact.numerator, exact.denominator), 2.0 ** -52
+        one_pass = thetasum._unit(phase)
+        del phase
+        vec = thetasum.phase_vector(time, N, M)
+        assert vec.unit.tobytes() == one_pass.tobytes(), (text, j)
+        assert vec.error == err, (text, j)
 
 
 @pytest.mark.parametrize("p, q", [(1, 3), (5, 97), (7, 9973), (1, 1), (3, 4),
