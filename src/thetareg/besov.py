@@ -40,6 +40,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -155,7 +156,7 @@ def block_spectrum(time: TimeSpec, j_min: int = 6, j_max: int = 16,
             j=j, rough_sup=rough and rough.value, rough_sup_upper=rough and rough.upper,
             smooth_sup=smooth and smooth.value, smooth_sup_upper=smooth and smooth.upper,
             l2_exact=math.sqrt(count), q_used=q_used, upper_envelope=envelope,
-            rough_floor=probe and max(v for _, v in probe.floors),
+            rough_floor=probe and probe.floor,
             probe_satisfied=all(met) if met else None))
     return records
 
@@ -281,11 +282,8 @@ class RegularityReport:
     burst_js: tuple[int, ...]
     sharp_member: bool         # growth does not exceed the predicted alpha
     sharp_fails_below: bool    # growth does reach the predicted alpha
+    is_sharp: bool             # both of the above
     tolerance: float
-
-    @property
-    def is_sharp(self) -> bool:
-        return self.sharp_member and self.sharp_fails_below
 
 
 def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
@@ -332,7 +330,7 @@ def classify_regularity(time: TimeSpec, j_min: int = 6, j_max: int = 16,
         time=time.describe(), mode=mode, records=tuple(records), fit=fit,
         prediction=prediction, sigma=sigma_est, burst_js=tuple(bursts),
         sharp_member=member, sharp_fails_below=fails_below,
-        tolerance=tolerance)
+        is_sharp=member and fails_below, tolerance=tolerance)
 
 
 def _float_cell(x: float | None) -> str:
@@ -353,18 +351,30 @@ def records_to_csv(records: list[BlockRecord] | tuple[BlockRecord, ...]) -> str:
     return buf.getvalue()
 
 
-def report_to_json(report: RegularityReport) -> str:
-    """Full report as deterministic JSON (sorted keys, round-trip floats).
+def _plain(obj):
+    """obj as the JSON values report_to_json writes."""
+    if isinstance(obj, float):
+        return None if obj != obj else obj
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {key: _plain(v) for key, v in obj.items()}
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return {key: _plain(v) for key, v in vars(obj).items()}
 
-    Each dataclass is written as its fields under their own names, read
-    shallowly through ``vars`` (``dataclasses.asdict`` deep-copies, three
-    times slower), plus ``is_sharp``. A SigmaEstimate's per-n series is
-    left to the ``cf`` command, and its NaN estimates are written as null.
+
+def report_to_json(obj) -> str:
+    """Any result as deterministic JSON: the package's one encoder.
+
+    A dataclass is written as its fields under their own names, read
+    through ``vars`` (``dataclasses.asdict`` deep-copies, three times
+    slower), and a dict by its keys; a tuple or list as a list, a Fraction
+    as "p/q", a complex as [re, im] and a NaN as null. Keys are sorted,
+    floats round-trip, and the text ends in a newline.
     """
-    doc = {**vars(report), "records": [vars(r) for r in report.records],
-           "fit": vars(report.fit), "prediction": vars(report.prediction),
-           "is_sharp": report.is_sharp}
-    if report.sigma is not None:
-        doc["sigma"] = {key: None if isinstance(v, float) and math.isnan(v) else v
-                        for key, v in vars(report.sigma).items() if key != "per_n"}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"

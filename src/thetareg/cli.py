@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from .besov import (block_spectrum, classify_regularity, fit_exponent,
 from .collapse import verify_collapse
 from .contfrac import (KHINCHIN_LEVY, DecimalLiteral, classify_sigma,
                        khinchin_levy_diagnostic, parse_timespec)
-from .cutoff import WeightVector, block_bounds, rough_weights, smooth_weights
+from .cutoff import WeightVector, block_bounds, smooth_weights
 from .errors import (BudgetError, DomainError, HypothesisError,
                      InsufficientPrecisionError, PrecisionExhaustedError,
                      ThetaError, VerificationError)
@@ -166,48 +165,35 @@ def read_config(path: str) -> tuple[dict, list[str]]:
 def _cmd_cf(args) -> int:
     spec = parse_timespec(args.t)
     exp = spec.expansion(max_terms=args.terms)
-    convergents = exp.convergents()[:args.terms]
+    center = spec.center_expansion() if isinstance(spec, DecimalLiteral) else None
     digits = sys.get_int_max_str_digits()     # Python's int-to-str limit
     top = 10 ** digits if digits else math.inf
-    fit = next((k for k, (a, (p, q)) in enumerate(zip(exp.quotients, convergents))
-                if max(abs(a), abs(p), q) >= top), None)
-    if fit is not None:
-        raise BudgetError(f"term {fit + 1} has more than {digits} digits and "
-                          f"cannot be printed; the first {fit} terms fit")
+    for what, printed in (("term", exp), ("centre term", center)):
+        terms = zip(printed.quotients, printed.pairs) if printed else ()
+        fit = next((k for k, (a, (p, q)) in enumerate(terms)
+                    if max(a, abs(p), q) >= top), None)
+        if fit is not None:
+            raise BudgetError(f"{what} {fit + 1} has more than {digits} digits and "
+                              f"cannot be printed; the first {fit} terms fit")
     est = classify_sigma(exp, window=args.window)
-    doc = {
-        "time": spec.describe(),
-        "quotients": list(exp.quotients),
-        "exact_terminates": exp.exact_terminates,
-        "truncated": exp.truncated,
-        "convergents": [[p, q] for p, q in convergents],
-        "sigma": {
-            "per_n": [[n, s] for n, s in est.per_n],
-            "limsup_est": None if math.isnan(est.limsup_est) else est.limsup_est,
-            "liminf_est": None if math.isnan(est.liminf_est) else est.liminf_est,
-            "verdict": est.verdict,
-        },
-        "khinchin_levy": {
-            "reference": KHINCHIN_LEVY,
-            "per_n": [[n, v] for n, v in khinchin_levy_diagnostic(exp)],
-        },
-    }
-    if isinstance(spec, DecimalLiteral):
-        doc["center_quotients"] = list(spec.center_expansion().quotients)
+    series = khinchin_levy_diagnostic(exp)
     if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        doc = {"time": spec.describe(), "expansion": exp, "sigma": est,
+               "khinchin_levy": series, "khinchin_levy_reference": KHINCHIN_LEVY}
+        if center is not None:
+            doc["center_expansion"] = center
+        sys.stdout.write(report_to_json(doc))
         return 0
-    print(f"time        : {doc['time']}")
-    print(f"quotients   : {doc['quotients']}"
+    print(f"time        : {spec.describe()}")
+    print(f"quotients   : {list(exp.quotients)}"
           + (" (truncated)" if exp.truncated else ""))
-    if "center_quotients" in doc:
-        print(f"centre      : {doc['center_quotients']} (literal taken as exact)")
-    tail = doc["convergents"][-8:]
-    print("convergents : " + "  ".join(f"{p}/{q}" for p, q in tail))
+    if center is not None:
+        print(f"centre      : {list(center.quotients)} (literal taken as exact)")
+    print("convergents : " + "  ".join(f"{p}/{q}" for p, q in exp.pairs[-8:]))
     print(f"class       : {est.summary()}")
-    if doc["khinchin_levy"]["per_n"]:
-        last = doc["khinchin_levy"]["per_n"][-1]
-        print(f"(ln q_n)/n  : {last[1]:.5f} at n = {last[0]} "
+    if series:
+        n, v = series[-1]
+        print(f"(ln q_n)/n  : {v:.5f} at n = {n} "
               f"(Khinchin-Levy reference {KHINCHIN_LEVY:.5f})")
     return 0
 
@@ -290,16 +276,15 @@ def _cmd_collapse(args) -> int:
                 or chk.kappa_eighth_root_defect > 1e-7):
             failures += 1
     if args.sweep:
-        summary = {
+        sys.stdout.write(report_to_json({
             "pairs_checked": checked,
             "worst_pair": [worst.p, worst.q],
             "worst_residual": worst.max_residual,
             "tolerance": args.tol,
             "failures": failures,
-        }
-        print(json.dumps(summary, sort_keys=True, indent=2))
+        }))
     else:
-        print(json.dumps(worst.as_dict(), sort_keys=True, indent=2))
+        sys.stdout.write(report_to_json(worst))
     if args.check and failures:
         raise VerificationError(
             f"{failures} collapse checks failed a gate: residual > {args.tol}, "
@@ -329,33 +314,17 @@ def _cmd_probe(args) -> int:
                 f"inside [{M}, {N}]")
     result = rational_probe(val.numerator, val.denominator, SumSpec(time, w),
                             window=(M, N))
-    doc = {
-        "p": result.p, "q": result.q, "window": list(result.window),
-        "weights": args.weights,
-        "max_abs": result.max_abs,
-        "argmax_x": f"{result.argmax_h}/{2 * result.q}",
-        "floors": {name: v for name, v in result.floors},
-        "floor_margin": result.floor_margin(),
-        "satisfied": result.satisfied,
-    }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    sys.stdout.write(report_to_json(result))
     if args.check and not result.satisfied:
         raise VerificationError("measured comb maximum fell below a floor")
     return 0
 
 
 def _cmd_stability(args) -> int:
-    spec_a = parse_timespec(args.t)
-    spec_b = parse_timespec(args.t1)
-    w = smooth_weights(args.j) if args.weights == "smooth" else rough_weights(args.j)
-    result = stability_ratio(spec_a, spec_b, w, k_bound=args.kbound,
+    result = stability_ratio(parse_timespec(args.t), parse_timespec(args.t1),
+                             args.j, args.weights, k_bound=args.kbound,
                              oversample=args.oversample)
-    doc = {
-        "t": spec_a.describe(), "t1": spec_b.describe(), "j": args.j,
-        "sup_t": result.sup_a, "sup_t1": result.sup_b, "ratio": result.ratio,
-        "certified_bound": f"{result.bound.numerator}/{result.bound.denominator}",
-    }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    sys.stdout.write(report_to_json(result))
     if args.check and not (0.125 <= result.ratio <= 8.0):
         raise VerificationError(f"sup ratio {result.ratio:.4f} outside [1/8, 8]")
     return 0
@@ -437,8 +406,7 @@ def _cmd_scan(args) -> int:
         })
         print(f"{report.time}: alpha_fit={report.fit.alpha_fit:.4f} "
               f"({report.prediction.summary()}) sharp={report.is_sharp}")
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    (out / "summary.json").write_text(report_to_json(summary))
     print(str(out / "summary.json"))
     return 0
 

@@ -252,17 +252,6 @@ class CollapseCheck:
     residuals: tuple[tuple[str, float], ...]
     max_residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p, "q": self.q, "xi": self.xi, "eta": self.eta,
-            "p_prev": self.p_prev, "q_prev": self.q_prev,
-            "kappa_re": self.kappa.real, "kappa_im": self.kappa.imag,
-            "kappa_unimodular_defect": self.kappa_unimodular_defect,
-            "kappa_eighth_root_defect": self.kappa_eighth_root_defect,
-            "residuals": {name: val for name, val in self.residuals},
-            "max_residual": self.max_residual,
-        }
-
 
 def verify_collapse(p: int, q: int, phis=None) -> CollapseCheck:
     """Pair every test function once, take kappa from the first usable

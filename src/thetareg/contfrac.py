@@ -183,9 +183,9 @@ class CFExpansion:
 
     ``exact_terminates`` marks the complete expansion of a rational;
     ``truncated`` is its negation: a quotient or digit source that was cut
-    off before it was done. ``pairs`` are the convergents of the quotients
-    when the maker already walked them (``TimeSpec.expansion``); otherwise
-    they are formed once, on first read. They take no part in equality.
+    off before it was done. ``pairs`` are the convergents of the quotients,
+    passed in when the maker already walked them (``TimeSpec.expansion``)
+    and formed at construction otherwise. They take no part in equality.
     """
 
     quotients: tuple[int, ...]
@@ -200,7 +200,9 @@ class CFExpansion:
             raise DomainError("a_0 must be >= 0")
         if any(a < 1 for a in self.quotients[1:]):
             raise DomainError("a_k must be >= 1 for k >= 1")
-        if self.pairs is not None and len(self.pairs) != len(self.quotients):
+        if self.pairs is None:
+            object.__setattr__(self, "pairs", tuple(convergents(self.quotients)))
+        elif len(self.pairs) != len(self.quotients):
             raise DomainError("need one convergent per quotient")
 
     @property
@@ -208,8 +210,6 @@ class CFExpansion:
         return not self.exact_terminates
 
     def convergents(self) -> list[tuple[int, int]]:
-        if self.pairs is None:
-            object.__setattr__(self, "pairs", tuple(convergents(self.quotients)))
         return list(self.pairs)
 
 
@@ -502,7 +502,7 @@ class DecimalLiteral(TimeSpec):
         if not quots:
             return CFExpansion((self.value.numerator // self.value.denominator,))
         return CFExpansion(tuple(quots), exact_terminates=(
-            tuple(quots) == self.center_expansion().quotients))
+            quots == canonical_quotients(self.value.numerator, self.value.denominator)))
 
     def center_expansion(self) -> CFExpansion:
         """Complete canonical expansion of the literal value taken as exact."""

@@ -14,8 +14,8 @@ routes:
   evaluation, not an approximation, for every K;
 * probe: for rational t = p/q the grid of the 2q points x = h/(2q). This
   is the grid on which the quadratic Gauss sum lower bounds are
-  guaranteed, and the probe records those floors next to the measured
-  maximum;
+  guaranteed, and the probe records the one that applies next to the
+  measured maximum;
 * closed comb bracket: at t = p/q the sum is a comb of q shifted copies
   of one t-free kernel W, S(x) = sum_h G_h W(x + h/(2q)) with |G_h| =
   1/sqrt(q), so [(W(0) - T)/sqrt(q), (W(0) + T)/sqrt(q)] brackets its sup
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import exactnum
 from .contfrac import TimeSpec
-from .cutoff import WeightVector
+from .cutoff import WeightVector, rough_weights, smooth_weights
 from .errors import (BudgetError, DomainError, HypothesisError,
                      PrecisionExhaustedError)
 
@@ -656,8 +656,8 @@ def sup_norm(spec: SumSpec, oversample: int = 8) -> SupNormResult:
 
 
 def probe_floors(weights: WeightVector, q: int,
-                 window: tuple[int, int]) -> dict[str, float]:
-    """Guaranteed lower bounds for max_h |S(h/(2q))| at t = p/q.
+                 window: tuple[int, int]) -> tuple[str, float]:
+    """The guaranteed lower bound for max_h |S(h/(2q))| at t = p/q, by name.
 
     Which floor applies depends on how the denominator compares with the
     window length L = N - M + 1 (per side):
@@ -676,24 +676,22 @@ def probe_floors(weights: WeightVector, q: int,
         raise DomainError("floors need a window 1 <= M < N")
     mass = weights.window_mass()
     if q >= N - M + 1:
-        return {"mass_sparse": mass / (math.sqrt(2.0) * math.sqrt(N - M))}
-    return {"mass_saturated": mass / math.sqrt(2.0 * q)}
+        return "mass_sparse", mass / (math.sqrt(2.0) * math.sqrt(N - M))
+    return "mass_saturated", mass / math.sqrt(2.0 * q)
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     p: int
     q: int
+    mode: str              # the weights' family, WeightVector.mode
     max_abs: float
     argmax_h: int          # the maximum sits at x = argmax_h / (2q)
     window: tuple[int, int]
-    floors: tuple[tuple[str, float], ...]
+    floor_name: str
+    floor: float
+    floor_margin: float    # max_abs / floor; >= 1 means the floor is met
     satisfied: bool
-
-    def floor_margin(self) -> float:
-        """max_abs / (largest applicable floor); > 1 means all floors met."""
-        top = max((v for _, v in self.floors), default=0.0)
-        return self.max_abs / top if top > 0 else math.inf
 
 
 def rational_probe(p: int, q: int, spec: SumSpec,
@@ -701,8 +699,8 @@ def rational_probe(p: int, q: int, spec: SumSpec,
     """Exact maximum of |S| over the comb grid x = h/(2q), h = 0..2q-1.
 
     ``spec`` is the sum at t = p/q; the comb grid is grid_values at K = 2q,
-    cost O(N + q log q). Records the floors over ``window`` (default (M, N)
-    of the weights; one holding n = 0 is refused) and whether they are met.
+    cost O(N + q log q). Records the floor over ``window`` (default (M, N)
+    of the weights; one holding n = 0 is refused) and whether it is met.
     """
     if q <= 0:
         raise DomainError("q must be positive")
@@ -713,11 +711,11 @@ def rational_probe(p: int, q: int, spec: SumSpec,
     weights = spec.weights
     max_abs, h = _peak(grid_values(spec, 2 * q))    # |S(h / (2q))|
     win = window if window is not None else (weights.M, weights.N)
-    floors = probe_floors(weights, q, win)
-    ok = all(max_abs >= f * (1.0 - 1e-12) for f in floors.values())
-    return ProbeResult(p=p, q=q, max_abs=max_abs, argmax_h=h,
-                       window=win, floors=tuple(sorted(floors.items())),
-                       satisfied=ok)
+    name, floor = probe_floors(weights, q, win)
+    return ProbeResult(p=p, q=q, mode=weights.mode, max_abs=max_abs, argmax_h=h,
+                       window=win, floor_name=name, floor=floor,
+                       floor_margin=max_abs / floor if floor > 0 else math.inf,
+                       satisfied=max_abs >= floor * (1.0 - 1e-12))
 
 
 _U = 2.0 ** -53              # unit roundoff of a float64
@@ -843,20 +841,24 @@ def _certify_distance(a: TimeSpec, b: TimeSpec, radius: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class StabilityResult:
+    time_a: str
+    time_b: str
+    j: int
     sup_a: float
     sup_b: float
     ratio: float
     bound: Fraction        # the certified |t_a - t_b| bound that was checked
 
 
-def stability_ratio(time_a: TimeSpec, time_b: TimeSpec,
-                    weights: WeightVector, k_bound: float = 1.0,
-                    oversample: int = 8) -> StabilityResult:
-    """Block sup at two nearby times, with the closeness hypothesis certified.
+def stability_ratio(time_a: TimeSpec, time_b: TimeSpec, j: int, mode: str,
+                    k_bound: float = 1.0, oversample: int = 8) -> StabilityResult:
+    """Sup of block j at two nearby times, with the closeness hypothesis
+    certified; mode "smooth" takes the smooth block, any other the sharp one.
 
     Requires |t_a - t_b| < k_bound / N^2 exactly (via rational brackets);
     refuses otherwise, because the comparison would not be meaningful.
     """
+    weights = smooth_weights(j) if mode == "smooth" else rough_weights(j)
     N = weights.N
     radius = Fraction(k_bound) / (N * N)
     if not _certify_distance(time_a, time_b, radius):
@@ -864,7 +866,8 @@ def stability_ratio(time_a: TimeSpec, time_b: TimeSpec,
             f"|t - t1| is not certified below {k_bound}/N^2 for N = {N}")
     sup_a = sup_norm(SumSpec(time_a, weights), oversample=oversample).value
     sup_b = sup_norm(SumSpec(time_b, weights), oversample=oversample).value
-    return StabilityResult(sup_a=sup_a, sup_b=sup_b,
+    return StabilityResult(time_a=time_a.describe(), time_b=time_b.describe(),
+                           j=j, sup_a=sup_a, sup_b=sup_b,
                            ratio=sup_a / sup_b if sup_b else math.inf,
                            bound=radius)
 

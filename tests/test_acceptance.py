@@ -225,7 +225,7 @@ def test_c07_probe_floor_grid():
                 res = rational_probe(1, q, SumSpec(Rational(1, q), w),
                                      window=(m, n))
                 cells += 1
-                worst_margin = min(worst_margin, res.floor_margin())
+                worst_margin = min(worst_margin, res.floor_margin)
                 if not res.satisfied:
                     failures += 1
     ok = failures == 0
@@ -302,11 +302,11 @@ def test_c09_stability_under_certified_perturbation(golden):
             prev = (p, q)
         assert pick is not None
         p, q = pick
-        for w in (rough_weights(j), smooth_weights(j)):
-            res = stability_ratio(golden, Rational(p, q), w)
+        for mode in ("rough", "smooth"):
+            res = stability_ratio(golden, Rational(p, q), j, mode)
             good = 0.125 <= res.ratio <= 8.0
             ok = ok and good
-            parts.append(f"j={j} {w.mode} q={q}: {res.ratio:.4f}")
+            parts.append(f"j={j} {mode} q={q}: {res.ratio:.4f}")
     detail = "sup ratios in [1/8, 8]: " + ", ".join(parts)
     report(9, ok, detail)
     assert ok, detail

@@ -111,7 +111,7 @@ def test_block_spectrum_builds_one_phase_vector_per_scale(text, monkeypatch):
                             rough_weights(rec.j))
             assert probe == rational_probe(exact.numerator, exact.denominator,
                                            fresh)
-            assert rec.rough_floor == max(v for _, v in probe.floors)
+            assert rec.rough_floor == probe.floor
             assert rec.probe_satisfied == probe.satisfied
 
 
@@ -226,6 +226,7 @@ def test_report_json_schema(third):
     data = json.loads(text)
     assert data["time"] == "rat:1/3"
     assert data["is_sharp"] is True
+    assert data["sigma"]["per_n"] == [list(pair) for pair in rep.sigma.per_n]
     assert len(data["records"]) == 7
     for r in data["records"]:
         assert r["rough_sup_upper"] >= r["rough_sup"]
@@ -234,6 +235,21 @@ def test_report_json_schema(third):
     assert keys == sorted(keys)
     assert text.endswith("\n")
     assert report_to_json(rep) == text
+
+
+def test_report_json_writes_every_value_kind():
+    doc = {"bound": Fraction(2, 6), "kappa": 0.5 - 1j, "nan": math.nan,
+           "pairs": ((1, 2.5),), "record": BlockRecord(
+               j=3, rough_sup=1.5, rough_sup_upper=None, smooth_sup=None,
+               smooth_sup_upper=None, l2_exact=2.0, q_used=None,
+               upper_envelope=None, rough_floor=None, probe_satisfied=True)}
+    data = json.loads(report_to_json(doc))
+    assert data["bound"] == "1/3"
+    assert data["kappa"] == [0.5, -1.0]
+    assert data["nan"] is None
+    assert data["pairs"] == [[1, 2.5]]
+    assert data["record"]["j"] == 3 and data["record"]["probe_satisfied"] is True
+    assert report_to_json([]) == "[]\n"
 
 
 def _traced_peak(time, j: int, mode: str = "both") -> int:

@@ -46,23 +46,23 @@ def test_cf_text_output(capsys):
 def test_cf_json_output(capsys):
     assert main(["cf", "--t", "dec:0.5", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["quotients"] == [0]
-    assert doc["truncated"] is True
-    assert doc["center_quotients"] == [0, 2]
+    assert doc["expansion"]["quotients"] == [0]
+    assert doc["expansion"]["exact_terminates"] is False
+    assert doc["center_expansion"]["quotients"] == [0, 2]
 
 
 def test_cf_terms_bounds_a_rational(capsys):
     # 13/21 = [0; 1, 1, 1, 1, 1, 2]: --terms 3 prints three of everything
     assert main(["cf", "--t", "rat:13/21", "--terms", "3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["quotients"] == [0, 1, 1]
-    assert doc["convergents"] == [[0, 1], [1, 1], [1, 2]]
-    assert [n for n, _ in doc["khinchin_levy"]["per_n"]] == [1, 2]
-    assert doc["truncated"] is True and doc["exact_terminates"] is False
+    assert doc["expansion"]["quotients"] == [0, 1, 1]
+    assert doc["expansion"]["pairs"] == [[0, 1], [1, 1], [1, 2]]
+    assert [n for n, _ in doc["khinchin_levy"]] == [1, 2]
+    assert doc["expansion"]["exact_terminates"] is False
     assert main(["cf", "--t", "rat:13/21", "--terms", "7", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["quotients"] == [0, 1, 1, 1, 1, 1, 2]
-    assert doc["truncated"] is False and doc["exact_terminates"] is True
+    exp = json.loads(capsys.readouterr().out)["expansion"]
+    assert exp["quotients"] == [0, 1, 1, 1, 1, 1, 2]
+    assert exp["exact_terminates"] is True
 
 
 def test_bad_time_spec_exits_2(capsys):
@@ -237,7 +237,7 @@ def test_stability_certifies_two_irrational_times(capsys):
                  "--t1", "quad:(0+1*sqrt(5))/2", "--j", "2",
                  "--kbound", "32.032"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["t1"] == "quad:(0+1*sqrt(5))/2" and doc["ratio"] > 0
+    assert doc["time_b"] == "quad:(0+1*sqrt(5))/2" and doc["ratio"] > 0
     # the same pair at a radius below 1/2 is refused
     assert main(["stability", "--t", "quad:(-1+1*sqrt(5))/2",
                  "--t1", "quad:(0+1*sqrt(5))/2", "--j", "2",
@@ -415,6 +415,17 @@ def test_cf_past_int_print_limit_is_refused(fmt, capsys):
     argv[4] = "24"
     assert main(argv) == 0
     assert "quotients" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cf_centre_past_int_print_limit_is_refused(fmt, capsys):
+    # the literal's own expansion is [0], but its centre 10^-4300 has the
+    # 4301-digit quotient 10^4300
+    argv = ["cf", "--t", "dec:0." + "0" * 4299 + "1", "--format", fmt]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: centre term 2 has more than 4300 digits")
 
 
 @pytest.mark.parametrize("argv", [
@@ -629,12 +640,26 @@ def _argv_strategy(draw) -> list[str]:
     return argv
 
 
+def _prints_json(argv: list[str]) -> bool:
+    """Whether argv asks for a JSON document on stdout."""
+    return (argv[0] in ("probe", "collapse", "stability")
+            or "--format=json" in argv
+            or ("--format", "json") in zip(argv, argv[1:]))
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @given(argv=_argv_strategy())
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_keeps_the_exit_code_contract(argv):
     # an exception escaping main would be a traceback from the console script
-    code, _, err = _main_in_process(argv)
+    code, out, err = _main_in_process(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err
     if code == 3:
         assert err.startswith("refused:"), (argv, err)
+    if code == 0 and _prints_json(argv):
+        # strict JSON: a NaN or Infinity token fails the parse
+        json.loads(out, parse_constant=_no_constant)

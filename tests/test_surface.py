@@ -241,6 +241,7 @@ ONE_ROUTE = {
     "quadratic_phase_array": {"thetasum.phase_vector"},
     "threading": {"thetasum._map_cosets"},
     ".w": {"cutoff", "thetasum.SumSpec"},
+    "dumps": {"besov.report_to_json"},
 }
 
 

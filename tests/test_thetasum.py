@@ -379,20 +379,19 @@ def test_probe_floors_branches():
     # one floor, from the mass: a sharp window's combinatorial forms are
     # these times (N - M)/(N - M + 1), so never the larger
     w = WeightVector(1, 16)
-    sat = probe_floors(w, 3, (1, 16))       # q = 3 < window length
-    assert set(sat) == {"mass_saturated"}
-    assert sat["mass_saturated"] == pytest.approx(32 / math.sqrt(6))
-    sparse = probe_floors(w, 17, (1, 16))    # q = 17 >= window length
-    assert set(sparse) == {"mass_sparse"}
-    assert sparse["mass_sparse"] == pytest.approx(32 / (math.sqrt(2) * math.sqrt(15)))
-    sm = probe_floors(smooth_weights(3), 17, (1, 16))
-    assert set(sm) == {"mass_sparse"}
+    name, floor = probe_floors(w, 3, (1, 16))       # q = 3 < window length
+    assert name == "mass_saturated"
+    assert floor == pytest.approx(32 / math.sqrt(6))
+    name, floor = probe_floors(w, 17, (1, 16))    # q = 17 >= window length
+    assert name == "mass_sparse"
+    assert floor == pytest.approx(32 / (math.sqrt(2) * math.sqrt(15)))
+    assert probe_floors(smooth_weights(3), 17, (1, 16))[0] == "mass_sparse"
     with pytest.raises(DomainError):
         probe_floors(w, 3, (0, 16))
     for (M, N), q in (((5, 200), 7), ((3, 4), 1), ((1, 16), 3), ((1, 16), 17)):
         combinatorial = (math.sqrt(2) * (N - M) / math.sqrt(q) if q < N - M + 1
                          else math.sqrt(2 * (N - M)))
-        floor, = probe_floors(WeightVector(M, N), q, (M, N)).values()
+        _, floor = probe_floors(WeightVector(M, N), q, (M, N))
         assert combinatorial < floor, (M, N, q)
 
 
@@ -401,7 +400,7 @@ def test_probe_floor_satisfaction_spot_checks():
         pr = rational_probe(1, q, SumSpec(Rational(1, q), WeightVector(*win)),
                             window=win)
         assert pr.satisfied
-        assert pr.floor_margin() >= 1.0
+        assert pr.floor_margin >= 1.0
 
 
 def test_probe_refuses_a_block_holding_n0():
@@ -1036,19 +1035,19 @@ def test_coefficient_arrays_symmetric_weights(golden):
 # ---------------------------------------------------------------- stability
 
 def test_stability_certified_pair(golden):
-    res = stability_ratio(golden, Rational(144, 233), rough_weights(6))
+    res = stability_ratio(golden, Rational(144, 233), 6, "rough")
     assert 1 / 8 <= res.ratio <= 8
     assert res.sup_a > 0 and res.sup_b > 0
 
 
 def test_stability_refuses_distant_pair(golden):
     with pytest.raises(HypothesisError):
-        stability_ratio(golden, Rational(1, 2), rough_weights(6))
+        stability_ratio(golden, Rational(1, 2), 6, "rough")
 
 
 def test_stability_kbound_widens_certification(golden):
     # 34/55 is within 9/N^2 of t at j = 6 (N = 128) but not within 1/N^2
     with pytest.raises(HypothesisError):
-        stability_ratio(golden, Rational(34, 55), rough_weights(6))
-    res = stability_ratio(golden, Rational(34, 55), rough_weights(6), k_bound=9)
+        stability_ratio(golden, Rational(34, 55), 6, "rough")
+    res = stability_ratio(golden, Rational(34, 55), 6, "rough", k_bound=9)
     assert res.ratio > 0
